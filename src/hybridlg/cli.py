@@ -6,8 +6,8 @@ with 17 significant digits, which round-trips 64-bit floats exactly.  Sweeps
 accept ``--workers N`` and produce value-identical output for any worker
 count (cells are pure and assembled by index).
 
-Exit codes: 0 success, 2 trajectory extinction, 64 usage error, 70 internal
-numeric failure.
+Exit codes: 0 success, 2 trajectory extinction, 64 usage error (including an
+--in/--out path that cannot be opened), 70 internal numeric failure.
 """
 
 import argparse
@@ -35,6 +35,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _open(path, mode, flag):
+    """open() with a failure reported as a usage error naming the path."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(f"{flag} {path}: {exc.strerror}") from None
 
 
 def _fmt(value) -> str:
@@ -71,7 +79,8 @@ class _Writer:
 
     def __enter__(self):
         self._handle = (
-            sys.stdout if self.path in (None, "-") else open(self.path, "w")
+            sys.stdout if self.path in (None, "-")
+            else _open(self.path, "w", "--out")
         )
         if self.fmt == "csv":
             self._handle.write("# " + json.dumps(self.metadata) + "\n")
@@ -373,7 +382,7 @@ def _cmd_nsit(args):
 
 def _read_sweep_csv(path):
     rows = []
-    with open(path) as handle:
+    with _open(path, "r", "--in") as handle:
         header = None
         for line in handle:
             line = line.strip()

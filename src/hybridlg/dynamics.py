@@ -12,10 +12,11 @@ Three interchangeable routes propagate the unnormalized state:
 
 Normalization is never applied inside an integrator: the equation governs the
 unnormalized rho and all nonlinearity lives in the rho/Tr[rho] readout.
-:class:`Propagator` is the fast path for sweeps; it diagonalizes the
-generator once and evaluates arbitrary times by scaling mode amplitudes,
-falling back to expm when the eigenbasis is too ill-conditioned near a
-spectral degeneracy.
+:class:`Propagator` is the fast path for many times at one parameter point;
+it diagonalizes the generator once and evaluates arbitrary times by scaling
+mode amplitudes, falling back to expm when the eigenbasis is too
+ill-conditioned near a spectral degeneracy.  That decision lives in
+:func:`decompose`, which the batched K3 engine in ``lgi`` shares.
 """
 
 from dataclasses import dataclass
@@ -124,39 +125,51 @@ def evolve_exact(rho0, params: model.ModelParams, t) -> np.ndarray:
     return devectorize(expm(gen, t) @ vectorize(rho0))
 
 
+def decompose(generators):
+    """Spectral data of a stack of generators, shape (N, 4, 4).
+
+    Returns ``(eigs, modes, inv_modes, diagonalizable)`` with G = V diag(eigs)
+    V^-1 per cell.  A normal generator (the dissipation-free limit, where
+    plain ``eig`` can hand back a badly conditioned basis at the degenerate
+    eigenvalue) is diagonalized unitarily via Schur.  Otherwise the ``eig``
+    basis is kept while its condition number stays below
+    ``_EIG_COND_LIMIT``; cells past it (parameters near an eigenvalue
+    coalescence) are marked not diagonalizable and must be propagated by
+    expm; their ``inv_modes`` are NaN.  Each cell's data come from its own
+    LAPACK call, so they do not depend on the rest of the stack.
+    """
+    gens = np.asarray(generators, dtype=complex)
+    adjoint = gens.conj().swapaxes(-1, -2)
+    normality_defect = np.linalg.norm(gens @ adjoint - adjoint @ gens,
+                                      axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(gens, axis=(-2, -1))) ** 2
+    normal = normality_defect <= 1e-12 * scale
+    eigs, modes = np.linalg.eig(gens)
+    diagonalizable = normal | (np.linalg.cond(modes) < _EIG_COND_LIMIT)
+    inv_modes = np.full_like(modes, np.nan)
+    for n in np.flatnonzero(normal):
+        T, Z = schur(gens[n], output="complex")
+        eigs[n], modes[n], inv_modes[n] = np.diag(T), Z, Z.conj().T
+    regular = np.flatnonzero(diagonalizable & ~normal)
+    inv_modes[regular] = np.linalg.inv(modes[regular])
+    return eigs, modes, inv_modes, diagonalizable
+
+
 class Propagator:
     """Reusable propagator for many times at fixed parameters.
 
-    Diagonalizes the generator once; ``states`` then costs one small matmul
-    per batch of times.  A normal generator (the dissipation-free limit,
-    where plain ``eig`` can hand back a badly conditioned basis at the
-    degenerate eigenvalue) is diagonalized unitarily via Schur instead.  If
-    the eigenvector matrix is ill-conditioned (parameters near an
-    eigenvalue-coalescence point) every call transparently falls back to the
-    expm route.
+    Diagonalizes the generator once through :func:`decompose`; ``states``
+    then costs one small matmul per batch of times.  If the generator is not
+    diagonalizable there, every call transparently falls back to the expm
+    route.
     """
 
     def __init__(self, params: model.ModelParams):
         self.params = params
         self.generator = build_liouvillian(params)
-        gen = self.generator
-        normality_defect = np.linalg.norm(
-            gen @ gen.conj().T - gen.conj().T @ gen)
-        scale = max(1.0, np.linalg.norm(gen)) ** 2
-        if normality_defect <= 1e-12 * scale:
-            T, Z = schur(gen, output="complex")
-            self._diagonalizable = True
-            self._eigs = np.diag(T)
-            self._modes = Z
-            self._inv_modes = Z.conj().T
-            return
-        w, V = np.linalg.eig(gen)
-        cond = np.linalg.cond(V)
-        self._diagonalizable = bool(cond < _EIG_COND_LIMIT)
-        if self._diagonalizable:
-            self._eigs = w
-            self._modes = V
-            self._inv_modes = np.linalg.inv(V)
+        eigs, modes, inv_modes, diagonalizable = decompose(self.generator[None])
+        self._diagonalizable = bool(diagonalizable[0])
+        self._eigs, self._modes, self._inv_modes = eigs[0], modes[0], inv_modes[0]
 
     def states(self, rho0, times) -> np.ndarray:
         """Unnormalized rho(t) for each t in ``times``; shape (len(times), 2, 2)."""

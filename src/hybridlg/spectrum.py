@@ -30,6 +30,19 @@ from .numerics import (
 )
 
 
+#: parameter-free superoperators: recycling L rho L^dag and the decay
+#: anticommutator {L^dag L, rho}, in the (rho_00, rho_01, rho_10, rho_11) order
+_L = model.SIGMA_PLUS
+_LDL = _L.conj().T @ _L
+_RECYCLING = np.kron(_L, _L.conj())
+_DECAY = np.kron(_LDL, model.IDENTITY) + np.kron(model.IDENTITY, _LDL.T)
+
+
+def _kron(a, b):
+    """np.kron of two 2x2 matrices: the same products, without its overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def build_liouvillian(params: model.ModelParams) -> np.ndarray:
     """4x4 generator in the ordering (rho_00, rho_01, rho_10, rho_11).
 
@@ -37,16 +50,21 @@ def build_liouvillian(params: model.ModelParams) -> np.ndarray:
     closed form with (0,3) entry 2 q gamma and diagonal (0, -gamma, -gamma,
     -2 gamma).
     """
-    H = model.hamiltonian(params)
-    L = model.SIGMA_PLUS
-    LdL = L.conj().T @ L
-    eye = model.IDENTITY
-    commutator = np.kron(H, eye) - np.kron(eye, H.T)
-    recycling = np.kron(L, L.conj())
-    decay = np.kron(LdL, eye) + np.kron(eye, LdL.T)
-    return -1j * commutator + 2.0 * params.gamma * (
-        params.q * recycling - 0.5 * decay
-    )
+    return build_liouvillians(model.hamiltonian(params), params.gamma, params.q)
+
+
+def build_liouvillians(hamiltonian, gammas, qs) -> np.ndarray:
+    """Generators for one Hamiltonian and arrays of gamma and q, shape (..., 4, 4).
+
+    Scalar gamma and q give one 4x4 generator (:func:`build_liouvillian`).
+    Every entry takes the same floating-point operations whatever the batch
+    shape, so a cell's generator does not depend on the batch it was built in.
+    """
+    gammas = np.asarray(gammas, dtype=float)[..., None, None]
+    qs = np.asarray(qs, dtype=float)[..., None, None]
+    commutator = (_kron(hamiltonian, model.IDENTITY)
+                  - _kron(model.IDENTITY, hamiltonian.T))
+    return -1j * commutator + 2.0 * gammas * (qs * _RECYCLING - 0.5 * _DECAY)
 
 
 def vectorize(rho) -> np.ndarray:

@@ -33,6 +33,27 @@ def test_usage_errors_exit_64(tmp_path, capsys):
                  "--rho0", "1,0,0"]) == 64
 
 
+def test_invalid_optimizer_settings_exit_64(tmp_path, capsys):
+    assert main(["k3", "--gamma", "0.5", "--q", "0.5", "--optimize",
+                 "--resolution", "0"]) == 64
+    assert main(["sweep", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2",
+                 "--resolution", "0"]) == 64
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2",
+                 "--t-max", "-3", "--resolution", "50",
+                 "--out", str(out)]) == 64
+    assert "t_max" in capsys.readouterr().err
+
+
+def test_unopenable_paths_exit_64(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["fit-check", "--in", str(missing)]) == 64
+    assert str(missing) in capsys.readouterr().err
+    nowhere = tmp_path / "no-such-dir" / "out.csv"
+    assert main(["ep-locus", "--grid-q", "0:1:3", "--out", str(nowhere)]) == 64
+    assert str(nowhere) in capsys.readouterr().err
+
+
 def test_evolve_initial_row_and_metadata(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["evolve", "--gamma", "0.9905", "--q", "1", "--t-max", "5",

@@ -7,9 +7,9 @@ from hybridlg.errors import TrajectoryExtinguishedError
 from hybridlg.lgi import (
     OptimizeConfig,
     SWEEP_TRACE_FLOOR,
-    _k3_curve,
     correlators,
     k3,
+    k3_curve,
     optimize_k3,
     sweep,
 )
@@ -64,9 +64,8 @@ def test_engine_cross_validation():
 
 def test_batched_curve_matches_scalar_records():
     params = ModelParams(gamma=0.8, q=0.4)
-    prop = Propagator(params)
     times = np.linspace(0.2, 6.0, 7)
-    curve = _k3_curve(prop, times, 1e-12)
+    curve = k3_curve(params, times, 1e-12)
     for t, value in zip(times, curve):
         assert value == pytest.approx(correlators(params, t).k3, abs=1e-12)
 
@@ -122,9 +121,8 @@ def test_optimize_matches_dense_scan_oracle():
     for gamma, q in ((0.9905, 1e-4), (0.5, 0.03), (1.3, 0.7)):
         params = ModelParams(gamma=gamma, q=q)
         best = optimize_k3(params)
-        prop = Propagator(params)
-        dense = _k3_curve(prop, np.linspace(20 / 40000, 20.0, 40000),
-                          SWEEP_TRACE_FLOOR)
+        dense = k3_curve(params, np.linspace(20 / 40000, 20.0, 40000),
+                         SWEEP_TRACE_FLOOR)
         dense_max = float(np.nanmax(dense))
         assert best.k3_max >= dense_max - 1e-9
         assert abs(best.k3_max - dense_max) <= 5e-6
@@ -158,14 +156,26 @@ def test_sweep_row_is_monotone_in_efficiency():
 
 
 def test_sweep_worker_independence():
-    gammas = np.linspace(0.3, 1.2, 3)
-    qs = np.logspace(-3, 0, 3)
     config = OptimizeConfig(resolution=400)
-    serial = sweep(gammas, qs, config=config, workers=1)
-    parallel = sweep(gammas, qs, config=config, workers=2)
-    assert np.array_equal(serial.k3_max, parallel.k3_max)
-    assert np.array_equal(serial.t_star, parallel.t_star)
-    assert serial.messages == parallel.messages
+    grids = (
+        (np.linspace(0.3, 1.2, 3), np.logspace(-3, 0, 3)),
+        # gamma = 0 takes the Schur route, (2, 1) is exactly defective and
+        # takes the expm route
+        (np.array([0.0, 0.7, 2.0]), np.array([1e-3, 0.4, 1.0])),
+    )
+    for gammas, qs in grids:
+        serial = sweep(gammas, qs, config=config, workers=1)
+        parallel = sweep(gammas, qs, config=config, workers=2)
+        assert np.array_equal(serial.k3_max, parallel.k3_max)
+        assert np.array_equal(serial.t_star, parallel.t_star)
+        assert serial.messages == parallel.messages
+    # every cell of the last grid equals its own single-cell optimization,
+    # bit for bit
+    for i, gamma in enumerate(gammas):
+        for j, q in enumerate(qs):
+            best = optimize_k3(ModelParams(gamma=gamma, q=q), config)
+            assert serial.k3_max[i, j] == best.k3_max
+            assert serial.t_star[i, j] == best.t_star
 
 
 def test_sweep_rows_are_gamma_outer_fixed_order():
@@ -197,8 +207,7 @@ def test_intermediate_correlator_decomposes_over_joint_outcomes():
 def test_sweep_trace_floor_keeps_conditioned_cells_alive():
     # default observation floor would clip the landscape at long horizons
     params = ModelParams(gamma=0.9905, q=1e-6)
-    strict = _k3_curve(Propagator(params), np.linspace(0.01, 20, 200), 1e-12)
-    floored = _k3_curve(Propagator(params), np.linspace(0.01, 20, 200),
-                        SWEEP_TRACE_FLOOR)
+    strict = k3_curve(params, np.linspace(0.01, 20, 200), 1e-12)
+    floored = k3_curve(params, np.linspace(0.01, 20, 200), SWEEP_TRACE_FLOOR)
     assert np.isnan(strict).any()
     assert np.isfinite(floored).all()

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 trajectory extinction, 64 usage error (including an
 import argparse
 import json
 import math
-import multiprocessing
 import sys
 
 import numpy as np
@@ -328,55 +327,25 @@ def _cmd_bloch_traj(args):
     return EXIT_OK
 
 
-def _nsit_cell(task):
-    gamma, q, J, theta, t, maximize, t_max, resolution, eps_trace, q0, q2 = task
-    try:
-        params = model.ModelParams(gamma=gamma, q=q, J=J, theta=theta)
-        if maximize:
-            best = lgi.optimize_k3(params, lgi.OptimizeConfig(
-                t_max=t_max, resolution=resolution))
-            t = best.t_star
-        table = macrorealism.joint_probabilities(params, t,
-                                                 eps_trace=eps_trace)
-        report = macrorealism.check_nsit(table)
-        return (
-            t,
-            report.delta_marginal_middle[(q0, q2)],
-            report.delta_two_time[(1, 2)][q2],
-            report.delta_two_time[(0, 2)][q2],
-            report.aot.max_defect,
-            "",
-        )
-    except HybridLGError as exc:
-        return (t, math.nan, math.nan, math.nan, math.nan, str(exc))
-
-
 def _cmd_nsit(args):
     if (args.t is None) == (not args.maximize_over_t):
         raise UsageError("nsit requires exactly one of --t or --maximize-over-t")
     gammas = _parse_grid(args.grid_gamma, "grid-gamma")
     qs = _parse_grid(args.grid_q, "grid-q")
-    q0, q2 = args.q0, args.q2
-    tasks = [
-        (float(g), float(q), args.J, args.theta, args.t,
-         args.maximize_over_t, args.t_max, args.resolution,
-         args.eps_trace, q0, q2)
-        for g in gammas
-        for q in qs
-    ]
-    if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
-            cells = pool.map(_nsit_cell, tasks)
-    else:
-        cells = [_nsit_cell(task) for task in tasks]
+    base = model.ModelParams(gamma=1.0, q=1.0, J=args.J, theta=args.theta)
+    config = (lgi.OptimizeConfig(t_max=args.t_max, resolution=args.resolution)
+              if args.maximize_over_t else None)
+    rows = macrorealism.nsit_grid(
+        gammas, qs, base, t=args.t, config=config, eps_trace=args.eps_trace,
+        outcomes=(args.q0, args.q2), workers=args.workers,
+    )
     meta = _metadata(args, {"eps_trace": args.eps_trace})
     columns = ["gamma", "q", "t", "delta_01_2", "delta_12", "delta_02",
                "aot_defect", "error"]
+    cells = ((float(g), float(q)) for g in gammas for q in qs)
     with _Writer(args.out, args.format, columns, meta) as writer:
-        for task, cell in zip(tasks, cells):
-            t_used, d012, d12, d02, aot, message = cell
-            writer.write_row([task[0], task[1], t_used, d012, d12, d02,
-                              aot, message])
+        for cell, row in zip(cells, rows):
+            writer.write_row([*cell, *row])
     return EXIT_OK
 
 

@@ -188,12 +188,6 @@ class ResidualReport:
         rows = self.included()
         return float(np.median([r.residual for r in rows])) if rows else math.nan
 
-    def quantiles(self, qs=(0.25, 0.5, 0.75, 1.0)):
-        values = [r.residual for r in self.included()]
-        if not values:
-            return {quantile: math.nan for quantile in qs}
-        return {quantile: float(np.quantile(values, quantile)) for quantile in qs}
-
 
 def _classify(residual: float) -> str:
     low, high = REGION_THRESHOLDS

@@ -25,13 +25,13 @@ double-precision underflow limit.  Point evaluations via
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import model
-from .dynamics import EvolveConfig, Propagator, decompose, evolve_rk4
+from .dynamics import EvolveConfig, decompose, evolve_rk4
 from .errors import TrajectoryExtinguishedError
 from .numerics import expm
 from .spectrum import build_liouvillians, vectorize
@@ -41,6 +41,9 @@ from .spectrum import build_liouvillians, vectorize
 SWEEP_TRACE_FLOOR = 1e-250
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: error text of a grid cell whose every scanned time point is extinguished
+MASKED_MESSAGE = "all time points extinguished"
 
 
 @dataclass(frozen=True)
@@ -56,56 +59,56 @@ class CorrelatorRecord:
     p_minus: float
 
 
-def _sy_of(rho) -> float:
-    return float(np.trace(rho @ model.SIGMA_Y).real)
+def _correlator_terms(sy_plus, sy_minus, sy_plus_2t):
+    """(c01, c12, c02, k3, p+, p-) from Tr[sigma_y rho~] of the + and - branch
+    at t and the + branch at 2t, with p+- = (1 +- sy+)/2; floats or arrays."""
+    p_plus = 0.5 * (1.0 + sy_plus)
+    p_minus = 0.5 * (1.0 - sy_plus)
+    c12 = sy_plus * p_plus - sy_minus * p_minus
+    return (sy_plus, c12, sy_plus_2t, sy_plus + c12 - sy_plus_2t,
+            p_plus, p_minus)
 
 
-def _normalized(rho, eps_trace, context):
-    trace = float(np.trace(rho).real)
-    if trace < eps_trace:
-        raise TrajectoryExtinguishedError(trace, context=context)
-    return rho / trace
+def _branch_sy(branches, eps_trace):
+    """sy / trace of each (context, trace, sy) readout; the first one, in
+    order, whose trace is below ``eps_trace`` raises with its context."""
+    out = []
+    for context, trace, sy in branches:
+        if trace < eps_trace:
+            raise TrajectoryExtinguishedError(trace, context=context)
+        out.append(sy / trace)
+    return out
 
 
 def correlators(params: model.ModelParams, t, engine="exact",
-                eps_trace=1e-12, dt=1e-3, propagator=None) -> CorrelatorRecord:
+                eps_trace=1e-12, dt=1e-3) -> CorrelatorRecord:
     """Evaluate C01, C12, C02 and K3 at interval t.
 
-    ``engine`` selects the propagation route: "exact" (matrix exponential /
-    spectral, the default) or "rk4".  A trajectory whose trace falls below
-    ``eps_trace`` raises with the offending branch named.
+    ``engine`` selects the propagation route: "exact" (the spectral / expm
+    readouts of the K3 engine, the default) or "rk4".  A trajectory whose
+    trace falls below ``eps_trace`` raises with the offending branch named.
     """
     if not t > 0:
         raise ValueError(f"expected t > 0, got {t}")
-    if propagator is not None and propagator.params != params:
-        raise ValueError(
-            f"propagator was built for {propagator.params}, not {params}")
     if engine == "exact":
-        prop = propagator if propagator is not None else Propagator(params)
-        rho_plus_t, rho_plus_2t = prop.states(model.PROJECTOR_PLUS, [t, 2.0 * t])
-        rho_minus_t = prop.state(model.PROJECTOR_MINUS, t)
+        readouts = _Cells([params.gamma], [params.q], params).readouts([0], [t])
+        at_t, at_2t = (columns[0].tolist() for columns in readouts)
     elif engine == "rk4":
         cfg = EvolveConfig(dt=dt, method="rk4")
-        rho_plus_t = evolve_rk4(model.PROJECTOR_PLUS, params, t, cfg)
-        rho_plus_2t = evolve_rk4(model.PROJECTOR_PLUS, params, 2.0 * t, cfg)
-        rho_minus_t = evolve_rk4(model.PROJECTOR_MINUS, params, t, cfg)
+        at_t = _readout(evolve_rk4(model.PROJECTOR_PLUS, params, t, cfg),
+                        evolve_rk4(model.PROJECTOR_MINUS, params, t, cfg))
+        at_2t = _readout(evolve_rk4(model.PROJECTOR_PLUS, params, 2.0 * t, cfg))
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
     # rho(0) = P_+, so the evolved initial state and the + branch coincide.
-    state_t = _normalized(rho_plus_t, eps_trace, "branch + at t")
-    state_2t = _normalized(rho_plus_2t, eps_trace, "branch + at 2t")
-    branch_minus = _normalized(rho_minus_t, eps_trace, "branch - at t")
-
-    c01 = _sy_of(state_t)
-    p_plus = float(np.trace(model.PROJECTOR_PLUS @ state_t).real)
-    p_minus = float(np.trace(model.PROJECTOR_MINUS @ state_t).real)
-    c12 = _sy_of(state_t) * p_plus - _sy_of(branch_minus) * p_minus
-    c02 = _sy_of(state_2t)
-    return CorrelatorRecord(
-        t=float(t), c01=c01, c12=c12, c02=c02, k3=c01 + c12 - c02,
-        p_plus=p_plus, p_minus=p_minus,
-    )
+    sy_plus, sy_plus_2t, sy_minus = _branch_sy([
+        ("branch + at t", at_t[0], at_t[2]),
+        ("branch + at 2t", at_2t[0], at_2t[1]),
+        ("branch - at t", at_t[1], at_t[3]),
+    ], eps_trace)
+    return CorrelatorRecord(float(t), *_correlator_terms(
+        sy_plus, sy_minus, sy_plus_2t))
 
 
 def k3(params: model.ModelParams, t, engine="exact", eps_trace=1e-12) -> float:
@@ -181,13 +184,19 @@ def _contract(a, b):
     return total
 
 
+def _readout(*rhos):
+    """(tr, sy) of one state, (tr+, tr-, sy+, sy-) of the P+ and P- branches."""
+    return (_READOUT @ np.stack([vectorize(rho) for rho in rhos], axis=1)
+            ).real.ravel().tolist()
+
+
 def _normalized_sy(sy, trace, eps_trace):
     bad = ~(trace >= eps_trace)
     return np.where(bad, np.nan, sy / np.where(bad, 1.0, trace))
 
 
 class _Cells:
-    """K3(t) for a batch of (gamma, q) cells sharing J and theta.
+    """Branch readouts for a batch of (gamma, q) cells sharing J and theta.
 
     One stacked eigendecomposition gives, per cell, the weights
     w = (e_obs^T V)(V^-1 v0) for obs in {trace, sigma_y} and v0 in {P+, P-},
@@ -197,8 +206,8 @@ class _Cells:
     both branches and one expm(G 2t).
     """
 
-    def __init__(self, gammas, qs, params: model.ModelParams, eps_trace):
-        self.eps_trace = eps_trace
+    def __init__(self, gammas, qs, params: model.ModelParams):
+        self.params = params
         self.generators = build_liouvillians(model.hamiltonian(params), gammas, qs)
         eigs, modes, inv_modes, self.spectral = decompose(self.generators)
         readout = _contract(_READOUT, modes)           # (N, 2, 4)
@@ -209,52 +218,55 @@ class _Cells:
         self.eigs = np.where(self.spectral[:, None], eigs, 0.0)
         self.weights = np.where(self.spectral[:, None, None], weights, 0.0)
 
-    def _expm_readouts(self, cell, t):
-        """(tr+, tr-, sy+, sy-) at t and (tr+, sy+) at 2t through expm."""
+    def _expm_readouts(self, cell, t, both_at_2t):
         gen = self.generators[cell]
         at_t = (_READOUT @ expm(gen, t) @ _BRANCHES).real.ravel()
-        at_2t = (_READOUT @ expm(gen, 2.0 * t) @ _BRANCHES[:, 0]).real
+        branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, 0]
+        at_2t = (_READOUT @ expm(gen, 2.0 * t) @ branches_2t).real.ravel()
         return at_t, at_2t
 
-    def k3(self, cells, times):
-        """K3 at (cells[i], times[i]), broadcast; extinguished points are NaN."""
+    def readouts(self, cells, times, both_at_2t=False):
+        """(tr+, tr-, sy+, sy-) at t and at 2t, at (cells[i], times[i]),
+        broadcast; at 2t only (tr+, sy+) unless ``both_at_2t``, since the K3
+        scan needs no more."""
         cells = np.asarray(cells)
         times = np.asarray(times, dtype=float)
         phases = np.exp(times[..., None] * self.eigs[cells])
         weights = self.weights[cells]
         at_t = _contract(phases[..., None, :], weights)[..., 0, :].real
         at_2t = _contract((phases * phases)[..., None, :],
-                          weights[..., 0::2])[..., 0, :].real
+                          weights if both_at_2t else weights[..., 0::2]
+                          )[..., 0, :].real
         if not self.spectral[cells].all():
             cells, times = np.broadcast_arrays(cells, times)
             for index in zip(*np.nonzero(~self.spectral[cells])):
                 at_t[index], at_2t[index] = self._expm_readouts(
-                    cells[index], float(times[index]))
-        sy_plus = _normalized_sy(at_t[..., 2], at_t[..., 0], self.eps_trace)
-        sy_minus = _normalized_sy(at_t[..., 3], at_t[..., 1], self.eps_trace)
-        sy_plus_2t = _normalized_sy(at_2t[..., 1], at_2t[..., 0], self.eps_trace)
-        p_plus = 0.5 * (1.0 + sy_plus)
-        p_minus = 0.5 * (1.0 - sy_plus)
-        return sy_plus + (sy_plus * p_plus - sy_minus * p_minus) - sy_plus_2t
+                    cells[index], float(times[index]), both_at_2t)
+        return at_t, at_2t
 
-    def value(self, cells, times):
+    def k3(self, cells, times, eps_trace):
+        """K3 at (cells[i], times[i]), broadcast; extinguished points are NaN."""
+        at_t, at_2t = self.readouts(cells, times)
+        sy_plus = _normalized_sy(at_t[..., 2], at_t[..., 0], eps_trace)
+        sy_minus = _normalized_sy(at_t[..., 3], at_t[..., 1], eps_trace)
+        sy_plus_2t = _normalized_sy(at_2t[..., 1], at_2t[..., 0], eps_trace)
+        return _correlator_terms(sy_plus, sy_minus, sy_plus_2t)[3]
+
+    def value(self, cells, times, eps_trace):
         """K3 for the maximizer: extinguished points rank as -inf."""
-        out = self.k3(cells, times)
+        out = self.k3(cells, times, eps_trace)
         return np.where(np.isfinite(out), out, -np.inf)
 
 
 def k3_curve(params: model.ModelParams, times, eps_trace=SWEEP_TRACE_FLOOR
              ) -> np.ndarray:
-    """K3 over a batch of times through the optimizer's own evaluation.
-
-    Agrees with :func:`correlators` to roundoff (asserted in the test suite);
-    points whose trace fell below ``eps_trace`` are NaN.
-    """
-    cell = _Cells([params.gamma], [params.q], params, eps_trace)
-    return cell.k3(0, np.asarray(times, dtype=float))
+    """K3 over a batch of times through the optimizer's own evaluation;
+    points whose trace fell below ``eps_trace`` are NaN."""
+    cell = _Cells([params.gamma], [params.q], params)
+    return cell.k3(0, np.asarray(times, dtype=float), eps_trace)
 
 
-def _coarse_peaks(cells: _Cells, grid):
+def _coarse_peaks(cells: _Cells, grid, eps_trace):
     """Candidate (cell, grid index) pairs, cell-major, and the masked cells.
 
     Every local maximum within ``_PEAK_WINDOW`` of its cell's grid maximum
@@ -266,7 +278,7 @@ def _coarse_peaks(cells: _Cells, grid):
     peak_cells, peak_index, masked = [], [], np.zeros(count, dtype=bool)
     for first in range(0, count, step):
         block = np.arange(first, min(first + step, count))
-        curve = cells.value(block[:, None], grid)
+        curve = cells.value(block[:, None], grid, eps_trace)
         vmax = curve.max(axis=1)
         masked[block] = vmax == -np.inf
         edge = np.full((len(block), 1), -np.inf)
@@ -280,7 +292,7 @@ def _coarse_peaks(cells: _Cells, grid):
     return np.concatenate(peak_cells), np.concatenate(peak_index), masked
 
 
-def _golden_section(cells: _Cells, owner, a, b, tol):
+def _golden_section(cells: _Cells, owner, a, b, tol, eps_trace):
     """Maximize over every bracket [a, b] at once, each to its own width tol.
 
     Each iteration keeps one interior point of the previous one and
@@ -293,8 +305,8 @@ def _golden_section(cells: _Cells, owner, a, b, tol):
     live = np.flatnonzero(b - a > tol)
     fc = np.full(a.shape, -np.inf)
     fd = np.full(a.shape, -np.inf)
-    fc[live] = cells.value(owner[live], c[live])
-    fd[live] = cells.value(owner[live], d[live])
+    fc[live] = cells.value(owner[live], c[live], eps_trace)
+    fd[live] = cells.value(owner[live], d[live], eps_trace)
     while live.size:
         left = fc[live] > fd[live]  # the maximum lies in [a, d]
         keep_a, keep_b = live[left], live[~left]
@@ -304,28 +316,26 @@ def _golden_section(cells: _Cells, owner, a, b, tol):
         d[keep_b] = a[keep_b] + GOLDEN * (b[keep_b] - a[keep_b])
         still = b[live] - a[live] > tol
         live, left = live[still], left[still]
-        fresh = cells.value(owner[live], np.where(left, c[live], d[live]))
+        fresh = cells.value(owner[live], np.where(left, c[live], d[live]),
+                            eps_trace)
         fc[live] = np.where(left, fresh, fc[live])
         fd[live] = np.where(left, fd[live], fresh)
     return a, b
 
 
-def _optimize_cells(gammas, qs, params: model.ModelParams,
-                    config: OptimizeConfig) -> list:
-    """Maximize K3 over t in (0, t_max] for every (gammas[i], qs[i]) cell.
+def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
+    """Maximize K3 over t in (0, t_max] for every cell of ``cells``.
 
-    The engine behind :func:`optimize_k3` (one cell) and :func:`sweep`.
-    A uniform scan locates candidate peaks; each is re-scanned at 4x the
-    grid density to guard against aliasing of the oscillatory landscape,
-    then refined by golden section to ``refine_tol``.  All candidates of all
-    cells are refined together.  A cell's result depends only on its own
-    parameters, never on the other cells of the batch.
+    The engine behind :func:`optimize_k3` (one cell; the method is described
+    there), :func:`sweep` and ``nsit --maximize-over-t``.  The 4x re-scan
+    guards against aliasing of the oscillatory landscape.  All candidates of
+    all cells are refined together, and a cell's result never depends on
+    the other cells of the batch.
     """
-    horizon = config.horizon(params)
+    horizon = config.horizon(cells.params)
     n = config.resolution
     grid = np.linspace(horizon / n, horizon, n)
-    cells = _Cells(gammas, qs, params, config.eps_trace)
-    owner, index, masked = _coarse_peaks(cells, grid)
+    owner, index, masked = _coarse_peaks(cells, grid, config.eps_trace)
 
     # a maximum on the first grid point may really live on the open t -> 0+
     # boundary; let the bracket reach down to the refinement scale so the
@@ -334,14 +344,15 @@ def _optimize_cells(gammas, qs, params: model.ModelParams,
                   min(config.refine_tol, grid[0] / 2))
     hi = grid[np.minimum(index + 1, n - 1)]
     rescan_ts = np.linspace(lo, hi, 9, axis=-1)
-    rescan = cells.value(owner[:, None], rescan_ts)
+    rescan = cells.value(owner[:, None], rescan_ts, config.eps_trace)
     j = np.argmax(rescan, axis=1)
     rows = np.arange(len(owner))
     a = rescan_ts[rows, np.maximum(j - 1, 0)]
     b = rescan_ts[rows, np.minimum(j + 1, 8)]
-    a, b = _golden_section(cells, owner, a, b, config.refine_tol)
+    a, b = _golden_section(cells, owner, a, b, config.refine_tol,
+                           config.eps_trace)
     refined = 0.5 * (a + b)
-    refined_value = cells.value(owner, refined)
+    refined_value = cells.value(owner, refined, config.eps_trace)
     scan_t, scan_value = rescan_ts[rows, j], rescan[rows, j]
     take = (refined_value > scan_value) | (
         (refined_value == scan_value) & (refined < scan_t))
@@ -373,7 +384,7 @@ def optimize_k3(params: model.ModelParams, config: OptimizeConfig = OptimizeConf
     whose trace fell below the floor are skipped; if every point is
     extinguished the result is masked (NaN).
     """
-    return _optimize_cells([params.gamma], [params.q], params, config)[0]
+    return _optimize_cells(_Cells([params.gamma], [params.q], params), config)[0]
 
 
 @dataclass(frozen=True)
@@ -404,51 +415,59 @@ class SweepResult:
                 )
 
 
-def sweep(gamma_grid, q_grid, base_params: model.ModelParams | None = None,
-          config: OptimizeConfig = OptimizeConfig(), workers=1) -> SweepResult:
-    """Maximize K3 on every cell of a (gamma, q) grid.
+def _chunk_task(task):
+    work, gammas, qs, params, args = task
+    return work(_Cells(gammas, qs, params), *args)
 
-    Cells go to the engine in chunks of ``_SWEEP_CHUNK_CELLS``; a cell's
-    result does not depend on its chunk, so output is identical for any
-    worker count.  Cells whose every time point is extinguished are masked
-    instead of aborting the sweep.
+
+def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
+              workers=1) -> list:
+    """Per-cell results of ``work(cells, *args)`` over a (gamma, q) grid.
+
+    Cells sharing the J and theta of ``params`` are validated up front and
+    go to ``work`` as :class:`_Cells` chunks of ``_SWEEP_CHUNK_CELLS``, in row
+    order (gamma outer).  ``work`` must not let a cell's result depend on
+    its chunk; ``workers`` then only decides which process runs a chunk.
     """
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
-    q_grid = np.asarray(q_grid, dtype=float)
-    if gamma_grid.size == 0 or q_grid.size == 0:
+    if len(gamma_grid) == 0 or len(q_grid) == 0:
         raise ValueError("gamma and q grids must be nonempty")
-    J = base_params.J if base_params is not None else 1.0
-    theta = base_params.theta if base_params is not None else math.pi / 2
-
     gammas = np.repeat(gamma_grid, len(q_grid))
     qs = np.tile(q_grid, len(gamma_grid))
-    # every cell is validated up front, in row order; all share J and theta
-    cells = [model.ModelParams(gamma=gamma, q=q, J=J, theta=theta)
-             for gamma, q in zip(gammas.tolist(), qs.tolist())]
+    for gamma, q in zip(gammas.tolist(), qs.tolist()):
+        replace(params, gamma=gamma, q=q)
     tasks = [
-        (gammas[k:k + _SWEEP_CHUNK_CELLS], qs[k:k + _SWEEP_CHUNK_CELLS],
-         cells[0], config)
+        (work, gammas[k:k + _SWEEP_CHUNK_CELLS], qs[k:k + _SWEEP_CHUNK_CELLS],
+         params, args)
         for k in range(0, len(gammas), _SWEEP_CHUNK_CELLS)
     ]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.starmap(_optimize_cells, tasks)
+            chunks = pool.map(_chunk_task, tasks)
     else:
-        chunks = [_optimize_cells(*task) for task in tasks]
+        chunks = map(_chunk_task, tasks)
+    return [result for chunk in chunks for result in chunk]
+
+
+def sweep(gamma_grid, q_grid, base_params: model.ModelParams | None = None,
+          config: OptimizeConfig = OptimizeConfig(), workers=1) -> SweepResult:
+    """Maximize K3 on every cell of a (gamma, q) grid.
+
+    Cells go to the engine through :func:`_map_grid`, so output is identical
+    for any worker count.  Cells whose every time point is extinguished are
+    masked instead of aborting the sweep.
+    """
+    gamma_grid = np.asarray(gamma_grid, dtype=float)
+    q_grid = np.asarray(q_grid, dtype=float)
+    base = base_params if base_params is not None else model.ModelParams(
+        gamma=0.0, q=1.0)
+    results = _map_grid(_optimize_cells, gamma_grid, q_grid, base, (config,),
+                        workers)
 
     shape = (len(gamma_grid), len(q_grid))
-    k3_max = np.empty(shape)
-    t_star = np.empty(shape)
-    masked = np.zeros(shape, dtype=bool)
-    messages = {}
-    results = (cell for chunk in chunks for cell in chunk)
-    for flat, cell in enumerate(results):
-        i, j = divmod(flat, len(q_grid))
-        k3_max[i, j] = cell.k3_max
-        t_star[i, j] = cell.t_star
-        if cell.masked:
-            masked[i, j] = True
-            messages[(i, j)] = "all time points extinguished"
+    k3_max, t_star, masked = (np.reshape(column, shape)
+                              for column in zip(*results))
+    messages = {(i, j): MASKED_MESSAGE
+                for i, j in np.argwhere(masked).tolist()}
     return SweepResult(
         gamma_grid=gamma_grid, q_grid=q_grid, k3_max=k3_max, t_star=t_star,
         masked=masked, messages=messages,

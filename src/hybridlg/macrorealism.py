@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .dynamics import Propagator
+from . import lgi, model
 from .errors import TrajectoryExtinguishedError
 
 OUTCOMES = (+1, -1)
@@ -43,70 +42,47 @@ class JointProbTable:
         return float(sum(self.triples.values()))
 
 
-def _probability(projector, rho) -> float:
-    return float(np.trace(projector @ rho).real)
+def _table(t, at_t, at_2t, eps_trace) -> JointProbTable:
+    """The table from the branch readouts (tr+, tr-, sy+, sy-) at t and 2t.
 
+    Each probability is Tr(P_s rho~) = (1 + s Tr[sigma_y rho~]) / 2.
+    """
+    plus_t, plus_2t, minus_t, minus_2t = lgi._branch_sy([
+        ("branch +1 at t", at_t[0], at_t[2]),
+        ("branch +1 at 2t", at_2t[0], at_2t[2]),
+        ("branch -1 at t", at_t[1], at_t[3]),
+        ("branch -1 at 2t", at_2t[1], at_2t[3]),
+    ], eps_trace)
+    sy_t, sy_2t = {+1: plus_t, -1: minus_t}, {+1: plus_2t, -1: minus_2t}
 
-def _normalized(rho, eps_trace, context):
-    trace = float(np.trace(rho).real)
-    if trace < eps_trace:
-        raise TrajectoryExtinguishedError(trace, context=context)
-    return rho / trace
+    def prob(outcome, sy):
+        return 0.5 * (1.0 + outcome * sy)
 
-
-def joint_probabilities(params: model.ModelParams, t, eps_trace=1e-12,
-                        propagator=None) -> JointProbTable:
-    """Evaluate every distribution of the three-time protocol at interval t."""
-    if not t > 0:
-        raise ValueError(f"expected t > 0, got {t}")
-    if propagator is not None and propagator.params != params:
-        raise ValueError(
-            f"propagator was built for {propagator.params}, not {params}")
-    prop = propagator if propagator is not None else Propagator(params)
-
-    rho0 = model.INITIAL_STATE
-    branch_t = {}
-    branch_2t = {}
-    for outcome in OUTCOMES:
-        raw_t, raw_2t = prop.states(model.PROJECTORS[outcome], [t, 2.0 * t])
-        branch_t[outcome] = _normalized(
-            raw_t, eps_trace, f"branch {outcome:+d} at t")
-        branch_2t[outcome] = _normalized(
-            raw_2t, eps_trace, f"branch {outcome:+d} at 2t")
-    # rho(0) = P_+, so the unconditioned evolved state is the + branch
-    state_t = branch_t[+1]
-    state_2t = branch_2t[+1]
-
-    singles = {
-        0: {s: _probability(model.PROJECTORS[s], rho0) for s in OUTCOMES},
-        1: {s: _probability(model.PROJECTORS[s], state_t) for s in OUTCOMES},
-        2: {s: _probability(model.PROJECTORS[s], state_2t) for s in OUTCOMES},
-    }
+    # rho(0) = P_+ has sy = 1, and the unconditioned state is the + branch
+    singles = {index: {s: prob(s, sy) for s in OUTCOMES}
+               for index, sy in enumerate((1.0, sy_t[+1], sy_2t[+1]))}
+    # P(qi, qj) = Tr(P_qj rho~_qi(t_j - t_i)) P(qi)
     pairs = {
-        (0, 1): {
-            (q0, q1): _probability(model.PROJECTORS[q1], branch_t[q0])
-            * singles[0][q0]
-            for q0, q1 in itertools.product(OUTCOMES, repeat=2)
-        },
-        (0, 2): {
-            (q0, q2): _probability(model.PROJECTORS[q2], branch_2t[q0])
-            * singles[0][q0]
-            for q0, q2 in itertools.product(OUTCOMES, repeat=2)
-        },
-        (1, 2): {
-            (q1, q2): _probability(model.PROJECTORS[q2], branch_t[q1])
-            * singles[1][q1]
-            for q1, q2 in itertools.product(OUTCOMES, repeat=2)
-        },
+        (i, j): {(qi, qj): prob(qj, sy[qi]) * singles[i][qi]
+                 for qi, qj in itertools.product(OUTCOMES, repeat=2)}
+        for (i, j), sy in (((0, 1), sy_t), ((0, 2), sy_2t), ((1, 2), sy_t))
     }
     triples = {
-        (q0, q1, q2): _probability(model.PROJECTORS[q2], branch_t[q1])
-        * _probability(model.PROJECTORS[q1], branch_t[q0])
-        * singles[0][q0]
+        (q0, q1, q2): prob(q2, sy_t[q1]) * prob(q1, sy_t[q0]) * singles[0][q0]
         for q0, q1, q2 in itertools.product(OUTCOMES, repeat=3)
     }
     return JointProbTable(t=float(t), singles=singles, pairs=pairs,
                           triples=triples)
+
+
+def joint_probabilities(params: model.ModelParams, t, eps_trace=1e-12
+                        ) -> JointProbTable:
+    """Evaluate every distribution of the three-time protocol at interval t."""
+    if not t > 0:
+        raise ValueError(f"expected t > 0, got {t}")
+    cell = lgi._Cells([params.gamma], [params.q], params)
+    readouts = cell.readouts([0], [t], both_at_2t=True)
+    return _table(t, *(columns[0].tolist() for columns in readouts), eps_trace)
 
 
 @dataclass(frozen=True)
@@ -197,6 +173,45 @@ def check_nsit(table: JointProbTable) -> MacrorealismReport:
         delta_marginal_middle=delta_marginal_middle,
         delta_marginal_first=delta_marginal_first,
     )
+
+
+def _nsit_rows(cells, t, config, eps_trace, q0, q2):
+    """The :func:`nsit_grid` rows of one ``lgi._Cells`` chunk."""
+    if t is None:  # a masked optimum has t* = NaN
+        times = np.array([best.t_star for best
+                          in lgi._optimize_cells(cells, config)])
+    else:
+        times = np.full(len(cells.generators), float(t))
+    live = np.flatnonzero(~np.isnan(times))
+    at_t, at_2t = cells.readouts(live, times[live], both_at_2t=True)
+    rows = [(t_at, np.nan, np.nan, np.nan, np.nan, lgi.MASKED_MESSAGE)
+            for t_at in times.tolist()]
+    for k, readout_t, readout_2t in zip(live.tolist(), at_t.tolist(),
+                                        at_2t.tolist()):
+        try:
+            table = _table(times[k], readout_t, readout_2t, eps_trace)
+        except TrajectoryExtinguishedError as exc:
+            rows[k] = rows[k][:5] + (str(exc),)
+            continue
+        report = check_nsit(table)
+        rows[k] = (rows[k][0], report.delta_marginal_middle[(q0, q2)],
+                   report.delta_two_time[(1, 2)][q2],
+                   report.delta_two_time[(0, 2)][q2], report.aot.max_defect, "")
+    return rows
+
+
+def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
+              config=None, eps_trace=1e-12, outcomes=(+1, +1), workers=1
+              ) -> list:
+    """(t, delta_01_2, delta_12, delta_02, aot_defect, error) per grid cell,
+    gamma outer, at interval ``t`` or, with ``t`` None, at each cell's K3
+    optimum under ``config``; (q0, q2) = ``outcomes``.  Extinguished and
+    masked cells get NaN defects and the error text.  Cells run through the
+    grid map of :func:`lgi.sweep`, so ``workers`` never changes a row."""
+    if t is not None and not t > 0:
+        raise ValueError(f"expected t > 0, got {t}")
+    return lgi._map_grid(_nsit_rows, gamma_grid, q_grid, base_params,
+                         (t, config, eps_trace, *outcomes), workers)
 
 
 def correlator_from_pair(table: JointProbTable, pair=(1, 2)) -> float:

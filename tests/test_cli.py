@@ -242,6 +242,15 @@ def test_nsit_maximize_over_t(tmp_path):
     _, header, rows = read_csv(out)
     record = as_dicts(header, rows)[0]
     assert float(record["t"]) > 0.0
+    # a cell whose K3 optimum is masked gets a row, not a usage error
+    assert main(["nsit", "--grid-gamma", "0.9:0.9:1", "--grid-q", "0:0:1",
+                 "--maximize-over-t", "--t-max", "3000", "--resolution", "1",
+                 "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    record = as_dicts(header, rows)[0]
+    for column in ("t", "delta_01_2", "delta_12", "delta_02", "aot_defect"):
+        assert np.isnan(float(record[column]))
+    assert record["error"] == "all time points extinguished"
 
 
 def test_fit_check_pipeline(tmp_path):
@@ -322,13 +331,45 @@ def test_sweep_json_masks_cells_as_null(tmp_path):
 
 
 def test_nsit_workers_value_identical(tmp_path):
-    base = ["nsit", "--grid-gamma", "0.5:1.5:2", "--grid-q", "0.1:1:2:log",
-            "--t", "1"]
-    one = tmp_path / "w1.csv"
-    two = tmp_path / "w2.csv"
-    assert main(base + ["--workers", "1", "--out", str(one)]) == 0
-    assert main(base + ["--workers", "2", "--out", str(two)]) == 0
-    assert one.read_text().split("\n")[1:] == two.read_text().split("\n")[1:]
+    from hybridlg.errors import TrajectoryExtinguishedError
+    from hybridlg.macrorealism import check_nsit, joint_probabilities
+    from hybridlg.model import ModelParams
+
+    grids = (
+        ("0.5:1.5:2", "0.1:1:2:log", "1"),
+        # gamma = 0 takes the Schur route; (1, 0) and (2, 1) are exactly
+        # defective and take the expm route, and (1, 0) is extinguished
+        ("0:2:3", "0:1:2", "40"),
+    )
+    for grid_gamma, grid_q, t in grids:
+        base = ["nsit", "--grid-gamma", grid_gamma, "--grid-q", grid_q,
+                "--t", t]
+        one = tmp_path / "w1.csv"
+        two = tmp_path / "w2.csv"
+        assert main(base + ["--workers", "1", "--out", str(one)]) == 0
+        assert main(base + ["--workers", "2", "--out", str(two)]) == 0
+        assert one.read_text().split("\n")[1:] == \
+            two.read_text().split("\n")[1:]
+    # every row of the last grid equals its one-cell table, bit for bit
+    _, header, rows = read_csv(one)
+    errors = 0
+    for record in as_dicts(header, rows):
+        params = ModelParams(gamma=float(record["gamma"]),
+                             q=float(record["q"]))
+        try:
+            report = check_nsit(joint_probabilities(params, float(t)))
+        except TrajectoryExtinguishedError as exc:
+            errors += 1
+            assert record["error"] == str(exc)
+            assert np.isnan(float(record["delta_01_2"]))
+            continue
+        assert record["error"] == ""
+        assert float(record["delta_01_2"]) == \
+            report.delta_marginal_middle[(1, 1)]
+        assert float(record["delta_12"]) == report.delta_two_time[(1, 2)][1]
+        assert float(record["delta_02"]) == report.delta_two_time[(0, 2)][1]
+        assert float(record["aot_defect"]) == report.aot.max_defect
+    assert errors == 1
 
 
 def test_json_format(tmp_path):

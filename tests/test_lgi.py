@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridlg import macrorealism
-from hybridlg.dynamics import Propagator
+from conftest import expm_correlators, expm_pair_probabilities
 from hybridlg.errors import TrajectoryExtinguishedError
 from hybridlg.lgi import (
     OptimizeConfig,
@@ -67,14 +66,8 @@ def test_batched_curve_matches_scalar_records():
     times = np.linspace(0.2, 6.0, 7)
     curve = k3_curve(params, times, 1e-12)
     for t, value in zip(times, curve):
-        assert value == pytest.approx(correlators(params, t).k3, abs=1e-12)
-
-
-def test_reused_propagator_must_match_parameters():
-    params = ModelParams(gamma=0.8, q=0.4)
-    other = Propagator(ModelParams(gamma=0.9, q=0.4))
-    with pytest.raises(ValueError, match="propagator"):
-        correlators(params, 1.0, propagator=other)
+        assert value == pytest.approx(expm_correlators(params, t)["k3"],
+                                      abs=1e-12)
 
 
 def test_extinguished_branch_is_identified():
@@ -199,8 +192,8 @@ def test_intermediate_correlator_decomposes_over_joint_outcomes():
         params = ModelParams(gamma=rng.uniform(0.1, 2), q=rng.uniform(0, 1))
         t = rng.uniform(0.1, 4.0)
         record = correlators(params, t)
-        table = macrorealism.joint_probabilities(params, t)
-        reconstructed = macrorealism.correlator_from_pair(table, (1, 2))
+        reconstructed = sum(q1 * q2 * p for (q1, q2), p
+                            in expm_pair_probabilities(params, t).items())
         assert abs(reconstructed - record.c12) <= 1e-10
 
 

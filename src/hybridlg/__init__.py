@@ -42,7 +42,6 @@ from .dynamics import (
     EvolveConfig,
     KrausPair,
     Propagator,
-    evolve,
     evolve_exact,
     evolve_kraus,
     evolve_rk4,

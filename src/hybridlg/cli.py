@@ -6,8 +6,10 @@ with 17 significant digits, which round-trips 64-bit floats exactly.  Sweeps
 accept ``--workers N`` and produce value-identical output for any worker
 count (cells are pure and assembled by index).
 
-Exit codes: 0 success, 2 trajectory extinction, 64 usage error (including an
---in/--out path that cannot be opened), 70 internal numeric failure.
+Exit codes: 0 success, 2 trajectory extinction (also ``k3 --optimize`` on a
+cell whose every scanned time point is extinguished), 64 usage error
+(including an --in/--out path that cannot be opened), 70 internal numeric
+failure.
 """
 
 import argparse
@@ -190,7 +192,7 @@ def _cmd_evolve(args):
             prop = Propagator(params)
             states = prop.states(rho0, times)
         else:
-            cfg = EvolveConfig(dt=args.dt, method="rk4")
+            cfg = EvolveConfig(dt=args.dt)
             states = []
             state = np.asarray(rho0, dtype=complex)
             previous = 0.0
@@ -230,6 +232,8 @@ def _cmd_k3(args):
             eps_trace=args.eps_trace,
         )
         best = lgi.optimize_k3(params, config)
+        if best.masked:
+            raise TrajectoryExtinguishedError(None, context=lgi.MASKED_MESSAGE)
         meta["k3_max"] = _fmt(best.k3_max)
         meta["t_star"] = _fmt(best.t_star)
         t_eval = best.t_star

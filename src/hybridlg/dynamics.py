@@ -8,7 +8,12 @@ Three interchangeable routes propagate the unnormalized state:
   fixed-step RK4 (cross-validation path);
 * :func:`kraus_step` applies the discrete two-operator measurement map
   rho <- M0 rho M0^dag + q M1 rho M1^dag whose delta_t -> 0 limit is the
-  master equation.
+  master equation, and :func:`evolve_kraus` iterates it.
+
+The generator does not depend on time, so a fixed-step scheme is one step
+operator applied n times: both stepping engines apply its n-th power by
+binary powering (:func:`_apply_power`) and take the short final step
+separately.
 
 Normalization is never applied inside an integrator: the equation governs the
 unnormalized rho and all nonlinearity lives in the rho/Tr[rho] readout.
@@ -35,20 +40,17 @@ _EIG_COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Integration controls: step, horizon, normalization floor, engine."""
+    """Integration controls: step, horizon, normalization floor."""
 
     dt: float = 1e-3
     t_max: float = 20.0
     eps_trace: float = 1e-12
-    method: str = "exact"  # exact | rk4 | kraus
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not self.t_max >= 0:
             raise ValueError(f"t_max must be >= 0, got {self.t_max}")
-        if self.method not in ("exact", "rk4", "kraus"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def rhs(rho, params: model.ModelParams) -> np.ndarray:
@@ -76,44 +78,68 @@ def _split_steps(t, dt):
     return n_full, remainder
 
 
+def _apply_power(delta, n, v, done=0):
+    """``(I + delta)^n @ v`` by binary powering: apply the ``2^k``-th power for
+    each set bit k of n, lowest first, squaring between levels.
+
+    The step operator is held as ``I + delta`` and squared as
+    ``delta <- 2 delta + delta^2``, so the small part of a step is never
+    rounded against the identity.  ``done`` steps precede this call.  A state
+    that turns non-finite raises :class:`IntegrationDivergedError` with the
+    step bound reached so far.
+    """
+    applied, span = done, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n:
+            if n & 1:
+                v = v + delta @ v
+                applied += span
+                if not np.all(np.isfinite(v.view(float))):
+                    raise IntegrationDivergedError(applied, f"state={v!r}")
+            n >>= 1
+            if n:
+                delta = 2.0 * delta + delta @ delta
+                span *= 2
+    return v
+
+
+def _rk4_step_delta(gen, h):
+    """One classical RK4 step of dv/dt = G v is v <- S v with
+    S = sum_{k<=4} (hG)^k / k!; returns S - I, in Horner form."""
+    hg = h * gen
+    eye = np.eye(4, dtype=complex)
+    return hg @ (eye + hg @ (eye + hg @ (eye + hg / 4.0) / 3.0) / 2.0)
+
+
 def evolve_rk4(rho0, params: model.ModelParams, t, cfg: EvolveConfig = EvolveConfig(),
                diagnostics=None):
     """Classical fixed-step RK4 on the vectorized linear equation.
 
-    The state is re-symmetrized after every step (the defect before
-    projection is tracked); a NaN/Inf appearing mid-run raises
-    :class:`IntegrationDivergedError` with the offending step index.  The
-    final step is shortened to land exactly on t.  Global error is O(dt^4).
+    The generator does not depend on t, so n RK4 steps are exactly S^n for
+    one step matrix S (:func:`_rk4_step_delta` builds S - I); they are
+    applied by binary powering, and the final step is shortened to land
+    exactly on t.  Global error is O(dt^4).  S is a polynomial in G, so the
+    result stays an independent check of the Pade-based expm.  The final
+    state is projected once onto the Hermitian matrices; its defect before
+    projection is reported as ``diagnostics["hermiticity_defect"]``.  A
+    NaN/Inf state raises :class:`IntegrationDivergedError` with the step
+    bound it appeared at.
     """
     if t < 0:
         raise ValueError(f"expected t >= 0, got {t}")
     gen = build_liouvillian(params)
-    v = vectorize(rho0).copy()
     n_full, remainder = _split_steps(t, cfg.dt)
-    steps = [cfg.dt] * n_full + ([remainder] if remainder else [])
-    worst_defect = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for index, h in enumerate(steps):
-            k1 = gen @ v
-            k2 = gen @ (v + 0.5 * h * k1)
-            k3 = gen @ (v + 0.5 * h * k2)
-            k4 = gen @ (v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # Hermitian projection in vector form: average the coherences,
-            # drop imaginary drift on the populations.
-            coh = 0.5 * (v[1] + v[2].conjugate())
-            defect = max(abs(v[1] - coh), abs(v[0].imag), abs(v[3].imag))
-            if defect > worst_defect:
-                worst_defect = defect
-            v[1] = coh
-            v[2] = coh.conjugate()
-            v[0] = v[0].real
-            v[3] = v[3].real
-            if not np.all(np.isfinite(v.view(float))):
-                raise IntegrationDivergedError(index, f"state={v!r}")
+    v = _apply_power(_rk4_step_delta(gen, cfg.dt), n_full, vectorize(rho0))
+    if remainder:
+        v = _apply_power(_rk4_step_delta(gen, remainder), 1, v, done=n_full)
+    # Hermitian projection in vector form: average the coherences, drop
+    # imaginary drift on the populations.
+    coh = 0.5 * (v[1] + v[2].conjugate())
+    defect = max(abs(v[1] - coh), abs(v[0].imag), abs(v[3].imag))
+    v = np.array([v[0].real, coh, coh.conjugate(), v[3].real], dtype=complex)
     if diagnostics is not None:
-        diagnostics["hermiticity_defect"] = worst_defect
-        diagnostics["steps"] = len(steps)
+        diagnostics["hermiticity_defect"] = defect
+        diagnostics["steps"] = n_full + (remainder > 0)
     return devectorize(v)
 
 
@@ -188,15 +214,6 @@ class Propagator:
         return self.states(rho0, [t])[0]
 
 
-def evolve(rho0, params: model.ModelParams, t, cfg: EvolveConfig = EvolveConfig()):
-    """Dispatch on cfg.method: exact | rk4 | kraus."""
-    if cfg.method == "exact":
-        return evolve_exact(rho0, params, t)
-    if cfg.method == "rk4":
-        return evolve_rk4(rho0, params, t, cfg)
-    return evolve_kraus(rho0, params, t, cfg.dt)
-
-
 @dataclass(frozen=True)
 class KrausPair:
     """Discrete-step measurement operators M0 (no jump) and M1 (jump).
@@ -238,17 +255,21 @@ def kraus_step(rho, params: model.ModelParams, dt) -> np.ndarray:
 
 
 def evolve_kraus(rho0, params: model.ModelParams, t, dt) -> np.ndarray:
-    """Iterate kraus_step t/dt times (first-order accurate in dt)."""
+    """Iterate kraus_step t/dt times (first-order accurate in dt).
+
+    The full steps are the superoperator K = M0 (x) M0* + q M1 (x) M1* on the
+    vectorized state, applied as K^n by binary powering; one
+    :func:`kraus_step` covers the remainder.
+    """
     if t < 0:
         raise ValueError(f"expected t >= 0, got {t}")
     pair = kraus_pair(params, dt)
-    rho = np.asarray(rho0, dtype=complex).copy()
+    # M0 = I + A, so K - I = A (x) I + I (x) A* + A (x) A* + q M1 (x) M1*
+    a = pair.m0 - model.IDENTITY
+    delta = (np.kron(a, model.IDENTITY) + np.kron(model.IDENTITY, a.conj())
+             + np.kron(a, a.conj()) + params.q * np.kron(pair.m1, pair.m1.conj()))
     n_full, remainder = _split_steps(t, dt)
-    for _ in range(n_full):
-        rho = (
-            pair.m0 @ rho @ pair.m0.conj().T
-            + params.q * (pair.m1 @ rho @ pair.m1.conj().T)
-        )
+    rho = devectorize(_apply_power(delta, n_full, vectorize(rho0).copy()))
     if remainder:
         rho = kraus_step(rho, params, remainder)
     return rho

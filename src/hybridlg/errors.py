@@ -13,15 +13,18 @@ class HybridLGError(Exception):
 
 
 class TrajectoryExtinguishedError(HybridLGError):
-    """Raised when a state's trace fell below the normalization floor."""
+    """Raised when a state's trace fell below the normalization floor.
+
+    ``trace`` is None when no single trace is to blame, e.g. when every
+    scanned time point of an optimization was extinguished.
+    """
 
     def __init__(self, trace, context=""):
         self.trace = trace
         self.context = context
         where = f" ({context})" if context else ""
-        super().__init__(
-            f"trajectory extinguished{where}: trace {trace:.6e} below floor"
-        )
+        level = "" if trace is None else f": trace {trace:.6e} below floor"
+        super().__init__(f"trajectory extinguished{where}{level}")
 
 
 class IntegrationDivergedError(HybridLGError):

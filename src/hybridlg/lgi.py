@@ -94,7 +94,7 @@ def correlators(params: model.ModelParams, t, engine="exact",
         readouts = _Cells([params.gamma], [params.q], params).readouts([0], [t])
         at_t, at_2t = (columns[0].tolist() for columns in readouts)
     elif engine == "rk4":
-        cfg = EvolveConfig(dt=dt, method="rk4")
+        cfg = EvolveConfig(dt=dt)
         at_t = _readout(evolve_rk4(model.PROJECTOR_PLUS, params, t, cfg),
                         evolve_rk4(model.PROJECTOR_MINUS, params, t, cfg))
         at_2t = _readout(evolve_rk4(model.PROJECTOR_PLUS, params, 2.0 * t, cfg))

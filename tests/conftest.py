@@ -73,3 +73,36 @@ def expm_pair_probabilities(params, t):
         * float(np.trace(PROJECTORS[q1] @ states[(+1, t)]).real)
         for q1 in (+1, -1) for q2 in (+1, -1)
     }
+
+
+def rk4_loop(rho0, params, t, dt, diagnostics=None):
+    """Classical RK4 stepped one dt at a time, with a Hermitian projection
+    after every step and the final step shortened to land on t; the number
+    of steps goes to ``diagnostics["steps"]``.
+
+    The per-step oracle of ``evolve_rk4``'s step-matrix powering: the same
+    scheme, evaluated stage by stage.
+    """
+    from hybridlg.dynamics import _split_steps
+    from hybridlg.spectrum import build_liouvillian, devectorize, vectorize
+
+    gen = build_liouvillian(params)
+    v = vectorize(rho0).copy()
+    n_full, remainder = _split_steps(t, dt)
+    steps = [dt] * n_full + ([remainder] if remainder else [])
+    for h in steps:
+        k1 = gen @ v
+        k2 = gen @ (v + 0.5 * h * k1)
+        k3 = gen @ (v + 0.5 * h * k2)
+        k4 = gen @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # Hermitian projection in vector form: average the coherences,
+        # drop imaginary drift on the populations.
+        coh = 0.5 * (v[1] + v[2].conjugate())
+        v[1] = coh
+        v[2] = coh.conjugate()
+        v[0] = v[0].real
+        v[3] = v[3].real
+    if diagnostics is not None:
+        diagnostics["steps"] = len(steps)
+    return devectorize(v)

@@ -141,6 +141,16 @@ def test_k3_single_point_and_optimize(tmp_path):
     assert float(metadata["t_star"]) == pytest.approx(np.pi / 3, abs=1e-4)
 
 
+def test_k3_optimize_masked_cell_exits_2(tmp_path, capsys):
+    # every scanned time point of this cell is extinguished
+    out = tmp_path / "k3.csv"
+    assert main(["k3", "--gamma", "0.9", "--q", "0", "--optimize",
+                 "--t-max", "3000", "--resolution", "1",
+                 "--out", str(out)]) == 2
+    assert "all time points extinguished" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_csv_contract_and_determinism(tmp_path):
     out = tmp_path / "a.csv"
     args = ["sweep", "--grid-gamma", "0.3:1.2:3", "--grid-q",

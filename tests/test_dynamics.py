@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import rk4_loop
 from hybridlg.dynamics import (
     EvolveConfig,
     Propagator,
-    evolve,
+    _split_steps,
     evolve_exact,
     evolve_kraus,
     evolve_rk4,
@@ -92,9 +94,47 @@ def test_evolve_rk4_reports_hermiticity_defect():
 
 def test_evolve_rk4_detects_divergence():
     params = ModelParams(gamma=5.0, q=1.0)
-    with pytest.raises(IntegrationDivergedError, match="step"):
+    with pytest.raises(IntegrationDivergedError, match="step") as exc:
         # a wildly unstable step size blows up the linear recursion
         evolve_rk4(PROJECTOR_PLUS, params, 2000.0, EvolveConfig(dt=2.0))
+    assert 0 < exc.value.step_index <= 1000
+
+
+#: bound on |evolve_rk4 - rk4_loop| over the property domain, about 100x the
+#: largest drift measured there
+RK4_POWERING_TOL = 1e-11
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.0, 3.0), q=st.floats(0.0, 1.0),
+       t=st.floats(0.0, 10.0), dt=st.floats(1e-4, 1e-2))
+@example(gamma=0.4, q=0.6, t=0.7774, dt=1e-3)  # dt does not divide t
+@example(gamma=1.0, q=0.3, t=0.0, dt=1e-3)
+def test_evolve_rk4_powering_matches_step_loop(gamma, q, t, dt):
+    params = ModelParams(gamma=gamma, q=q)
+    powered_diag, looped_diag = {}, {}
+    powered = evolve_rk4(PROJECTOR_PLUS, params, t, EvolveConfig(dt=dt),
+                         diagnostics=powered_diag)
+    looped = rk4_loop(PROJECTOR_PLUS, params, t, dt, diagnostics=looped_diag)
+    assert powered_diag["steps"] == looped_diag["steps"]
+    assert np.max(np.abs(powered - looped)) <= RK4_POWERING_TOL
+
+
+def test_evolve_kraus_powering_matches_iterated_steps():
+    rng = np.random.default_rng(14)
+    cases = [(ModelParams(gamma=0.9, q=0.4), 2.0, dt)
+             for dt in (1e-2, 5e-3, 2.5e-3)]
+    cases += [(ModelParams(gamma=0.4, q=0.6), 0.7774, 1e-3),
+              (ModelParams(gamma=1.3, q=0.0), 0.0, 1e-3)]
+    for params, t, dt in cases:
+        rho0 = random_density(rng)
+        n_full, remainder = _split_steps(t, dt)
+        rho = rho0
+        for _ in range(n_full):
+            rho = kraus_step(rho, params, dt)
+        if remainder:
+            rho = kraus_step(rho, params, remainder)
+        assert np.max(np.abs(evolve_kraus(rho0, params, t, dt) - rho)) <= 1e-12
 
 
 def test_evolve_exact_unitary_rotation():
@@ -237,12 +277,11 @@ def test_propagator_near_degeneracy_falls_back_to_expm():
                              - evolve_exact(rho0, params, t))) <= 1e-9
 
 
-def test_evolve_dispatch():
+def test_three_engines_agree():
     params = ModelParams(gamma=0.6, q=0.5)
-    exact = evolve(PROJECTOR_PLUS, params, 1.0, EvolveConfig(method="exact"))
-    rk4 = evolve(PROJECTOR_PLUS, params, 1.0, EvolveConfig(method="rk4", dt=1e-4))
-    kraus = evolve(PROJECTOR_PLUS, params, 1.0,
-                   EvolveConfig(method="kraus", dt=1e-4))
+    exact = evolve_exact(PROJECTOR_PLUS, params, 1.0)
+    rk4 = evolve_rk4(PROJECTOR_PLUS, params, 1.0, EvolveConfig(dt=1e-4))
+    kraus = evolve_kraus(PROJECTOR_PLUS, params, 1.0, 1e-4)
     assert np.max(np.abs(exact - rk4)) <= 1e-9
     assert np.max(np.abs(exact - kraus)) <= 1e-3
 
@@ -250,5 +289,3 @@ def test_evolve_dispatch():
 def test_evolve_config_validation():
     with pytest.raises(ValueError):
         EvolveConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        EvolveConfig(method="midpoint")

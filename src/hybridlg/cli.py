@@ -13,6 +13,7 @@ failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -431,7 +432,9 @@ def _cmd_fit_check(args):
 # ----------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process; each parse gets a new namespace."""
     parser = _Parser(prog="hybridlg", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

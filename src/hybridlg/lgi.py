@@ -29,11 +29,11 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import model
 from .dynamics import EvolveConfig, decompose, evolve_rk4
 from .errors import TrajectoryExtinguishedError
-from .numerics import expm
 from .spectrum import build_liouvillians, vectorize
 
 #: trace floor used by optimize/sweep; guards float underflow only, so that
@@ -202,8 +202,9 @@ class _Cells:
     w = (e_obs^T V)(V^-1 v0) for obs in {trace, sigma_y} and v0 in {P+, P-},
     so every readout is a sum of four exponentials exp(t lambda) w and the 2t
     readouts use their squares.  Cells that :func:`decompose` cannot
-    diagonalize are evaluated point by point with one expm(G t) shared by
-    both branches and one expm(G 2t).
+    diagonalize are evaluated with one expm(G t) shared by both branches and
+    one expm(G 2t) per point, all points of a call in one stacked expm
+    (scipy exponentiates each slice on its own).
     """
 
     def __init__(self, gammas, qs, params: model.ModelParams):
@@ -217,13 +218,6 @@ class _Cells:
                    * amplitudes[..., :, None, :]).reshape(-1, 4, 4)
         self.eigs = np.where(self.spectral[:, None], eigs, 0.0)
         self.weights = np.where(self.spectral[:, None, None], weights, 0.0)
-
-    def _expm_readouts(self, cell, t, both_at_2t):
-        gen = self.generators[cell]
-        at_t = (_READOUT @ expm(gen, t) @ _BRANCHES).real.ravel()
-        branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, 0]
-        at_2t = (_READOUT @ expm(gen, 2.0 * t) @ branches_2t).real.ravel()
-        return at_t, at_2t
 
     def readouts(self, cells, times, both_at_2t=False):
         """(tr+, tr-, sy+, sy-) at t and at 2t, at (cells[i], times[i]),
@@ -239,9 +233,14 @@ class _Cells:
                           )[..., 0, :].real
         if not self.spectral[cells].all():
             cells, times = np.broadcast_arrays(cells, times)
-            for index in zip(*np.nonzero(~self.spectral[cells])):
-                at_t[index], at_2t[index] = self._expm_readouts(
-                    cells[index], float(times[index]), both_at_2t)
+            fallback = ~self.spectral[cells]
+            gens = self.generators[cells[fallback]]
+            t = times[fallback][:, None, None]
+            branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, :1]
+            at_t[fallback] = (_READOUT @ expm(gens * t) @ _BRANCHES
+                              ).real.reshape(len(gens), -1)
+            at_2t[fallback] = (_READOUT @ expm(gens * (2.0 * t)) @ branches_2t
+                               ).real.reshape(len(gens), -1)
         return at_t, at_2t
 
     def k3(self, cells, times, eps_trace):
@@ -266,16 +265,33 @@ def k3_curve(params: model.ModelParams, times, eps_trace=SWEEP_TRACE_FLOOR
     return cell.k3(0, np.asarray(times, dtype=float), eps_trace)
 
 
+def _run_leaders(owner, values):
+    """Mask of the candidates (cell-major, in time order) that open a run.
+    A run takes each next candidate of its cell within ``_TIE_TOL`` of the
+    run's first value, so a run cannot chain-drift; one vectorized pass per
+    run of the cell with the most runs."""
+    leader = np.diff(owner, prepend=-1) != 0
+    while True:
+        first = np.maximum.accumulate(np.where(leader, np.arange(len(owner)), 0))
+        drift = np.abs(values - values[first]) > _TIE_TOL
+        seen = np.cumsum(drift)
+        opens = drift & (seen - seen[first] == 1)
+        if not opens.any():
+            return leader
+        leader |= opens
+
+
 def _coarse_peaks(cells: _Cells, grid, eps_trace):
     """Candidate (cell, grid index) pairs, cell-major, and the masked cells.
 
     Every local maximum within ``_PEAK_WINDOW`` of its cell's grid maximum
-    is a candidate; the global maximum always is one.  The grid is scanned
-    in blocks of whole cells, about ``_SCAN_BLOCK_POINTS`` points each.
+    is a candidate; the global maximum always is one.  A tied run of them
+    keeps only its earliest member (:func:`_run_leaders`).  The grid is
+    scanned in blocks of whole cells, about ``_SCAN_BLOCK_POINTS`` points each.
     """
     count = len(cells.generators)
     step = max(1, _SCAN_BLOCK_POINTS // len(grid))
-    peak_cells, peak_index, masked = [], [], np.zeros(count, dtype=bool)
+    peaks, masked = [], np.zeros(count, dtype=bool)
     for first in range(0, count, step):
         block = np.arange(first, min(first + step, count))
         curve = cells.value(block[:, None], grid, eps_trace)
@@ -287,9 +303,10 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
                    & (curve >= vmax[:, None] - _PEAK_WINDOW)
                    & ~masked[block, None])
         rows, index = np.nonzero(is_peak)
-        peak_cells.append(block[rows])
-        peak_index.append(index)
-    return np.concatenate(peak_cells), np.concatenate(peak_index), masked
+        peaks.append((block[rows], index, curve[rows, index]))
+    owner, index, value = (np.concatenate(column) for column in zip(*peaks))
+    leaders = _run_leaders(owner, value)
+    return owner[leaders], index[leaders], masked
 
 
 def _golden_section(cells: _Cells, owner, a, b, tol, eps_trace):

@@ -75,6 +75,22 @@ def expm_pair_probabilities(params, t):
     }
 
 
+def expm_readouts(generator, t, both_at_2t=False):
+    """(tr+, tr-, sy+, sy-) at t and (tr+, sy+) at 2t (all four with
+    ``both_at_2t``) of one generator, each from its own expm: one expm(G t)
+    shared by both branches and one expm(G 2t).
+
+    The per-point oracle of ``lgi._Cells.readouts``' stacked expm fallback.
+    """
+    from hybridlg.lgi import _BRANCHES, _READOUT
+    from hybridlg.numerics import expm
+
+    at_t = (_READOUT @ expm(generator, t) @ _BRANCHES).real.ravel()
+    branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, 0]
+    at_2t = (_READOUT @ expm(generator, 2.0 * t) @ branches_2t).real.ravel()
+    return at_t, at_2t
+
+
 def rk4_loop(rho0, params, t, dt, diagnostics=None):
     """Classical RK4 stepped one dt at a time, with a Hermitian projection
     after every step and the final step shortened to land on t; the number

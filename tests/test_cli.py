@@ -151,6 +151,48 @@ def test_k3_optimize_masked_cell_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_back_to_back_calls_share_no_state(tmp_path, capsys):
+    from hybridlg.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+    def run(name, argv):
+        out = tmp_path / name
+        code = main(argv + ["--out", str(out)])
+        return code, (out.read_text() if out.exists() else None)
+
+    k3_at_1 = ["k3", "--gamma", "0.5", "--q", "0.5", "--t", "1"]
+    ep_locus = ["ep-locus", "--grid-q", "0:1:3"]
+    spectrum = ["spectrum", "--gamma", "1", "--q", "0.5"]
+    build_parser.cache_clear()
+    alone = {name: run(name, argv) for name, argv in
+             [("k3.csv", k3_at_1), ("ep.csv", ep_locus),
+              ("spec.csv", spectrum)]}
+
+    # a k3 --optimize run must not leave --optimize (or its t*) behind
+    assert run("opt.csv", ["k3", "--gamma", "0.5", "--q", "0.5",
+                           "--optimize", "--resolution", "200"])[0] == 0
+    assert run("k3.csv", k3_at_1) == alone["k3.csv"]
+    metadata, _, rows = read_csv(tmp_path / "k3.csv")
+    assert metadata["config"]["optimize"] is False
+    assert "t_star" not in metadata and float(rows[0][0]) == 1.0
+
+    # a usage error leaves the parser fit for the next valid call
+    assert main(["k3", "--gamma", "0.5", "--q", "0.5"]) == 64
+    assert main(["sweep", "--grid-gamma", "nonsense"]) == 64
+    assert run("ep.csv", ep_locus) == alone["ep.csv"]
+
+    # different subcommands in a row keep their own options only
+    assert run("sweep.csv", ["sweep", "--grid-gamma", "0.5:1:2", "--grid-q",
+                             "0.5:1:2", "--resolution", "50"])[0] == 0
+    assert run("spec.csv", spectrum) == alone["spec.csv"]
+    assert run("ep.csv", ep_locus) == alone["ep.csv"]
+    metadata, _, _ = read_csv(tmp_path / "ep.csv")
+    assert metadata["command"] == "ep-locus"
+    assert set(metadata["config"]) == {"command", "format", "grid_q", "out"}
+    capsys.readouterr()
+
+
 def test_sweep_csv_contract_and_determinism(tmp_path):
     out = tmp_path / "a.csv"
     args = ["sweep", "--grid-gamma", "0.3:1.2:3", "--grid-q",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import expm_correlators, expm_pair_probabilities
+from conftest import expm_correlators, expm_pair_probabilities, expm_readouts
+from hybridlg import lgi
 from hybridlg.errors import TrajectoryExtinguishedError
 from hybridlg.lgi import (
     OptimizeConfig,
@@ -169,6 +171,122 @@ def test_sweep_worker_independence():
             best = optimize_k3(ModelParams(gamma=gamma, q=q), config)
             assert serial.k3_max[i, j] == best.k3_max
             assert serial.t_star[i, j] == best.t_star
+
+
+def test_stacked_expm_fallback_matches_per_point_oracle():
+    # (2, 1) and (1, 0) are defective and take the expm fallback; the generic
+    # cell stays spectral and must not be disturbed by the stacked call
+    cells = lgi._Cells([2.0, 0.7, 1.0], [1.0, 0.3, 0.0], ModelParams(1.0, 1.0))
+    assert cells.spectral.tolist() == [False, True, False]
+    rng = np.random.default_rng(7)
+    shapes = [(np.int64(0), 0.37), (np.int64(1), 0.37),
+              (np.array([0, 1, 2, 2, 0]), rng.uniform(1e-6, 20.0, 5)),
+              (np.array([[0], [1], [2]]), rng.uniform(1e-3, 20.0, 4))]
+    for both_at_2t in (False, True):
+        for owner, times in shapes:
+            at_t, at_2t = cells.readouts(owner, times, both_at_2t)
+            owner, times = np.broadcast_arrays(owner, times)
+            assert at_t.shape == owner.shape + (4,)
+            assert at_2t.shape == owner.shape + ((4,) if both_at_2t else (2,))
+            for index in np.ndindex(owner.shape):
+                cell, t = int(owner[index]), float(times[index])
+                if cells.spectral[cell]:
+                    expected = cells.readouts(cell, t, both_at_2t)
+                else:
+                    expected = expm_readouts(cells.generators[cell], t,
+                                             both_at_2t)
+                assert np.array_equal(at_t[index], expected[0])
+                assert np.array_equal(at_2t[index], expected[1])
+
+
+class _StubCurves:
+    """What ``_coarse_peaks`` reads of a ``_Cells``: one fixed grid curve per
+    cell, whatever the times."""
+
+    def __init__(self, curves):
+        self.generators = np.asarray(curves, dtype=float)
+
+    def value(self, cells, times, eps_trace):
+        return self.generators[cells[:, 0]]
+
+
+def _peaks_at(positions, heights):
+    curve = np.zeros(220)
+    curve[positions] = heights
+    return curve
+
+
+def test_coarse_peaks_collapse_tied_runs_only():
+    rng = np.random.default_rng(3)
+    plateau = 1.0 + 1e-15 * rng.standard_normal(200)
+    positions = [5, 15, 25, 35, 45]
+    curves = [
+        np.concatenate([np.zeros(10), plateau, np.zeros(10)]),
+        # a later peak higher by more than _TIE_TOL survives
+        _peaks_at(positions[:2], [1.0, 1.0 + 2e-9]),
+        # a tie run is anchored on its first member: 1 + 1.2e-9 is 0.6e-9
+        # above its neighbour but opens a new run, and 1 + 1.7e-9 joins it
+        _peaks_at(positions, [1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9, 1.0 + 1.7e-9,
+                              1.0]),
+    ]
+    assert len(np.flatnonzero(
+        (plateau[1:-1] >= plateau[:-2]) & (plateau[1:-1] >= plateau[2:]))) > 20
+    owner, index, masked = lgi._coarse_peaks(
+        _StubCurves(curves), np.arange(220.0), SWEEP_TRACE_FLOOR)
+    assert not masked.any()
+    assert owner.tolist() == [0, 1, 1, 2, 2, 2]
+    first_plateau_peak = 10 + int(np.argmax(
+        (plateau >= np.r_[-np.inf, plateau[:-1]])
+        & (plateau >= np.r_[plateau[1:], -np.inf])))
+    assert index.tolist() == [first_plateau_peak, 5, 15, 5, 25, 45]
+
+
+def test_flat_fourfold_cell_refines_one_candidate(monkeypatch):
+    params = ModelParams(gamma=1.0, q=0.0)
+    config = OptimizeConfig()
+    horizon = config.horizon(params)
+    grid = np.linspace(horizon / config.resolution, horizon, config.resolution)
+    owner, _, _ = lgi._coarse_peaks(lgi._Cells([1.0], [0.0], params), grid,
+                                    config.eps_trace)
+    assert len(owner) == 1  # 668 tied noise maxima before the collapse
+
+    exponentiated = []
+
+    def counting_expm(matrices):
+        exponentiated.append(len(matrices))
+        return expm(matrices)
+
+    expm = lgi.expm
+    monkeypatch.setattr(lgi, "expm", counting_expm)
+    assert not optimize_k3(params).masked
+    # 2 x (2000 scan + 9 rescan + about 20 golden-section points); 42,716
+    # before the collapse and the stacked fallback
+    assert sum(exponentiated) <= 4100
+
+
+def test_default_grid_keeps_every_separate_peak():
+    # measured before and after the tie collapse: the near-unitary peaks of
+    # the default grid are separate, so none of them is collapsed
+    base = ModelParams(gamma=1.0, q=1.0)
+    gammas, qs = np.linspace(0.05, 5.0, 40), np.logspace(-6, 0, 25)
+    cells = lgi._Cells(np.repeat(gammas, 25), np.tile(qs, 40), base)
+    horizon = OptimizeConfig().horizon(base)
+    grid = np.linspace(horizon / 2000, horizon, 2000)
+    owner, _, masked = lgi._coarse_peaks(cells, grid, SWEEP_TRACE_FLOOR)
+    assert not masked.any()
+    assert len(owner) == 1227
+    assert np.bincount(owner).max() == 7
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(q=st.floats(0.0, 1.0), J=st.floats(0.25, 4.0),
+       periods=st.floats(2.0, 8.0))
+def test_unitary_periodic_peaks_resolve_to_earliest_crest(q, J, periods):
+    # at gamma = 0 every crest of K3 reaches 1.5; the earliest must win
+    params = ModelParams(gamma=0.0, q=q, J=J)
+    best = optimize_k3(params, OptimizeConfig(t_max=periods * 2 * np.pi / J))
+    assert best.k3_max == pytest.approx(1.5, abs=1e-9)
+    assert best.t_star == pytest.approx(np.pi / (3 * J), abs=1e-5)
 
 
 def test_sweep_rows_are_gamma_outer_fixed_order():

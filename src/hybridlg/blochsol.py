@@ -26,8 +26,11 @@ reduce to
 
 (j, k, l) cyclic; the implementation solves the 3x3 mode system directly,
 which stays well-posed at q = 0 where one mode rate hits zero and u(x)
-degenerates.  This module is a validation artifact: the production
-correlator path runs on the full 4x4 propagator.
+degenerates (the cyclic form lives in the tests as the cross-check of that
+solve).  Mode rates that coalesce under :func:`numerics.coalesced` are left
+to the numerical route, expm of the reduced matrix.  This module is a
+validation artifact: the production correlator path runs on the full 4x4
+propagator.
 """
 
 import math
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 import warnings
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import model
 from .errors import (
@@ -42,19 +46,11 @@ from .errors import (
     SingularCoefficientsError,
     UnsupportedConfigurationError,
 )
-from .numerics import DEGENERACY_GAP, expm, solve_cubic_cardano
+from .numerics import coalesced, solve_cubic_cardano
 
 #: column norm (relative to the largest) below which a mode vector is
 #: replaced by the numerically computed null direction
 _MODE_NORM_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """3x3 real generator over (R, Sy, Sz) with its variant tag."""
-
-    matrix: np.ndarray
-    variant: str  # exact | approximate
 
 
 def _require_plane_confined(params: model.ModelParams):
@@ -64,8 +60,9 @@ def _require_plane_confined(params: model.ModelParams):
         )
 
 
-def reduced_matrix(params: model.ModelParams, variant="exact") -> ReducedSystem:
-    """Generator of the closed (R, Sy, Sz) block; exact or approximate form."""
+def reduced_matrix(params: model.ModelParams, variant="exact") -> np.ndarray:
+    """3x3 real generator of the closed (R, Sy, Sz) block; ``variant`` is
+    "exact" or "approximate"."""
     _require_plane_confined(params)
     g, q, J = params.gamma, params.q, params.J
     if variant == "exact":
@@ -82,7 +79,7 @@ def reduced_matrix(params: model.ModelParams, variant="exact") -> ReducedSystem:
         ])
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return ReducedSystem(matrix=m, variant=variant)
+    return m
 
 
 def branch_cubic(params: model.ModelParams):
@@ -118,16 +115,9 @@ class BranchSolution:
         v = ((phases * c) @ self.modes.T).real
         return v[0] if scalar else v
 
-    def trace(self, t):
-        return self.state(t)[..., 0]
-
     def normalized_sy(self, t):
         v = self.state(t)
         return v[..., 1] / v[..., 0]
-
-    def normalized_sz(self, t):
-        v = self.state(t)
-        return v[..., 2] / v[..., 0]
 
 
 def _mode_vector(x, params):
@@ -153,20 +143,18 @@ def analytic_branch(params: model.ModelParams, branch="+") -> BranchSolution:
             "system numerically instead"
         )
     roots = solve_cubic_cardano(*branch_cubic(params))
-    xs = np.asarray(roots.roots)
-    scale = max(1.0, float(np.max(np.abs(xs))))
-    gaps = [abs(xs[i] - xs[j]) for i in range(3) for j in range(i + 1, 3)]
-    if min(gaps) < DEGENERACY_GAP * scale:
+    if coalesced(roots):
         raise DegenerateRootsError(
-            f"mode rates nearly coalesce (min gap {min(gaps):.3e}); "
+            f"mode rates {roots} nearly coalesce; "
             "fall back to numerical evolution of the reduced system"
         )
+    xs = np.asarray(roots)
 
     columns = [_mode_vector(x, params) for x in xs]
     norms = [np.linalg.norm(col) for col in columns]
     largest = max(norms)
     eye = np.eye(3, dtype=complex)
-    gen = reduced_matrix(params, "approximate").matrix.astype(complex)
+    gen = reduced_matrix(params, "approximate").astype(complex)
     for j, (col, norm) in enumerate(zip(columns, norms)):
         if norm < _MODE_NORM_FLOOR * largest:
             # u(x) degenerates when a mode rate approaches zero (q -> 0);
@@ -186,42 +174,12 @@ def analytic_branch(params: model.ModelParams, branch="+") -> BranchSolution:
     )
 
 
-def branch_coefficients_closed_form(params: model.ModelParams, branch="+"):
-    """Mode coefficients from the corrected closed-form expression.
-
-    Only valid away from q = 0 and mode degeneracies; primarily a cross-check
-    of the linear-solve route used by :func:`analytic_branch`.
-    """
-    g, q, J = params.gamma, params.q, params.J
-    if g == 0.0 or q == 0.0:
-        raise SingularCoefficientsError(
-            "closed-form coefficients require gamma > 0 and q > 0"
-        )
-    sign = -1.0 if branch == "+" else +1.0
-    xs = np.asarray(solve_cubic_cardano(*branch_cubic(params)).roots)
-    coeffs = []
-    for j in range(3):
-        xk, xl = xs[(j + 1) % 3], xs[(j + 2) % 3]
-        numerator = (
-            xk * xl
-            - g * q * (xk + xl)
-            + g * g * q * q
-            + sign * (g / J) * xk * xl
-        )
-        denominator = g * g * q * (xs[j] - xk) * (xs[j] - xl)
-        coeffs.append(numerator / denominator)
-    return xs, np.asarray(coeffs)
-
-
 def _branch_sy_numeric(params: model.ModelParams, branch, times):
     """Fallback: normalized Sy of the approximate system via expm."""
-    gen = reduced_matrix(params, "approximate").matrix
+    gen = reduced_matrix(params, "approximate").astype(complex)
     v0 = np.array([1.0, 1.0 if branch == "+" else -1.0, 0.0])
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        v = expm(gen.astype(complex), float(t)) @ v0
-        out[i] = v[1].real / v[0].real
-    return out
+    v = expm(gen * np.asarray(times, dtype=float)[:, None, None]) @ v0
+    return v[:, 1].real / v[:, 0].real
 
 
 def k3_closed_form(params: model.ModelParams, t, degenerate_fallback=True) -> float:

@@ -148,6 +148,15 @@ def _params_from(args) -> model.ModelParams:
         raise UsageError(str(exc)) from None
 
 
+def _sample_times(args):
+    """``--samples`` times spread evenly over [0, ``--t-max``]."""
+    if not args.t_max >= 0:
+        raise UsageError(f"--t-max must be >= 0, got {args.t_max}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    return np.linspace(0.0, args.t_max, args.samples)
+
+
 def _add_model_flags(parser, require_point=True):
     parser.add_argument("--J", type=float, default=1.0,
                         help="coherent scale (sets the time unit)")
@@ -180,7 +189,7 @@ def _cmd_evolve(args):
         rho0 = model.check_density_matrix(np.array(entries).reshape(2, 2))
     else:
         rho0 = model.INITIAL_STATE
-    times = np.linspace(0.0, args.t_max, args.samples)
+    times = _sample_times(args)
     columns = [
         "t", "rho00_re", "rho00_im", "rho01_re", "rho01_im",
         "rho10_re", "rho10_im", "rho11_re", "rho11_im",
@@ -320,7 +329,7 @@ def _cmd_ep_locus(args):
 def _cmd_bloch_traj(args):
     params = _params_from(args)
     branches = ("+", "-") if args.branch == "both" else (args.branch,)
-    times = np.linspace(0.0, args.t_max, args.samples)
+    times = _sample_times(args)
     meta = _metadata(args)
     with _Writer(args.out, args.format,
                  ["branch", "t", "r", "sy", "sz"], meta) as writer:

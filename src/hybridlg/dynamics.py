@@ -3,7 +3,8 @@
 Three interchangeable routes propagate the unnormalized state:
 
 * :func:`evolve_exact` applies the matrix exponential of the vectorized
-  generator and serves as the brute-force oracle for everything else;
+  generator (scipy's ``expm`` of ``G t``) and serves as the brute-force
+  oracle for everything else;
 * :func:`evolve_rk4` integrates the same linear equation with classical
   fixed-step RK4 (cross-validation path);
 * :func:`kraus_step` applies the discrete two-operator measurement map
@@ -19,19 +20,18 @@ Normalization is never applied inside an integrator: the equation governs the
 unnormalized rho and all nonlinearity lives in the rho/Tr[rho] readout.
 :class:`Propagator` is the fast path for many times at one parameter point;
 it diagonalizes the generator once and evaluates arbitrary times by scaling
-mode amplitudes, falling back to expm when the eigenbasis is too
-ill-conditioned near a spectral degeneracy.  That decision lives in
-:func:`decompose`, which the batched K3 engine in ``lgi`` shares.
+mode amplitudes, falling back to one stacked expm over all times when the
+eigenbasis is too ill-conditioned near a spectral degeneracy.  That decision
+lives in :func:`decompose`, which the batched K3 engine in ``lgi`` shares.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import expm, schur
 
 from . import model
 from .errors import IntegrationDivergedError
-from .numerics import expm
 from .spectrum import build_liouvillian, devectorize, vectorize
 
 #: eigenbasis condition number beyond which Propagator falls back to expm
@@ -40,33 +40,13 @@ _EIG_COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Integration controls: step, horizon, normalization floor."""
+    """Integration control: the fixed step of :func:`evolve_rk4`."""
 
     dt: float = 1e-3
-    t_max: float = 20.0
-    eps_trace: float = 1e-12
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.t_max >= 0:
-            raise ValueError(f"t_max must be >= 0, got {self.t_max}")
-
-
-def rhs(rho, params: model.ModelParams) -> np.ndarray:
-    """Time derivative of the unnormalized state.
-
-    drho/dt = -i[H, rho] + 2 gamma (q L rho L^dag - {L^dag L, rho}/2).
-    Taking the trace gives d(Tr rho)/dt = 2 gamma (q - 1) rho_11, so the trace
-    is conserved only at q = 1 and decays monotonically below it.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    H = model.hamiltonian(params)
-    L = model.SIGMA_PLUS
-    LdL = L.conj().T @ L
-    return -1j * (H @ rho - rho @ H) + 2.0 * params.gamma * (
-        params.q * (L @ rho @ L.conj().T) - 0.5 * (LdL @ rho + rho @ LdL)
-    )
 
 
 def _split_steps(t, dt):
@@ -148,7 +128,7 @@ def evolve_exact(rho0, params: model.ModelParams, t) -> np.ndarray:
     if t < 0:
         raise ValueError(f"expected t >= 0, got {t}")
     gen = build_liouvillian(params)
-    return devectorize(expm(gen, t) @ vectorize(rho0))
+    return devectorize(expm(gen * t) @ vectorize(rho0))
 
 
 def decompose(generators):
@@ -186,8 +166,8 @@ class Propagator:
 
     Diagonalizes the generator once through :func:`decompose`; ``states``
     then costs one small matmul per batch of times.  If the generator is not
-    diagonalizable there, every call transparently falls back to the expm
-    route.
+    diagonalizable there, every call falls back to one stacked expm of
+    ``G t`` over its times (scipy exponentiates each slice on its own).
     """
 
     def __init__(self, params: model.ModelParams):
@@ -204,11 +184,9 @@ class Propagator:
             amplitudes = self._inv_modes @ vectorize(rho0)
             phases = np.exp(np.multiply.outer(times, self._eigs))
             vecs = (phases * amplitudes) @ self._modes.T
-            return vecs.reshape(len(times), 2, 2)
-        return np.stack([
-            devectorize(expm(self.generator, float(t)) @ vectorize(rho0))
-            for t in times
-        ])
+        else:
+            vecs = expm(self.generator * times[:, None, None]) @ vectorize(rho0)
+        return vecs.reshape(len(times), 2, 2)
 
     def state(self, rho0, t) -> np.ndarray:
         return self.states(rho0, [t])[0]

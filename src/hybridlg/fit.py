@@ -18,7 +18,6 @@ and evaluations there are dominated by quantization error of the published
 table rather than by the fit's functional form.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -99,20 +98,6 @@ class FitCoefficients:
     def log(self, q: float) -> float:
         return math.log(q) if self.log_base == "e" else math.log10(q)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "a": list(self.a), "b": list(self.b),
-            "c": list(self.c), "d": list(self.d),
-            "log_base": self.log_base,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "FitCoefficients":
-        data = json.loads(text)
-        return cls(a=tuple(data["a"]), b=tuple(data["b"]),
-                   c=tuple(data["c"]), d=tuple(data["d"]),
-                   log_base=data["log_base"])
-
 
 def eval_polynomials(gamma: float, coeffs: FitCoefficients | None = None,
                      allow_extrapolation=False):
@@ -132,20 +117,9 @@ def eval_polynomials(gamma: float, coeffs: FitCoefficients | None = None,
     )
 
 
-class FitEvaluation(float):
-    """Fit value; ``saturated`` marks the q = 0 tanh asymptote."""
-
-    saturated: bool = False
-
-    def __new__(cls, value, saturated=False):
-        obj = super().__new__(cls, value)
-        obj.saturated = saturated
-        return obj
-
-
 def eval_fit(gamma: float, q: float, coeffs: FitCoefficients | None = None,
-             allow_extrapolation=False) -> FitEvaluation:
-    """A tanh(B log q + C) + D; q = 0 returns the asymptote, flagged.
+             allow_extrapolation=False) -> float:
+    """A tanh(B log q + C) + D; q = 0 returns the asymptote.
 
     The q -> 0 limit of the tanh argument is -sign(B) * inf, so the asymptote
     is -sign(B) * A + D.
@@ -156,8 +130,8 @@ def eval_fit(gamma: float, q: float, coeffs: FitCoefficients | None = None,
         raise ValueError(f"q must lie in [0, 1], got {q}")
     A, B, C, D = eval_polynomials(gamma, coeffs, allow_extrapolation)
     if q == 0.0:
-        return FitEvaluation(-math.copysign(1.0, B) * A + D, saturated=True)
-    return FitEvaluation(A * math.tanh(B * coeffs.log(q) + C) + D)
+        return -math.copysign(1.0, B) * A + D
+    return A * math.tanh(B * coeffs.log(q) + C) + D
 
 
 @dataclass(frozen=True)
@@ -220,7 +194,7 @@ def residual_report(sweep_result: SweepResult,
             rows.append(ResidualRow(gamma, q, k3_computed, math.nan,
                                     math.nan, "masked"))
             continue
-        fitted = float(eval_fit(gamma, q, coeffs, allow_extrapolation=True))
+        fitted = eval_fit(gamma, q, coeffs, allow_extrapolation=True)
         residual = abs(fitted - k3_computed)
         rows.append(ResidualRow(gamma, q, k3_computed, fitted, residual,
                                 _classify(residual)))

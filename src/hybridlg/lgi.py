@@ -257,14 +257,6 @@ class _Cells:
         return np.where(np.isfinite(out), out, -np.inf)
 
 
-def k3_curve(params: model.ModelParams, times, eps_trace=SWEEP_TRACE_FLOOR
-             ) -> np.ndarray:
-    """K3 over a batch of times through the optimizer's own evaluation;
-    points whose trace fell below ``eps_trace`` are NaN."""
-    cell = _Cells([params.gamma], [params.q], params)
-    return cell.k3(0, np.asarray(times, dtype=float), eps_trace)
-
-
 def _run_leaders(owner, values):
     """Mask of the candidates (cell-major, in time order) that open a run.
     A run takes each next candidate of its cell within ``_TIE_TOL`` of the

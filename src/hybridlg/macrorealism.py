@@ -38,9 +38,6 @@ class JointProbTable:
     pairs: dict      # {(i, j): {(qi, qj): prob}}
     triples: dict    # {(q0, q1, q2): prob}
 
-    def sum_triples(self) -> float:
-        return float(sum(self.triples.values()))
-
 
 def _table(t, at_t, at_2t, eps_trace) -> JointProbTable:
     """The table from the branch readouts (tr+, tr-, sy+, sy-) at t and 2t.
@@ -213,8 +210,3 @@ def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
     return lgi._map_grid(_nsit_rows, gamma_grid, q_grid, base_params,
                          (t, config, eps_trace, *outcomes), workers)
 
-
-def correlator_from_pair(table: JointProbTable, pair=(1, 2)) -> float:
-    """Two-time correlator sum_{a,b} a b P(q_i=a, q_j=b) from the table."""
-    dist = table.pairs[pair]
-    return float(sum(a * b * dist[(a, b)] for a, b in dist))

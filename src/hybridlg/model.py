@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TrajectoryExtinguishedError
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -34,8 +32,6 @@ PROJECTOR_MINUS = 0.5 * np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex)
 
 #: protocol initial state: the +1 eigenstate of sigma_y
 INITIAL_STATE = PROJECTOR_PLUS.copy()
-
-PROJECTORS = {+1: PROJECTOR_PLUS, -1: PROJECTOR_MINUS}
 
 
 @dataclass(frozen=True)
@@ -102,34 +98,6 @@ def bloch_decompose(rho) -> BlochState:
         sy=float(np.trace(rho @ SIGMA_Y).real),
         sz=float(np.trace(rho @ SIGMA_Z).real),
     )
-
-
-def bloch_compose(state: BlochState) -> np.ndarray:
-    """Inverse of :func:`bloch_decompose`."""
-    r, sx, sy, sz = state
-    return 0.5 * (r * IDENTITY + sx * SIGMA_X + sy * SIGMA_Y + sz * SIGMA_Z)
-
-
-def normalize(rho, eps_trace=1e-12):
-    """Rescale rho to unit trace; raise if the trace fell below eps_trace.
-
-    The default floor of 1e-12 suits observation points along ordinary
-    trajectories; sweeping code that legitimately follows strongly conditioned
-    (tiny-trace) ensembles passes a floor near the underflow limit instead.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    trace = float(np.trace(rho).real)
-    if trace < eps_trace:
-        raise TrajectoryExtinguishedError(trace)
-    return rho / trace
-
-
-def symmetrize(rho):
-    """Hermitian part (rho + rho^dagger)/2 and the pre-projection defect."""
-    rho = np.asarray(rho, dtype=complex)
-    sym = 0.5 * (rho + rho.conj().T)
-    defect = float(np.max(np.abs(rho - sym)))
-    return sym, defect
 
 
 def check_density_matrix(rho, hermiticity_tol=1e-10, positivity_tol=1e-9):

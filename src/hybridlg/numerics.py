@@ -1,25 +1,24 @@
-"""Small dense complex linear algebra: cubic roots, 4x4 eigenvalues, expm.
+"""Small dense complex linear algebra: cubic roots, their coalescence test,
+and 4x4 eigenvalues.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of workers.  The cubic solver is a hand-rolled Cardano implementation
 (it doubles as an independent cross-check of the dense eigensolver); the
-matrix exponential and the eigensolver delegate to scipy/numpy.
+eigensolver delegates to numpy.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .errors import EigensolverError
 
 # primitive cube root of unity, e^{i 2 pi / 3}
 OMEGA = complex(-0.5, 0.5 * np.sqrt(3.0))
 
-#: pairwise root gap (relative to root scale) below which roots are flagged
-#: as degenerate; downstream mode expansions divide by these gaps.
-DEGENERACY_GAP = 1e-7
+#: pairwise root gap, relative to the root scale max(1, |x|), below which
+#: roots count as coalesced; mode expansions divide by these gaps
+COALESCENCE_GAP = 1e-6
 
 
 class CubicCoefficients(NamedTuple):
@@ -28,17 +27,6 @@ class CubicCoefficients(NamedTuple):
     a: complex
     b: complex
     c: complex
-
-
-@dataclass(frozen=True)
-class CubicRoots:
-    """Roots of a monic cubic, sorted by (real, imag), plus degeneracy flag."""
-
-    roots: tuple
-    degenerate: bool
-
-    def __iter__(self):
-        return iter(self.roots)
 
 
 def _cube_roots(z):
@@ -54,9 +42,8 @@ def solve_cubic_cardano(a, b, c):
     u, v the cube roots of -Q/2 +/- sqrt(Q^2/4 + P^3/27).  The branch of v is
     chosen to satisfy the pairing constraint u*v = -P/3 (the cube root
     minimizing |u*v + P/3|), which avoids the classic wrong-branch failure near
-    a vanishing discriminant.  Roots come back sorted by (real, imag); a
-    degeneracy marker is set when any pair is closer than
-    ``DEGENERACY_GAP`` times the root scale.
+    a vanishing discriminant.  Returns the three roots as a tuple sorted by
+    (real, imag).
     """
     a, b, c = complex(a), complex(b), complex(c)
     for name, z in (("a", a), ("b", b), ("c", c)):
@@ -85,22 +72,22 @@ def solve_cubic_cardano(a, b, c):
         u, v = (w, partner) if big_is_u else (partner, w)
 
     shift = a / 3.0
-    roots = sorted(
+    return tuple(sorted(
         (
             u + v - shift,
             OMEGA * u + OMEGA**2 * v - shift,
             OMEGA**2 * u + OMEGA * v - shift,
         ),
         key=lambda z: (z.real, z.imag),
-    )
+    ))
 
-    scale = max(1.0, *(abs(r) for r in roots))
-    degenerate = any(
-        abs(roots[i] - roots[j]) < DEGENERACY_GAP * scale
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-    return CubicRoots(roots=tuple(roots), degenerate=degenerate)
+
+def coalesced(roots) -> bool:
+    """True when two of ``roots`` lie closer than ``COALESCENCE_GAP`` times
+    the root scale max(1, |x|)."""
+    scale = max(1.0, *(abs(x) for x in roots))
+    return any(abs(roots[i] - roots[j]) < COALESCENCE_GAP * scale
+               for i in range(len(roots)) for j in range(i + 1, len(roots)))
 
 
 def sort_complex(values):
@@ -137,17 +124,3 @@ def eigenvalues_4x4(matrix):
             )
     return sort_complex(eigs)
 
-
-def expm(matrix, t=1.0):
-    """Matrix exponential e^{M t} (scaling-and-squaring Pade).
-
-    ``expm(M, 0)`` returns the identity exactly.
-    """
-    M = np.asarray(matrix, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if t < 0:
-        raise ValueError(f"expected t >= 0, got {t}")
-    if t == 0:
-        return np.eye(M.shape[0], dtype=complex)
-    return _scipy_expm(M * t)

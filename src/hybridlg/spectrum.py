@@ -24,9 +24,9 @@ import numpy as np
 from . import model
 from .numerics import (
     CubicCoefficients,
+    coalesced,
     eigenvalues_4x4,
     solve_cubic_cardano,
-    sort_complex,
 )
 
 
@@ -129,11 +129,6 @@ def ep_locus(q_values) -> list:
     return [ep_radius(float(q)) for q in q_values]
 
 
-#: root-gap clustering threshold for declaring coalescence (Jordan blocks
-#: are reported through gap clustering, not exact rank computation)
-COALESCENCE_GAP = 1e-6
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Spectral summary of the 4x4 generator at one parameter point."""
@@ -141,38 +136,24 @@ class SpectrumReport:
     eigenvalues: tuple          # 4 values, sorted by (real, imag)
     has_exact_root: bool        # -gamma found among the eigenvalues
     cubic_roots: tuple          # 3 dimensionless roots x = lambda / J
-    degenerate: bool            # any cubic root pair inside COALESCENCE_GAP
+    degenerate: bool            # numerics.coalesced(cubic_roots)
     discriminant: float
-
-    @property
-    def degeneracy_flags(self):
-        """Pairwise coalescence flags for the cubic roots, keyed (i, j)."""
-        xs = self.cubic_roots
-        scale = max(1.0, *(abs(x) for x in xs))
-        return {
-            (i, j): abs(xs[i] - xs[j]) < COALESCENCE_GAP * scale
-            for i in range(3)
-            for j in range(i + 1, 3)
-        }
 
 
 def spectrum_report(params: model.ModelParams) -> SpectrumReport:
-    """Eigenvalues of the generator plus the dimensionless cubic cross-check."""
+    """Eigenvalues of the generator plus the dimensionless cubic cross-check.
+
+    Coalescence (a Jordan block) is reported by root-gap clustering
+    (:func:`numerics.coalesced`), not by an exact rank computation.
+    """
     eigs = eigenvalues_4x4(build_liouvillian(params))
     gap = min(abs(e + params.gamma) for e in eigs)
     scale = max(1.0, params.gamma, params.J)
-    cubic = characteristic_cubic(params.ratio, params.q)
-    xs = sort_complex(np.asarray(solve_cubic_cardano(*cubic).roots))
-    root_scale = max(1.0, float(np.max(np.abs(xs))))
-    coalesced = any(
-        abs(xs[i] - xs[j]) < COALESCENCE_GAP * root_scale
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
+    xs = solve_cubic_cardano(*characteristic_cubic(params.ratio, params.q))
     return SpectrumReport(
         eigenvalues=tuple(eigs),
         has_exact_root=bool(gap <= 1e-10 * scale),
-        cubic_roots=tuple(xs),
-        degenerate=coalesced,
+        cubic_roots=xs,
+        degenerate=coalesced(xs),
         discriminant=discriminant(params.ratio, params.q),
     )

@@ -1,4 +1,10 @@
 import numpy as np
+from scipy.linalg import expm
+
+from hybridlg import lgi, model
+from hybridlg.blochsol import branch_cubic
+from hybridlg.errors import SingularCoefficientsError
+from hybridlg.numerics import solve_cubic_cardano
 
 # scoreboard lines collected by the acceptance suite, emitted after the
 # test session so they survive pytest's output capture
@@ -10,6 +16,63 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+#: sigma_y eigenprojectors keyed by outcome
+PROJECTORS = {+1: model.PROJECTOR_PLUS, -1: model.PROJECTOR_MINUS}
+
+
+def rhs(rho, params):
+    """Time derivative of the unnormalized state, by the operator formula.
+
+    drho/dt = -i[H, rho] + 2 gamma (q L rho L^dag - {L^dag L, rho}/2).
+    Taking the trace gives d(Tr rho)/dt = 2 gamma (q - 1) rho_11, so the trace
+    is conserved only at q = 1 and decays monotonically below it.
+
+    The oracle of the vectorized generator ``spectrum.build_liouvillian``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    H = model.hamiltonian(params)
+    L = model.SIGMA_PLUS
+    LdL = L.conj().T @ L
+    return -1j * (H @ rho - rho @ H) + 2.0 * params.gamma * (
+        params.q * (L @ rho @ L.conj().T) - 0.5 * (LdL @ rho + rho @ LdL)
+    )
+
+
+def branch_coefficients_closed_form(params, branch="+"):
+    """Mode rates and coefficients of one branch from the cyclic closed form
+    of the ``blochsol`` module docstring.
+
+    Only valid away from q = 0 and mode degeneracies; the cross-check of the
+    linear-solve route used by ``blochsol.analytic_branch``.
+    """
+    g, q, J = params.gamma, params.q, params.J
+    if g == 0.0 or q == 0.0:
+        raise SingularCoefficientsError(
+            "closed-form coefficients require gamma > 0 and q > 0"
+        )
+    sign = -1.0 if branch == "+" else +1.0
+    xs = np.asarray(solve_cubic_cardano(*branch_cubic(params)))
+    coeffs = []
+    for j in range(3):
+        xk, xl = xs[(j + 1) % 3], xs[(j + 2) % 3]
+        numerator = (
+            xk * xl
+            - g * q * (xk + xl)
+            + g * g * q * q
+            + sign * (g / J) * xk * xl
+        )
+        denominator = g * g * q * (xs[j] - xk) * (xs[j] - xl)
+        coeffs.append(numerator / denominator)
+    return xs, np.asarray(coeffs)
+
+
+def k3_curve(params, times, eps_trace=lgi.SWEEP_TRACE_FLOOR):
+    """K3 over a batch of times through the optimizer's own evaluation;
+    points whose trace fell below ``eps_trace`` are NaN."""
+    cell = lgi._Cells([params.gamma], [params.q], params)
+    return cell.k3(0, np.asarray(times, dtype=float), eps_trace)
 
 
 def assert_same_complex_sets(actual, expected, atol):
@@ -30,7 +93,6 @@ def expm_branch_states(params, t):
     The independent oracle of the K3 engine's spectral branch readouts.
     """
     from hybridlg.dynamics import evolve_exact
-    from hybridlg.model import PROJECTORS
 
     states = {}
     for outcome in (+1, -1):
@@ -65,8 +127,6 @@ def expm_correlators(params, t):
 def expm_pair_probabilities(params, t):
     """P(q1, q2) of outcomes at t and 2t: Tr(P_q2 rho~_q1(t)) Tr(P_q1 rho~(t)),
     on :func:`expm_branch_states`."""
-    from hybridlg.model import PROJECTORS
-
     states = expm_branch_states(params, t)
     return {
         (q1, q2): float(np.trace(PROJECTORS[q2] @ states[(q1, t)]).real)
@@ -83,11 +143,10 @@ def expm_readouts(generator, t, both_at_2t=False):
     The per-point oracle of ``lgi._Cells.readouts``' stacked expm fallback.
     """
     from hybridlg.lgi import _BRANCHES, _READOUT
-    from hybridlg.numerics import expm
 
-    at_t = (_READOUT @ expm(generator, t) @ _BRANCHES).real.ravel()
+    at_t = (_READOUT @ expm(generator * t) @ _BRANCHES).real.ravel()
     branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, 0]
-    at_2t = (_READOUT @ expm(generator, 2.0 * t) @ branches_2t).real.ravel()
+    at_2t = (_READOUT @ expm(generator * (2.0 * t)) @ branches_2t).real.ravel()
     return at_t, at_2t
 
 

@@ -111,7 +111,7 @@ def test_criterion_05_spectrum():
         eigs.pop(int(np.argmin([abs(e + params.gamma) for e in eigs])))
         roots = solve_cubic_cardano(
             *characteristic_cubic(params.ratio, params.q))
-        scaled = np.asarray(roots.roots) * params.J
+        scaled = np.asarray(roots) * params.J
         worst_match = max(
             worst_match,
             max(min(abs(e - x) for x in scaled) for e in eigs),
@@ -134,7 +134,7 @@ def test_criterion_06_ep_locus():
     for q in np.linspace(0.05, 1.0, 20):
         r = ep_radius(float(q)).r_ep
         roots = np.asarray(solve_cubic_cardano(
-            *characteristic_cubic(r, float(q))).roots)
+            *characteristic_cubic(r, float(q))))
         gaps = [abs(roots[i] - roots[j])
                 for i in range(3) for j in range(i + 1, 3)]
         worst_gap = max(worst_gap, min(gaps))

@@ -45,6 +45,19 @@ def test_invalid_optimizer_settings_exit_64(tmp_path, capsys):
     assert "t_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ("evolve", "--engine", "exact"), ("evolve", "--engine", "rk4"),
+    ("bloch-traj",)])
+@pytest.mark.parametrize("flag, value", [("--t-max", "-3"), ("--samples", "0")])
+def test_negative_horizon_or_no_samples_exit_64_before_output(
+        tmp_path, capsys, command, flag, value):
+    out = tmp_path / "traj.csv"
+    assert main([*command, "--gamma", "1", "--q", "0.5", flag, value,
+                 "--out", str(out)]) == 64
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unopenable_paths_exit_64(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert main(["fit-check", "--in", str(missing)]) == 64

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import rk4_loop
+from scipy.linalg import expm
+
+from conftest import rhs, rk4_loop
 from hybridlg.dynamics import (
     EvolveConfig,
     Propagator,
@@ -12,7 +14,6 @@ from hybridlg.dynamics import (
     evolve_rk4,
     kraus_pair,
     kraus_step,
-    rhs,
 )
 from hybridlg.errors import IntegrationDivergedError
 from hybridlg.model import (
@@ -21,7 +22,6 @@ from hybridlg.model import (
     bloch_decompose,
     hamiltonian,
 )
-from hybridlg.numerics import expm
 from hybridlg.spectrum import build_liouvillian
 
 
@@ -164,7 +164,7 @@ def test_kraus_step_unitary_limit_defect_is_second_order():
     defects = []
     for dt in (1e-2, 5e-3):
         stepped = kraus_step(rho, params, dt)
-        unitary = expm(-1j * H, dt) @ rho @ expm(-1j * H, dt).conj().T
+        unitary = expm(-1j * H * dt) @ rho @ expm(-1j * H * dt).conj().T
         defects.append(np.max(np.abs(stepped - unitary)))
     assert defects[0] <= 1e-3
     assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.1)
@@ -275,6 +275,20 @@ def test_propagator_near_degeneracy_falls_back_to_expm():
     for t in (0.5, 2.0):
         assert np.max(np.abs(prop.state(rho0, t)
                              - evolve_exact(rho0, params, t))) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma, q", [(1.0, 0.0), (2.0, 1.0)])
+def test_propagator_fallback_is_per_time_expm(gamma, q):
+    # on the locus the eigenbasis is rejected; the stacked expm fallback
+    # exponentiates each time on its own, so it equals evolve_exact exactly
+    params = ModelParams(gamma=gamma, q=q)
+    prop = Propagator(params)
+    assert not prop._diagonalizable
+    times = np.linspace(0.0, 20.0, 201)
+    states = prop.states(PROJECTOR_PLUS, times)
+    assert np.array_equal(states[0], PROJECTOR_PLUS)
+    for t, state in zip(times, states):
+        assert np.array_equal(state, evolve_exact(PROJECTOR_PLUS, params, t))
 
 
 def test_three_engines_agree():

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import expm_correlators, expm_pair_probabilities, expm_readouts
+from conftest import (
+    expm_correlators,
+    expm_pair_probabilities,
+    expm_readouts,
+    k3_curve,
+)
 from hybridlg import lgi
 from hybridlg.errors import TrajectoryExtinguishedError
 from hybridlg.lgi import (
@@ -10,11 +15,11 @@ from hybridlg.lgi import (
     SWEEP_TRACE_FLOOR,
     correlators,
     k3,
-    k3_curve,
     optimize_k3,
     sweep,
 )
 from hybridlg.model import ModelParams
+from hybridlg.spectrum import ep_radius
 
 
 def test_unitary_limit_closed_form():
@@ -276,6 +281,47 @@ def test_default_grid_keeps_every_separate_peak():
     assert not masked.any()
     assert len(owner) == 1227
     assert np.bincount(owner).max() == 7
+
+
+#: (gamma, q) cells of each hard region of the plane, plus generic ones;
+#: the locus cells sit at r_ep(q) (1 + delta)
+_BUDGET_CELLS = {
+    "generic": [(0.5, 0.3), (1.7, 0.05), (3.0, 0.9)],
+    "locus": [(ep_radius(q).r_ep * (1.0 + delta), q) for q in (0.3, 0.7, 1.0)
+              for delta in (0.0, 1e-8, -1e-8, 1e-2, -1e-2)],
+    "q <= 1e-6": [(0.9905, 1e-6), (0.9905, 0.0), (0.5, 1e-7), (2.0, 0.0),
+                  (0.3, 0.0)],
+    "gamma = 0": [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0)],
+    "fourfold (1, 0)": [(1.0, 0.0)],
+}
+
+#: K3 points per cell beyond the 2000-point coarse scan: measured 28-29 on
+#: generic, locus and most q <= 1e-6 cells, 145 and 174 on two q <= 1e-6
+#: cells, 203 at gamma = 0 (three crests in the window); 300 leaves about
+#: 1.5x headroom.  Every cell took 22-23 batched calls; 30 allows a few
+#: more golden-section steps but no per-candidate or per-point loop.
+_REFINE_POINT_BUDGET = 300
+_VALUE_CALL_BUDGET = 30
+
+
+@pytest.mark.parametrize("region", sorted(_BUDGET_CELLS))
+def test_optimize_work_budget_per_region(region, monkeypatch):
+    points = []
+    value = lgi._Cells.value
+
+    def counting_value(self, cells, times, eps_trace):
+        points.append(np.broadcast(np.asarray(cells), np.asarray(times)).size)
+        return value(self, cells, times, eps_trace)
+
+    monkeypatch.setattr(lgi._Cells, "value", counting_value)
+    config = OptimizeConfig()
+    for gamma, q in _BUDGET_CELLS[region]:
+        points.clear()
+        assert not optimize_k3(ModelParams(gamma=gamma, q=q), config).masked
+        assert points[0] == config.resolution  # the coarse scan comes first
+        assert sum(points) - config.resolution <= _REFINE_POINT_BUDGET, (
+            gamma, q, sum(points))
+        assert len(points) <= _VALUE_CALL_BUDGET, (gamma, q, len(points))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -9,7 +9,6 @@ from hybridlg.macrorealism import (
     OUTCOMES,
     check_aot,
     check_nsit,
-    correlator_from_pair,
     joint_probabilities,
 )
 from hybridlg.model import ModelParams
@@ -51,7 +50,7 @@ def test_distributions_are_normalized_and_in_range():
             values = list(dist.values())
             assert sum(values) == pytest.approx(1.0, abs=1e-10)
             assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in values)
-        assert table.sum_triples() == pytest.approx(1.0, abs=1e-10)
+        assert sum(table.triples.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_arrow_of_time_holds_for_computed_tables():
@@ -96,6 +95,11 @@ def test_no_evolution_limit_is_signaling_free():
     assert report.max_delta_marginal_middle <= 1e-6
     for pair in ((0, 1), (0, 2), (1, 2)):
         assert report.max_delta_two_time(pair) <= 1e-6
+
+
+def correlator_from_pair(table, pair):
+    """Two-time correlator sum_{a,b} a b P(q_i=a, q_j=b) from the table."""
+    return sum(a * b * p for (a, b), p in table.pairs[pair].items())
 
 
 def test_pair_correlator_matches_sequential_record():

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from hybridlg.errors import TrajectoryExtinguishedError
 from hybridlg.model import (
     BlochState,
     IDENTITY,
     INITIAL_STATE,
     ModelParams,
-    PROJECTOR_MINUS,
     PROJECTOR_PLUS,
     SIGMA_PLUS,
-    bloch_compose,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     bloch_decompose,
     check_density_matrix,
     hamiltonian,
-    normalize,
-    symmetrize,
 )
 
 
@@ -55,43 +53,13 @@ def test_decompose_projectors_and_mixed_state():
     assert bloch_decompose(IDENTITY / 2) == BlochState(1.0, 0.0, 0.0, 0.0)
 
 
-def test_compose_reference_states():
-    north = bloch_compose(BlochState(1.0, 0.0, 0.0, 1.0))
-    assert np.allclose(north, np.diag([1.0, 0.0]))
-    assert np.allclose(bloch_compose(BlochState(1.0, 0.0, -1.0, 0.0)),
-                       PROJECTOR_MINUS)
-    assert np.allclose(bloch_compose(BlochState(2.0, 0.0, 0.0, 0.0)), IDENTITY)
-
-
 def test_bloch_roundtrip_is_identity():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         rho = random_density(rng)
-        back = bloch_compose(bloch_decompose(rho))
+        r, sx, sy, sz = bloch_decompose(rho)
+        back = 0.5 * (r * IDENTITY + sx * SIGMA_X + sy * SIGMA_Y + sz * SIGMA_Z)
         assert np.max(np.abs(back - rho)) <= 1e-12 * max(1.0, np.abs(rho).max())
-
-
-def test_normalize_rescales_and_is_idempotent():
-    assert np.allclose(normalize(2.0 * PROJECTOR_PLUS), PROJECTOR_PLUS)
-    assert np.allclose(normalize(IDENTITY), IDENTITY / 2)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        rho = normalize(random_density(rng))
-        assert abs(np.trace(rho).real - 1.0) <= 1e-12
-        assert np.max(np.abs(normalize(rho) - rho)) <= 1e-12
-
-
-def test_normalize_guards_vanishing_trace():
-    with pytest.raises(TrajectoryExtinguishedError) as err:
-        normalize(1e-15 * PROJECTOR_PLUS)
-    assert err.value.trace == pytest.approx(1e-15)
-
-
-def test_symmetrize_reports_defect():
-    rho = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.3j, 0.5]])
-    sym, defect = symmetrize(rho)
-    assert np.allclose(sym, sym.conj().T)
-    assert defect == pytest.approx(0.1, rel=1e-12)
 
 
 def test_check_density_matrix_rejects_bad_states():

@@ -1,0 +1,72 @@
+"""Surface guard: every public top-level name of ``src/hybridlg`` has a user.
+
+A public function, class or constant is in use when another part of
+``src/`` references it, when ``tests/test_acceptance.py`` names it, or when
+the benchmark tracer (``perfbench/tracer.py:targets()``) wraps it.  Helpers
+that only tests use belong in ``tests/``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SOURCES = sorted((REPO / "src" / "hybridlg").glob("*.py"))
+
+
+def _definitions(tree):
+    """Public top-level functions, classes and assigned constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _references(tree):
+    """Names and attributes the code reads; neither an import nor an
+    assignment alone is a use."""
+    loads = [node for node in ast.walk(tree)
+             if isinstance(getattr(node, "ctx", None), ast.Load)]
+    return ({node.id for node in loads if isinstance(node, ast.Name)}
+            | {node.attr for node in loads if isinstance(node, ast.Attribute)})
+
+
+def _acceptance_names():
+    tree = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return imported | _references(tree)
+
+
+def _traced_names():
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    return {name for owner, attr, _, _ in tracer.targets()
+            for name in (attr, getattr(owner, "__name__", ""))}
+
+
+def unused_public_names():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    used = referenced | _acceptance_names() | _traced_names()
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in _definitions(tree) - used)
+
+
+def test_every_public_name_has_a_user():
+    assert unused_public_names() == []
+
+
+def test_guard_sees_definitions_and_uses():
+    tree = ast.parse("X = 1\nY: int = 2\n_Z = 3\ndef f(): return X\nclass C: pass\n")
+    assert _definitions(tree) == {"X", "Y", "f", "C"}
+    assert _references(tree) == {"X", "int"}  # stores are no use
+    assert "analytic_branch" in _traced_names()
+    assert "k3_closed_form" in _acceptance_names()

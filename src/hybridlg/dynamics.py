@@ -5,16 +5,19 @@ Three interchangeable routes propagate the unnormalized state:
 * :func:`evolve_exact` applies the matrix exponential of the vectorized
   generator (scipy's ``expm`` of ``G t``) and serves as the brute-force
   oracle for everything else;
-* :func:`evolve_rk4` integrates the same linear equation with classical
-  fixed-step RK4 (cross-validation path);
+* :func:`rk4_states` integrates the same linear equation with classical
+  fixed-step RK4 over a whole sample grid, and :func:`evolve_rk4` is its
+  one-sample call (cross-validation path);
 * :func:`kraus_step` applies the discrete two-operator measurement map
   rho <- M0 rho M0^dag + q M1 rho M1^dag whose delta_t -> 0 limit is the
   master equation, and :func:`evolve_kraus` iterates it.
 
 The generator does not depend on time, so a fixed-step scheme is one step
 operator applied n times: both stepping engines apply its n-th power by
-binary powering (:func:`_apply_power`) and take the short final step
-separately.
+binary powering (the levels of :func:`_power_levels`, applied by
+:func:`_apply_levels`) and take the short final step separately.  RK4
+builds the generator, the step operator and its levels once per sample
+grid, not once per sample.
 
 Normalization is never applied inside an integrator: the equation governs the
 unnormalized rho and all nonlinearity lives in the rho/Tr[rho] readout.
@@ -58,28 +61,40 @@ def _split_steps(t, dt):
     return n_full, remainder
 
 
-def _apply_power(delta, n, v, done=0):
-    """``(I + delta)^n @ v`` by binary powering: apply the ``2^k``-th power for
-    each set bit k of n, lowest first, squaring between levels.
+def _power_levels(delta, n):
+    """``(delta_k, span_k)`` for each bit k of n: ``I + delta_k`` is the
+    ``span_k = 2^k``-th power of ``I + delta``.
 
     The step operator is held as ``I + delta`` and squared as
     ``delta <- 2 delta + delta^2``, so the small part of a step is never
-    rounded against the identity.  ``done`` steps precede this call.  A state
-    that turns non-finite raises :class:`IntegrationDivergedError` with the
-    step bound reached so far.
+    rounded against the identity.
     """
-    applied, span = done, 1
+    levels, span = [], 1
     with np.errstate(over="ignore", invalid="ignore"):
         while n:
-            if n & 1:
-                v = v + delta @ v
-                applied += span
-                if not np.all(np.isfinite(v.view(float))):
-                    raise IntegrationDivergedError(applied, f"state={v!r}")
+            levels.append((delta, span))
             n >>= 1
             if n:
                 delta = 2.0 * delta + delta @ delta
                 span *= 2
+    return levels
+
+
+def _apply_levels(levels, n, v, done=0):
+    """``(I + delta)^n @ v`` by binary powering: apply the level of each set
+    bit of n, lowest first (``levels`` from :func:`_power_levels` of n or of
+    a larger count).  ``done`` steps precede this call.  A state that turns
+    non-finite raises :class:`IntegrationDivergedError` with the step bound
+    reached so far.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for delta, span in levels:
+            if n & 1:
+                v = v + delta @ v
+                done += span
+                if not np.isfinite(v.view(float)).all():
+                    raise IntegrationDivergedError(done, f"state={v!r}")
+            n >>= 1
     return v
 
 
@@ -91,36 +106,53 @@ def _rk4_step_delta(gen, h):
     return hg @ (eye + hg @ (eye + hg @ (eye + hg / 4.0) / 3.0) / 2.0)
 
 
-def evolve_rk4(rho0, params: model.ModelParams, t, cfg: EvolveConfig = EvolveConfig(),
-               diagnostics=None):
-    """Classical fixed-step RK4 on the vectorized linear equation.
+def rk4_states(rho0, params: model.ModelParams, times, cfg: EvolveConfig = EvolveConfig(),
+               diagnostics=None) -> np.ndarray:
+    """Classical fixed-step RK4 on the vectorized linear equation at each of
+    the non-decreasing ``times >= 0``; shape (len(times), 2, 2).
 
     The generator does not depend on t, so n RK4 steps are exactly S^n for
-    one step matrix S (:func:`_rk4_step_delta` builds S - I); they are
-    applied by binary powering, and the final step is shortened to land
-    exactly on t.  Global error is O(dt^4).  S is a polynomial in G, so the
-    result stays an independent check of the Pade-based expm.  The final
-    state is projected once onto the Hermitian matrices; its defect before
-    projection is reported as ``diagnostics["hermiticity_defect"]``.  A
-    NaN/Inf state raises :class:`IntegrationDivergedError` with the step
-    bound it appeared at.
+    one step matrix S (:func:`_rk4_step_delta` builds S - I).  G, S and the
+    binary-power levels of S are built once; each sample interval takes its
+    full steps from them plus a shortened step landing on its time, and its
+    state is projected onto the Hermitian matrices.  Global error is
+    O(dt^4); S is a polynomial in G, so this stays an independent check of
+    the Pade-based expm.  ``diagnostics`` gets the last sample's
+    ``hermiticity_defect`` before projection and the ``steps`` from t = 0.
+    A NaN/Inf state raises :class:`IntegrationDivergedError` with its step
+    bound, counted from t = 0.
     """
-    if t < 0:
-        raise ValueError(f"expected t >= 0, got {t}")
+    times = np.asarray(times, dtype=float)
+    if times.size and not (times[0] >= 0 and np.all(np.diff(times) >= 0)):
+        raise ValueError(f"expected non-decreasing times >= 0, got {times}")
     gen = build_liouvillian(params)
-    n_full, remainder = _split_steps(t, cfg.dt)
-    v = _apply_power(_rk4_step_delta(gen, cfg.dt), n_full, vectorize(rho0))
-    if remainder:
-        v = _apply_power(_rk4_step_delta(gen, remainder), 1, v, done=n_full)
-    # Hermitian projection in vector form: average the coherences, drop
-    # imaginary drift on the populations.
-    coh = 0.5 * (v[1] + v[2].conjugate())
-    defect = max(abs(v[1] - coh), abs(v[0].imag), abs(v[3].imag))
-    v = np.array([v[0].real, coh, coh.conjugate(), v[3].real], dtype=complex)
-    if diagnostics is not None:
-        diagnostics["hermiticity_defect"] = defect
-        diagnostics["steps"] = n_full + (remainder > 0)
-    return devectorize(v)
+    splits = [_split_steps(h, cfg.dt) for h in np.diff(times, prepend=0.0)]
+    levels = _power_levels(_rk4_step_delta(gen, cfg.dt),
+                           max((n for n, _ in splits), default=0))
+    states = np.empty((len(times), 4), dtype=complex)
+    v, done = vectorize(rho0), 0
+    for k, (n_full, remainder) in enumerate(splits):
+        v = _apply_levels(levels, n_full, v, done)
+        done += n_full
+        if remainder:
+            v = _apply_levels([(_rk4_step_delta(gen, remainder), 1)], 1, v, done)
+            done += 1
+        # Hermitian projection in vector form: average the coherences, drop
+        # imaginary drift on the populations.
+        raw, coh = v, 0.5 * (v[1] + v[2].conjugate())
+        v = np.array([v[0].real, coh, coh.conjugate(), v[3].real], dtype=complex)
+        states[k] = v
+    if diagnostics is not None and times.size:
+        diagnostics["hermiticity_defect"] = max(
+            abs(raw[1] - v[1]), abs(raw[0].imag), abs(raw[3].imag))
+        diagnostics["steps"] = done
+    return states.reshape(-1, 2, 2)
+
+
+def evolve_rk4(rho0, params: model.ModelParams, t, cfg: EvolveConfig = EvolveConfig(),
+               diagnostics=None):
+    """RK4 state at one time t >= 0: the one-sample call of :func:`rk4_states`."""
+    return rk4_states(rho0, params, [t], cfg, diagnostics)[0]
 
 
 def evolve_exact(rho0, params: model.ModelParams, t) -> np.ndarray:
@@ -247,7 +279,8 @@ def evolve_kraus(rho0, params: model.ModelParams, t, dt) -> np.ndarray:
     delta = (np.kron(a, model.IDENTITY) + np.kron(model.IDENTITY, a.conj())
              + np.kron(a, a.conj()) + params.q * np.kron(pair.m1, pair.m1.conj()))
     n_full, remainder = _split_steps(t, dt)
-    rho = devectorize(_apply_power(delta, n_full, vectorize(rho0).copy()))
+    v = vectorize(rho0).copy()
+    rho = devectorize(_apply_levels(_power_levels(delta, n_full), n_full, v))
     if remainder:
         rho = kraus_step(rho, params, remainder)
     return rho

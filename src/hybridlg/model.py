@@ -90,14 +90,11 @@ class BlochState(NamedTuple):
 
 
 def bloch_decompose(rho) -> BlochState:
-    """Map a density matrix to (trace, unnormalized Bloch vector)."""
+    """Map a density matrix, or a stack (..., 2, 2) of them, to (trace,
+    unnormalized Bloch vector)."""
     rho = np.asarray(rho, dtype=complex)
-    return BlochState(
-        r=float(np.trace(rho).real),
-        sx=float(np.trace(rho @ SIGMA_X).real),
-        sy=float(np.trace(rho @ SIGMA_Y).real),
-        sz=float(np.trace(rho @ SIGMA_Z).real),
-    )
+    return BlochState(*(np.trace(m, axis1=-2, axis2=-1).real
+                        for m in (rho, rho @ SIGMA_X, rho @ SIGMA_Y, rho @ SIGMA_Z)))
 
 
 def check_density_matrix(rho, hermiticity_tol=1e-10, positivity_tol=1e-9):

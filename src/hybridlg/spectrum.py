@@ -78,8 +78,8 @@ def devectorize(vec) -> np.ndarray:
 
 def characteristic_cubic(r: float, q: float) -> CubicCoefficients:
     """Monic cubic whose roots are the non-(-gamma) eigenvalues over J."""
-    if not r > 0:
-        raise ValueError(f"expected r > 0, got {r}")
+    if not r >= 0:
+        raise ValueError(f"expected r >= 0, got {r}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"expected q in [0, 1], got {q}")
     return CubicCoefficients(3.0 * r, 2.0 * r * r + 1.0, r * (1.0 - q))

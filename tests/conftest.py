@@ -86,28 +86,30 @@ def assert_same_complex_sets(actual, expected, atol):
     assert not remaining
 
 
-def expm_branch_states(params, t):
+def expm_branch_states(params, t, evolve=None):
     """Normalized branch states rho~_s(tau) = rho_s / Tr rho_s, keyed (s, tau),
-    for s = +-1 and tau in (t, 2t), each from its own expm (evolve_exact).
+    for s = +-1 and tau in (t, 2t), each from its own ``evolve(rho0, params,
+    tau)`` call: by default its own expm (evolve_exact).
 
     The independent oracle of the K3 engine's spectral branch readouts.
     """
     from hybridlg.dynamics import evolve_exact
 
+    evolve = evolve or evolve_exact
     states = {}
     for outcome in (+1, -1):
         for tau in (t, 2.0 * t):
-            rho = evolve_exact(PROJECTORS[outcome], params, tau)
+            rho = evolve(PROJECTORS[outcome], params, tau)
             states[(outcome, tau)] = rho / np.trace(rho).real
     return states
 
 
-def expm_correlators(params, t):
+def expm_correlators(params, t, evolve=None):
     """C01, C12, C02, K3 and p+- at interval t, by the textbook formulas on
     :func:`expm_branch_states` (rho(0) = P_+, so rho~(t) is the + branch)."""
     from hybridlg.model import PROJECTOR_MINUS, PROJECTOR_PLUS, SIGMA_Y
 
-    states = expm_branch_states(params, t)
+    states = expm_branch_states(params, t, evolve)
 
     def expect(operator, rho):
         return float(np.trace(operator @ rho).real)
@@ -122,6 +124,27 @@ def expm_correlators(params, t):
     c02 = expect(SIGMA_Y, state_2t)
     return {"c01": c01, "c12": c12, "c02": c02, "k3": c01 + c12 - c02,
             "p_plus": p_plus, "p_minus": p_minus}
+
+
+def no_jump_state(rho0, params, t):
+    """Unnormalized state at q = 0 without a matrix exponential.
+
+    At q = 0 the state is U rho0 U^dag with U = e^{-i H_eff t} and
+    H_eff = H - i gamma L^dag L.  For the 2x2 H_eff with mu = Tr(H_eff)/2
+    and (H_eff - mu)^2 = w^2 I, U = e^{-i mu t}[cos(w t) I
+    - i t sinc(w t)(H_eff - mu)], which stays finite as w -> 0 (the
+    exceptional point gamma = J).  The q = 0 oracle of the K3 engine.
+    """
+    if params.q != 0.0:
+        raise ValueError(f"no_jump_state needs q = 0, got {params.q}")
+    ldl = model.SIGMA_PLUS.conj().T @ model.SIGMA_PLUS
+    h_eff = model.hamiltonian(params) - 1j * params.gamma * ldl
+    mu = 0.5 * np.trace(h_eff)
+    a = h_eff - mu * model.IDENTITY
+    wt = np.sqrt(complex(a[0, 0] ** 2 + a[0, 1] * a[1, 0])) * t
+    u = np.exp(-1j * mu * t) * (np.cos(wt) * model.IDENTITY
+                                - 1j * t * np.sinc(wt / np.pi) * a)
+    return u @ np.asarray(rho0, dtype=complex) @ u.conj().T
 
 
 def expm_pair_probabilities(params, t):
@@ -148,6 +171,23 @@ def expm_readouts(generator, t, both_at_2t=False):
     branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, 0]
     at_2t = (_READOUT @ expm(generator * (2.0 * t)) @ branches_2t).real.ravel()
     return at_t, at_2t
+
+
+def rk4_sample_loop(rho0, params, times, cfg):
+    """RK4 at each of ``times`` by one ``evolve_rk4`` call per sample
+    interval, each starting from the previous sample's (projected) state.
+
+    The per-sample oracle of ``dynamics.rk4_states``, which builds the
+    generator and the step-operator powers once for the whole grid.
+    """
+    from hybridlg.dynamics import evolve_rk4
+
+    states, state, previous = [], np.asarray(rho0, dtype=complex), 0.0
+    for t in times:
+        state = evolve_rk4(state, params, float(t) - previous, cfg)
+        previous = float(t)
+        states.append(state)
+    return np.array(states).reshape(len(states), 2, 2)
 
 
 def rk4_loop(rho0, params, t, dt, diagnostics=None):

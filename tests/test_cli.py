@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import assert_same_complex_sets
+from hybridlg import dynamics
 from hybridlg.cli import main
+from hybridlg.model import ModelParams
+from hybridlg.spectrum import build_liouvillian
 
 
 def read_csv(path):
@@ -113,6 +117,34 @@ def test_evolve_extinction_flushes_and_exits_2(tmp_path, capsys):
     _, header, rows = read_csv(out)
     assert 0 < len(rows) < 61  # partial output flushed
     assert "extinguished" in capsys.readouterr().err
+
+
+def test_evolve_rk4_builds_its_step_operator_once(tmp_path, monkeypatch):
+    calls = {"build_liouvillian": 0, "_rk4_step_delta": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(dynamics, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    assert main(["evolve", "--gamma", "0.8", "--q", "0.4", "--engine", "rk4",
+                 "--out", str(tmp_path / "rk4.csv")]) == 0
+    # 201 samples with the default --t-max 20 --dt 1e-3, in one set-up
+    assert len(read_csv(tmp_path / "rk4.csv")[2]) == 201
+    assert calls == {"build_liouvillian": 1, "_rk4_step_delta": 1}
+
+
+@pytest.mark.parametrize("samples, step", [
+    ("2", 104),    # one 2000-unit interval: the same run as evolve_rk4
+    ("11", 100),   # fails in the first 200-unit interval, at its 100th step
+    ("201", 85),   # 5-step intervals: the 17th starts at step 80 and fails
+                   # on its 4-step level
+])
+def test_evolve_rk4_divergence_counts_steps_from_zero(tmp_path, capsys,
+                                                      samples, step):
+    assert main(["evolve", "--gamma", "5", "--q", "1", "--engine", "rk4",
+                 "--dt", "2", "--t-max", "2000", "--samples", samples,
+                 "--out", str(tmp_path / "div.csv")]) == 70
+    assert f"diverged at step {step}:" in capsys.readouterr().err
 
 
 def test_evolve_rk4_engine_matches_exact(tmp_path):
@@ -249,6 +281,29 @@ def test_sweep_degenerate_grid_matches_k3_optimize(tmp_path):
     assert float(record["t_star"]) == float(metadata["t_star"])
 
 
+def test_spectrum_reports_gamma_zero(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["spectrum", "--grid-gamma", "0:3:61", "--grid-q", "0:1:21",
+                 "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert len(rows) == 61 * 21
+    for record in as_dicts(header, rows[:21]):
+        assert float(record["gamma"]) == 0.0
+        eigs = [complex(float(record[f"eig{k}_re"]), float(record[f"eig{k}_im"]))
+                for k in range(4)]
+        gen = build_liouvillian(ModelParams(gamma=0.0, q=float(record["q"])))
+        assert_same_complex_sets(eigs, np.linalg.eigvals(gen), atol=1e-12)
+        roots = [complex(float(record[f"x{k}_re"]), float(record[f"x{k}_im"]))
+                 for k in range(3)]
+        assert_same_complex_sets(roots, [0.0, 1j, -1j], atol=1e-12)  # x^3 + x
+    # a gamma > 0 row of the grid is the row of its own single-cell run
+    for row in rows[21::97]:
+        single = tmp_path / "single.csv"
+        assert main(["spectrum", "--gamma", row[0], "--q", row[1],
+                     "--out", str(single)]) == 0
+        assert read_csv(single)[2] == [row]
+
+
 def test_spectrum_command(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--gamma", "1", "--q", "1",
@@ -340,7 +395,7 @@ def test_exit_codes_for_domain_failures(tmp_path, capsys):
     assert main(["bloch-traj", "--gamma", "1", "--q", "0",
                  "--out", str(tmp_path / "x.csv")]) == 70
     # invalid physical input surfaces as usage error
-    assert main(["spectrum", "--gamma", "0", "--q", "0.5",
+    assert main(["spectrum", "--gamma", "-1", "--q", "0.5",
                  "--out", str(tmp_path / "y.csv")]) == 64
     # extinction during a point evaluation
     assert main(["k3", "--gamma", "0.9905", "--q", "0", "--t", "9",

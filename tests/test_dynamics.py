@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from scipy.linalg import expm
 
-from conftest import rhs, rk4_loop
+from conftest import rhs, rk4_loop, rk4_sample_loop
 from hybridlg.dynamics import (
     EvolveConfig,
     Propagator,
@@ -14,6 +14,7 @@ from hybridlg.dynamics import (
     evolve_rk4,
     kraus_pair,
     kraus_step,
+    rk4_states,
 )
 from hybridlg.errors import IntegrationDivergedError
 from hybridlg.model import (
@@ -97,7 +98,46 @@ def test_evolve_rk4_detects_divergence():
     with pytest.raises(IntegrationDivergedError, match="step") as exc:
         # a wildly unstable step size blows up the linear recursion
         evolve_rk4(PROJECTOR_PLUS, params, 2000.0, EvolveConfig(dt=2.0))
-    assert 0 < exc.value.step_index <= 1000
+    # 1000 = 0b1111101000: the levels of 8, 32 and 64 steps are applied, and
+    # the state overflows on the third, at step 8 + 32 + 64
+    assert exc.value.step_index == 104
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.0, 3.0), q=st.floats(0.0, 1.0),
+       t_max=st.floats(0.0, 10.0), samples=st.integers(1, 60),
+       dt=st.floats(1e-4, 1e-2))
+@example(gamma=0.8, q=0.4, t_max=7.3, samples=57, dt=3e-3)  # dt does not divide
+@example(gamma=0.5, q=0.2, t_max=20.0, samples=201, dt=1e-3)  # the CLI defaults
+@example(gamma=1.0, q=0.0, t_max=0.0, samples=3, dt=1e-3)
+def test_rk4_states_equal_the_per_sample_loop(gamma, q, t_max, samples, dt):
+    params, cfg = ModelParams(gamma=gamma, q=q), EvolveConfig(dt=dt)
+    times = np.linspace(0.0, t_max, samples)
+    diagnostics = {}
+    states = rk4_states(PROJECTOR_PLUS, params, times, cfg, diagnostics)
+    assert np.array_equal(states, rk4_sample_loop(PROJECTOR_PLUS, params, times, cfg))
+    intervals = np.diff(times, prepend=0.0)
+    assert diagnostics["steps"] == sum(
+        n + (r > 0) for n, r in (_split_steps(h, dt) for h in intervals))
+
+
+def test_rk4_states_equal_the_per_sample_loop_on_an_uneven_grid():
+    # the longest interval is not the last, one is empty and one is shorter
+    # than dt, so the shared powers must reach the longest interval's count
+    params, cfg = ModelParams(gamma=0.7, q=0.3), EvolveConfig(dt=1e-3)
+    times = [0.3, 2.0, 2.0, 2.0004, 2.5]
+    assert np.array_equal(rk4_states(PROJECTOR_PLUS, params, times, cfg),
+                          rk4_sample_loop(PROJECTOR_PLUS, params, times, cfg))
+
+
+def test_rk4_states_reject_unordered_or_negative_times():
+    params = ModelParams(gamma=0.5, q=0.5)
+    for times in ([1.0, 0.5], [-0.1, 1.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            rk4_states(PROJECTOR_PLUS, params, times)
+    with pytest.raises(ValueError):
+        evolve_rk4(PROJECTOR_PLUS, params, -1.0)
+    assert rk4_states(PROJECTOR_PLUS, params, []).shape == (0, 2, 2)
 
 
 #: bound on |evolve_rk4 - rk4_loop| over the property domain, about 100x the

@@ -7,6 +7,7 @@ from conftest import (
     expm_pair_probabilities,
     expm_readouts,
     k3_curve,
+    no_jump_state,
 )
 from hybridlg import lgi
 from hybridlg.errors import TrajectoryExtinguishedError
@@ -38,6 +39,31 @@ def test_unitary_reference_values():
     params = ModelParams(gamma=0.0, q=1.0)
     assert k3(params, np.pi / 3) == pytest.approx(1.5, abs=1e-10)
     assert k3(params, np.pi) == pytest.approx(-3.0, abs=1e-10)
+
+
+#: |lgi.k3 - no-jump oracle| at q = 0 and t <= 7.  Measured at most 7.3e-14
+#: on this grid, at (1, 0) and t = 6.8 (9.7e-14 on a 200-point grid, at
+#: t = 6.26); the bound leaves a margin of 3x over the larger value.
+Q0_ORACLE_TOL = 3e-13
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 3.7])
+def test_zero_efficiency_k3_matches_closed_form_propagator(gamma):
+    params = ModelParams(gamma=gamma, q=0.0)
+    for t in np.linspace(0.05, 7.0, 140):
+        oracle = expm_correlators(params, t, evolve=no_jump_state)["k3"]
+        assert abs(k3(params, t) - oracle) <= Q0_ORACLE_TOL, t
+
+
+def test_k3_is_one_on_the_fourfold_point():
+    # at (gamma, q) = (J, 0), K3 is identically 1 for t <= 3 (ROADMAP item
+    # 2).  On this grid the engine reads it within 7.6e-15 (max at t = 2.95)
+    # and the closed-form oracle within 1.4e-15; both bounds leave 4x margin.
+    params = ModelParams(gamma=1.0, q=0.0)
+    for t in np.linspace(0.01, 3.0, 300):
+        assert abs(k3(params, t) - 1.0) <= 3e-14, t
+        oracle = expm_correlators(params, t, evolve=no_jump_state)["k3"]
+        assert abs(oracle - 1.0) <= 6e-15, t
 
 
 def test_short_time_limit_is_classical():

@@ -62,6 +62,16 @@ def test_bloch_roundtrip_is_identity():
         assert np.max(np.abs(back - rho)) <= 1e-12 * max(1.0, np.abs(rho).max())
 
 
+def test_bloch_decompose_of_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(5)
+    stack = np.array([random_density(rng) for _ in range(12)]).reshape(3, 4, 2, 2)
+    stacked = bloch_decompose(stack)
+    assert all(component.shape == (3, 4) for component in stacked)
+    for index in np.ndindex(3, 4):
+        single = bloch_decompose(stack[index])
+        assert all(np.array_equal(a[index], b) for a, b in zip(stacked, single))
+
+
 def test_check_density_matrix_rejects_bad_states():
     with pytest.raises(ValueError):
         check_density_matrix(np.array([[1.0, 0.5], [0.1, 1.0]]))  # not Hermitian

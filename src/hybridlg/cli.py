@@ -355,10 +355,11 @@ def _cmd_nsit(args):
 
 
 def _read_sweep_csv(path):
+    """Sweep rows (gamma, q, k3_max, t_star, error) of a sweep CSV, in order."""
     rows = []
     with _open(path, "r", "--in") as handle:
         header = None
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -370,49 +371,32 @@ def _read_sweep_csv(path):
                             f"{path}: missing column {needed!r} in sweep CSV"
                         )
                 continue
-            fields = dict(zip(header, line.split(",")))
-            rows.append((
-                float(fields["gamma"]), float(fields["q"]),
-                float(fields["k3_max"]), float(fields["t_star"]),
-                fields.get("error", ""),
-            ))
+            values = line.split(",")
+            if len(values) != len(header):
+                raise UsageError(f"{path}:{number}: {len(values)} fields, "
+                                 f"header has {len(header)}")
+            fields = dict(zip(header, values))
+            try:
+                rows.append((
+                    float(fields["gamma"]), float(fields["q"]),
+                    float(fields["k3_max"]), float(fields["t_star"]),
+                    fields.get("error", ""),
+                ))
+            except ValueError as exc:
+                raise UsageError(f"{path}:{number}: {exc}") from None
     if not rows:
         raise UsageError(f"{path}: no data rows found")
     return rows
 
 
-def _sweep_from_rows(rows) -> lgi.SweepResult:
-    gammas = sorted({r[0] for r in rows})
-    qs = sorted({r[1] for r in rows})
-    index_g = {g: i for i, g in enumerate(gammas)}
-    index_q = {q: j for j, q in enumerate(qs)}
-    shape = (len(gammas), len(qs))
-    k3_max = np.full(shape, math.nan)
-    t_star = np.full(shape, math.nan)
-    masked = np.zeros(shape, dtype=bool)
-    messages = {}
-    for gamma, q, value, t_at, message in rows:
-        i, j = index_g[gamma], index_q[q]
-        k3_max[i, j] = value
-        t_star[i, j] = t_at
-        if message:
-            masked[i, j] = True
-            messages[(i, j)] = message
-    return lgi.SweepResult(
-        gamma_grid=np.asarray(gammas), q_grid=np.asarray(qs),
-        k3_max=k3_max, t_star=t_star, masked=masked, messages=messages,
-    )
-
-
 def _cmd_fit_check(args):
     rows = _read_sweep_csv(args.input)
-    sweep_result = _sweep_from_rows(rows)
     if args.log_base == "auto":
-        base, medians = fit.select_log_base(sweep_result)
+        base, medians = fit.select_log_base(rows)
     else:
         base, medians = args.log_base, None
     report = fit.residual_report(
-        sweep_result, fit.FitCoefficients.published(base),
+        rows, fit.FitCoefficients.published(base),
         allow_extrapolation=args.allow_extrapolation,
     )
     meta = _metadata(args, {"region_thresholds": list(fit.REGION_THRESHOLDS)})
@@ -518,8 +502,8 @@ def build_parser() -> _Parser:
                    help="sweep CSV produced by the sweep command")
     p.add_argument("--log-base", choices=("e", "10", "auto"), default="e")
     p.add_argument("--allow-extrapolation", action="store_true",
-                   help="evaluate the fit inside the excluded 1 <= gamma <= 2 "
-                        "band instead of marking those cells")
+                   help="evaluate the fit on cells outside its fitted gamma "
+                        "range instead of marking them excluded")
     p.set_defaults(func=_cmd_fit_check)
 
     for name, subparser in sub.choices.items():
@@ -532,10 +516,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TrajectoryExtinguishedError as exc:

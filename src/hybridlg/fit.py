@@ -1,5 +1,8 @@
 """Universal tanh-in-log-q fit of the K3 landscape and residual reports.
 
+Reports read sweep rows ``(gamma, q, k3_max, t_star, error)``, the rows that
+the ``sweep`` command writes and :meth:`hybridlg.lgi.SweepResult.rows` returns.
+
 The maximal three-time parameter is modeled as
 
     K3_max(gamma, q) = A(gamma) tanh(B(gamma) log q + C(gamma)) + D(gamma)
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .lgi import SweepResult
 
 # Published coefficient table, indexed by polynomial order n = 0..20.
 TABLE_A = (
@@ -110,11 +112,13 @@ def eval_polynomials(gamma: float, coeffs: FitCoefficients | None = None,
             f"[{DOMAIN_LOW[0]}, {DOMAIN_LOW[1]}) u ({DOMAIN_HIGH[0]}, "
             f"{DOMAIN_HIGH[1]}]; pass allow_extrapolation to force evaluation"
         )
-    # polyval expects highest order first
-    return tuple(
-        float(np.polyval(list(reversed(table)), gamma))
-        for table in (coeffs.a, coeffs.b, coeffs.c, coeffs.d)
-    )
+    values = []
+    for table in (coeffs.a, coeffs.b, coeffs.c, coeffs.d):
+        value = 0.0
+        for c in reversed(table):
+            value = value * gamma + c
+        values.append(value)
+    return tuple(values)
 
 
 def eval_fit(gamma: float, q: float, coeffs: FitCoefficients | None = None,
@@ -172,53 +176,52 @@ def _classify(residual: float) -> str:
     return "3"
 
 
-def residual_report(sweep_result: SweepResult,
-                    coeffs: FitCoefficients | None = None,
+def residual_report(rows, coeffs: FitCoefficients | None = None,
                     allow_extrapolation=False) -> ResidualReport:
-    """Per-cell |fit - computed| table with accuracy-region classification.
+    """Per-row |fit - computed| table with accuracy-region classification.
 
-    Cells with gamma in [1, 2] are marked "excluded" (no notable landscape
-    structure there; the polynomials were not fitted on that band) and do not
-    enter the summary statistics unless ``allow_extrapolation`` forces their
-    evaluation; masked sweep cells are carried through as "masked".
+    ``rows`` holds sweep rows ``(gamma, q, k3_max, t_star, error)``; the
+    report has one row per sweep row, in the same order.  Rows with gamma
+    outside the fit domain (:func:`in_fit_domain`) are marked "excluded" and
+    do not enter the summary statistics unless ``allow_extrapolation``
+    forces their evaluation; rows with an error or a NaN value are carried
+    through as "masked".
     """
     if coeffs is None:
         coeffs = FitCoefficients.published()
-    rows = []
-    for gamma, q, k3_computed, t_star, message in sweep_result.rows():
-        if 1.0 <= gamma <= 2.0 and not allow_extrapolation:
-            rows.append(ResidualRow(gamma, q, k3_computed, math.nan,
-                                    math.nan, "excluded"))
-            continue
-        if message or math.isnan(k3_computed):
-            rows.append(ResidualRow(gamma, q, k3_computed, math.nan,
-                                    math.nan, "masked"))
-            continue
-        fitted = eval_fit(gamma, q, coeffs, allow_extrapolation=True)
-        residual = abs(fitted - k3_computed)
-        rows.append(ResidualRow(gamma, q, k3_computed, fitted, residual,
-                                _classify(residual)))
-    return ResidualReport(rows=tuple(rows), log_base=coeffs.log_base)
+    report = []
+    for gamma, q, k3_computed, t_star, message in rows:
+        fitted = residual = math.nan
+        if not allow_extrapolation and not in_fit_domain(gamma):
+            region = "excluded"
+        elif message or math.isnan(k3_computed):
+            region = "masked"
+        else:
+            fitted = eval_fit(gamma, q, coeffs, allow_extrapolation=True)
+            residual = abs(fitted - k3_computed)
+            region = _classify(residual)
+        report.append(ResidualRow(gamma, q, k3_computed, fitted, residual,
+                                  region))
+    return ResidualReport(rows=tuple(report), log_base=coeffs.log_base)
 
 
-def select_log_base(sweep_result: SweepResult):
+def select_log_base(rows):
     """Median residual for both log bases; smaller wins.
 
-    Returns (winning base, {base: median residual}).  This is the experiment
-    behind the package default of the natural logarithm.  Bases are compared
-    on the gamma < 1 cells of the sweep: past gamma ~ 2 both bases drown in
-    the quantization noise of the published coefficients and the comparison
-    carries no signal.  A sweep without low-branch cells falls back to every
-    included cell.
+    ``rows`` are sweep rows as for :func:`residual_report`, in a sequence
+    that can be read once per base.  Returns (winning base, {base: median
+    residual}).  This is the experiment behind the package default of the
+    natural logarithm.  Bases are compared on the gamma < 1 rows: past
+    gamma ~ 2 both bases drown in the quantization noise of the published
+    coefficients and the comparison carries no signal.  Rows without a
+    low-branch cell fall back to every included cell.
     """
     medians = {}
     for base in ("e", "10"):
-        report = residual_report(sweep_result, FitCoefficients.published(base))
-        rows = [r for r in report.included() if r.gamma < DOMAIN_LOW[1]]
-        if not rows:
-            rows = report.included()
-        medians[base] = (
-            float(np.median([r.residual for r in rows])) if rows else math.nan
-        )
+        report = residual_report(rows, FitCoefficients.published(base))
+        low = tuple(r for r in report.included() if r.gamma < DOMAIN_LOW[1])
+        if low:
+            report = ResidualReport(rows=low, log_base=base)
+        medians[base] = report.median_residual
     winner = min(medians, key=lambda base: medians[base])
     return winner, medians

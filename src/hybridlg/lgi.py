@@ -25,7 +25,7 @@ double-precision underflow limit.  Point evaluations via
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -400,8 +400,8 @@ def optimize_k3(params: model.ModelParams, config: OptimizeConfig = OptimizeConf
 class SweepResult:
     """K3 landscape over a (gamma, q) grid.
 
-    ``k3_max``/``t_star`` have shape (len(gamma_grid), len(q_grid)); masked
-    cells carry NaN with the failure message recorded under their index pair.
+    ``k3_max``/``t_star``/``masked`` have shape (len(gamma_grid),
+    len(q_grid)); masked cells carry NaN.
     """
 
     gamma_grid: np.ndarray
@@ -409,19 +409,17 @@ class SweepResult:
     k3_max: np.ndarray
     t_star: np.ndarray
     masked: np.ndarray
-    messages: dict = field(default_factory=dict)
-    t_max: float | None = None
-    resolution: int = 2000
 
-    def rows(self):
-        """(gamma, q, k3_max, t_star, message) in fixed order: gamma outer."""
-        for i, g in enumerate(self.gamma_grid):
-            for j, q in enumerate(self.q_grid):
-                yield (
-                    float(g), float(q),
-                    float(self.k3_max[i, j]), float(self.t_star[i, j]),
-                    self.messages.get((i, j), ""),
-                )
+    def rows(self) -> list:
+        """(gamma, q, k3_max, t_star, error) in fixed order, gamma outer;
+        ``error`` is :data:`MASKED_MESSAGE` on masked cells, else ""."""
+        return [
+            (float(g), float(q), float(self.k3_max[i, j]),
+             float(self.t_star[i, j]),
+             MASKED_MESSAGE if self.masked[i, j] else "")
+            for i, g in enumerate(self.gamma_grid)
+            for j, q in enumerate(self.q_grid)
+        ]
 
 
 def _chunk_task(task):
@@ -475,10 +473,5 @@ def sweep(gamma_grid, q_grid, base_params: model.ModelParams | None = None,
     shape = (len(gamma_grid), len(q_grid))
     k3_max, t_star, masked = (np.reshape(column, shape)
                               for column in zip(*results))
-    messages = {(i, j): MASKED_MESSAGE
-                for i, j in np.argwhere(masked).tolist()}
-    return SweepResult(
-        gamma_grid=gamma_grid, q_grid=q_grid, k3_max=k3_max, t_star=t_star,
-        masked=masked, messages=messages,
-        t_max=config.t_max, resolution=config.resolution,
-    )
+    return SweepResult(gamma_grid=gamma_grid, q_grid=q_grid, k3_max=k3_max,
+                       t_star=t_star, masked=masked)

@@ -405,18 +405,53 @@ def test_exit_codes_for_domain_failures(tmp_path, capsys):
 
 
 def test_fit_check_allow_extrapolation(tmp_path):
+    # every gamma lies outside the fitted domain: inside [1, 2], below 0.05
+    # and above 5
+    for grid_gamma in ("1.5:1.5:1", "0.01:6:2"):
+        sweep_csv = tmp_path / "sweep.csv"
+        main(["sweep", "--grid-gamma", grid_gamma, "--grid-q", "0.5:0.5:1",
+              "--resolution", "300", "--out", str(sweep_csv)])
+        excluded = tmp_path / "excl.csv"
+        main(["fit-check", "--in", str(sweep_csv), "--out", str(excluded)])
+        _, header, rows = read_csv(excluded)
+        assert [r["region"] for r in as_dicts(header, rows)] == (
+            ["excluded"] * len(rows))
+        forced = tmp_path / "forced.csv"
+        main(["fit-check", "--in", str(sweep_csv), "--allow-extrapolation",
+              "--out", str(forced)])
+        _, header, rows = read_csv(forced)
+        assert all(r["region"] in ("1", "2", "3")
+                   for r in as_dicts(header, rows))
+
+
+def test_fit_check_rows_follow_the_sweep_rows(tmp_path):
     sweep_csv = tmp_path / "sweep.csv"
-    main(["sweep", "--grid-gamma", "1.5:1.5:1", "--grid-q", "0.5:0.5:1",
-          "--resolution", "300", "--out", str(sweep_csv)])
-    excluded = tmp_path / "excl.csv"
-    main(["fit-check", "--in", str(sweep_csv), "--out", str(excluded)])
-    _, header, rows = read_csv(excluded)
-    assert as_dicts(header, rows)[0]["region"] == "excluded"
-    forced = tmp_path / "forced.csv"
-    main(["fit-check", "--in", str(sweep_csv), "--allow-extrapolation",
-          "--out", str(forced)])
-    _, header, rows = read_csv(forced)
-    assert as_dicts(header, rows)[0]["region"] in ("1", "2", "3")
+    assert main(["sweep", "--grid-gamma", "0.9:0.1:3", "--grid-q", "1:0.5:2",
+                 "--resolution", "300", "--out", str(sweep_csv)]) == 0
+    out = tmp_path / "resid.csv"
+    assert main(["fit-check", "--in", str(sweep_csv), "--out", str(out)]) == 0
+    _, sweep_header, sweep_rows = read_csv(sweep_csv)
+    _, header, rows = read_csv(out)
+    swept = [(r["gamma"], r["q"], r["k3_max"])
+             for r in as_dicts(sweep_header, sweep_rows)]
+    checked = [(r["gamma"], r["q"], r["k3_computed"])
+               for r in as_dicts(header, rows)]
+    assert checked == swept
+    assert [float(g) for g, _, _ in checked] == [0.9, 0.9, 0.5, 0.5, 0.1, 0.1]
+
+
+@pytest.mark.parametrize("line, complaint", [
+    ("0.5,0.1", "2 fields, header has 5"),
+    ("0.5,0.1,1.2,0.3,,7", "6 fields, header has 5"),
+    ("0.5,0.1,abc,0.3,", "could not convert string to float: 'abc'"),
+])
+def test_fit_check_malformed_row_exits_64_naming_path_and_line(
+        tmp_path, capsys, line, complaint):
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text("# metadata\ngamma,q,k3_max,t_star,error\n"
+                         f"0.3,0.5,1.1,0.2,\n{line}\n")
+    assert main(["fit-check", "--in", str(sweep_csv)]) == 64
+    assert f"{sweep_csv}:4: {complaint}" in capsys.readouterr().err
 
 
 def test_evolve_reaches_generator_stationary_state(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridlg import lgi
 from hybridlg.errors import OutOfDomainError
@@ -57,6 +58,13 @@ def test_polynomials_at_one_are_column_sums():
     assert D == pytest.approx(sum(TABLE_D), rel=1e-12)
 
 
+def assert_matches_polyval(gamma):
+    values = eval_polynomials(gamma, allow_extrapolation=True)
+    for value, table in zip(values, (TABLE_A, TABLE_B, TABLE_C, TABLE_D)):
+        assert type(value) is float
+        assert value == float(np.polyval(table[::-1], gamma))
+
+
 def test_horner_matches_naive_power_sum():
     for gamma in (0.05, 0.31, 0.77, 0.99, 2.5, 5.0):
         A, B, C, D = eval_polynomials(gamma, allow_extrapolation=True)
@@ -64,6 +72,15 @@ def test_horner_matches_naive_power_sum():
                              (D, TABLE_D)):
             reference = naive_polynomial(table, gamma)
             assert value == pytest.approx(reference, rel=1e-9)
+    # bit for bit against numpy's Horner evaluation
+    for gamma in (0.0, 0.05, 1.0, 2.0, 5.0):
+        assert_matches_polyval(gamma)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.0, 6.0))
+def test_horner_is_bitwise_polyval(gamma):
+    assert_matches_polyval(gamma)
 
 
 def test_domain_membership_and_guard():
@@ -126,14 +143,14 @@ def test_residual_self_test_is_zero():
         gamma_grid=result.gamma_grid, q_grid=result.q_grid,
         k3_max=synthetic, t_star=result.t_star, masked=result.masked,
     )
-    report = residual_report(fabricated)
+    report = residual_report(fabricated.rows())
     assert report.max_residual <= 1e-12
 
 
 def test_excluded_band_is_marked():
     result = small_sweep(gammas=np.asarray([0.5, 1.5]),
                          qs=np.asarray([0.1, 1.0]))
-    report = residual_report(result)
+    report = residual_report(result.rows())
     regions = {(row.gamma, row.region) for row in report.rows}
     assert (1.5, "excluded") in regions
     assert all(region != "excluded" for gamma, region in regions
@@ -142,7 +159,7 @@ def test_excluded_band_is_marked():
 
 def test_natural_log_base_dominates():
     result = small_sweep()
-    winner, medians = select_log_base(result)
+    winner, medians = select_log_base(result.rows())
     assert winner == "e" == DEFAULT_LOG_BASE
     assert medians["e"] < medians["10"]
 
@@ -152,7 +169,7 @@ def test_log_base_selection_ignores_quantization_noise_region():
     # published table has signal (gamma < 1), not in the gamma > 2 noise
     result = small_sweep(gammas=np.asarray([0.3, 0.7, 2.5, 4.0]),
                          qs=np.logspace(-4, 0, 5))
-    winner, medians = select_log_base(result)
+    winner, medians = select_log_base(result.rows())
     assert winner == "e"
     assert medians["e"] < 0.05 < medians["10"] < 1.0
 
@@ -165,7 +182,7 @@ def test_fit_tracks_computed_optimum_at_reference_point():
 def test_low_branch_residuals_within_published_accuracy():
     # the five-digit table reproduces the computed landscape on gamma < 1
     result = lgi.sweep(np.linspace(0.05, 0.95, 10), np.logspace(-6, 0, 15))
-    report = residual_report(result)
+    report = residual_report(result.rows())
     assert report.max_residual <= 0.15
     assert report.median_residual <= 0.05
 
@@ -175,5 +192,5 @@ def test_high_branch_is_dominated_by_table_quantization():
     # of the published coefficients injects noise far above the O(1) signal
     result = lgi.sweep(np.asarray([2.5]), np.asarray([1e-3]),
                        config=lgi.OptimizeConfig(resolution=800))
-    report = residual_report(result)
+    report = residual_report(result.rows())
     assert report.max_residual > 1e3

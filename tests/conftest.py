@@ -72,7 +72,8 @@ def k3_curve(params, times, eps_trace=lgi.SWEEP_TRACE_FLOOR):
     """K3 over a batch of times through the optimizer's own evaluation;
     points whose trace fell below ``eps_trace`` are NaN."""
     cell = lgi._Cells([params.gamma], [params.q], params)
-    return cell.k3(0, np.asarray(times, dtype=float), eps_trace)
+    value = cell.value(0, np.asarray(times, dtype=float), eps_trace)
+    return np.where(value == -np.inf, np.nan, value)
 
 
 def assert_same_complex_sets(actual, expected, atol):

@@ -232,13 +232,13 @@ def test_stacked_expm_fallback_matches_per_point_oracle():
 
 class _StubCurves:
     """What ``_coarse_peaks`` reads of a ``_Cells``: one fixed grid curve per
-    cell, whatever the times."""
+    cell, whatever the grid."""
 
     def __init__(self, curves):
         self.generators = np.asarray(curves, dtype=float)
 
-    def value(self, cells, times, eps_trace):
-        return self.generators[cells[:, 0]]
+    def scan(self, cells, grid, eps_trace):
+        return self.generators[cells]
 
 
 def _peaks_at(positions, heights):
@@ -295,14 +295,18 @@ def test_flat_fourfold_cell_refines_one_candidate(monkeypatch):
     assert sum(exponentiated) <= 4100
 
 
+def _default_grid_cells():
+    base = ModelParams(gamma=1.0, q=1.0)
+    gammas, qs = np.linspace(0.05, 5.0, 40), np.logspace(-6, 0, 25)
+    horizon = OptimizeConfig().horizon(base)
+    return (lgi._Cells(np.repeat(gammas, 25), np.tile(qs, 40), base),
+            np.linspace(horizon / 2000, horizon, 2000))
+
+
 def test_default_grid_keeps_every_separate_peak():
     # measured before and after the tie collapse: the near-unitary peaks of
     # the default grid are separate, so none of them is collapsed
-    base = ModelParams(gamma=1.0, q=1.0)
-    gammas, qs = np.linspace(0.05, 5.0, 40), np.logspace(-6, 0, 25)
-    cells = lgi._Cells(np.repeat(gammas, 25), np.tile(qs, 40), base)
-    horizon = OptimizeConfig().horizon(base)
-    grid = np.linspace(horizon / 2000, horizon, 2000)
+    cells, grid = _default_grid_cells()
     owner, _, masked = lgi._coarse_peaks(cells, grid, SWEEP_TRACE_FLOOR)
     assert not masked.any()
     assert len(owner) == 1227
@@ -332,22 +336,85 @@ _VALUE_CALL_BUDGET = 30
 
 @pytest.mark.parametrize("region", sorted(_BUDGET_CELLS))
 def test_optimize_work_budget_per_region(region, monkeypatch):
-    points = []
-    value = lgi._Cells.value
+    # (method, points) of every outermost K3 call: the scan of a cell off the
+    # spectral path reads ``value`` inside, and that is still the scan
+    calls, depth = [], [0]
 
-    def counting_value(self, cells, times, eps_trace):
-        points.append(np.broadcast(np.asarray(cells), np.asarray(times)).size)
-        return value(self, cells, times, eps_trace)
+    def counting(name):
+        method = getattr(lgi._Cells, name)
 
-    monkeypatch.setattr(lgi._Cells, "value", counting_value)
+        def counted(self, cells, times, eps_trace):
+            if not depth[0]:
+                calls.append((name, len(cells) * len(times) if name == "scan"
+                              else np.broadcast(cells, times).size))
+            depth[0] += 1
+            try:
+                return method(self, cells, times, eps_trace)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(lgi._Cells, name, counted)
+
+    counting("scan")
+    counting("value")
     config = OptimizeConfig()
     for gamma, q in _BUDGET_CELLS[region]:
-        points.clear()
+        calls.clear()
         assert not optimize_k3(ModelParams(gamma=gamma, q=q), config).masked
-        assert points[0] == config.resolution  # the coarse scan comes first
-        assert sum(points) - config.resolution <= _REFINE_POINT_BUDGET, (
-            gamma, q, sum(points))
-        assert len(points) <= _VALUE_CALL_BUDGET, (gamma, q, len(points))
+        # the coarse scan comes first, then only direct evaluations
+        assert calls[0] == ("scan", config.resolution)
+        assert {name for name, _ in calls[1:]} == {"value"}
+        refine = sum(points for _, points in calls[1:])
+        assert refine <= _REFINE_POINT_BUDGET, (gamma, q, refine)
+        assert len(calls) <= _VALUE_CALL_BUDGET, (gamma, q, len(calls))
+
+
+def _direct_scan(cells, grid):
+    """Every cell's coarse-scan row as ``value`` at each grid point: the
+    reference for ``_Cells.scan``."""
+    every = np.arange(len(cells.generators))
+    return cells.value(every[:, None], grid, SWEEP_TRACE_FLOOR)
+
+
+def test_scan_gives_the_candidates_of_a_direct_scan():
+    cells, grid = _default_grid_cells()
+    direct = _direct_scan(cells, grid)
+    scan = cells.scan(np.arange(len(direct)), grid, SWEEP_TRACE_FLOOR)
+    finite = np.isfinite(direct)
+    assert np.array_equal(np.isfinite(scan), finite)
+    assert np.abs(scan[finite] - direct[finite]).max() <= 1e-12  # 1.3e-13
+    regions = [lgi._Cells(*zip(*region), ModelParams(gamma=1.0, q=1.0))
+               for region in _BUDGET_CELLS.values()]
+    for cells, direct in [(cells, direct)] + [
+            (region, _direct_scan(region, grid)) for region in regions]:
+        expected = lgi._coarse_peaks(_StubCurves(direct), grid,
+                                     SWEEP_TRACE_FLOOR)
+        actual = lgi._coarse_peaks(cells, grid, SWEEP_TRACE_FLOOR)
+        for got, want in zip(actual, expected):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 3, 7, 2000, 2001])
+def test_scan_rows_do_not_depend_on_the_block(resolution):
+    # (2, 1) and (1, 0) take the expm fallback, gamma = 0 the Schur route; at
+    # resolutions 3, 7 and 2001 the last block of M = ceil(sqrt(n)) points
+    # runs past the grid, and 1 and 2 are a single block
+    cells = lgi._Cells([0.5, 2.0, 0.0, 1.0, 3.0], [0.3, 1.0, 0.5, 0.0, 1e-6],
+                       ModelParams(gamma=1.0, q=1.0))
+    assert cells.spectral.tolist() == [True, False, True, False, True]
+    grid = np.linspace(20.0 / resolution, 20.0, resolution)
+    every = np.arange(5)
+    block = cells.scan(every, grid, SWEEP_TRACE_FLOOR)
+    assert block.shape == (5, resolution)
+    for cell in every:
+        alone = cells.scan(np.array([cell]), grid, SWEEP_TRACE_FLOOR)
+        assert np.array_equal(alone[0], block[cell])
+        direct = cells.value(cell, grid, SWEEP_TRACE_FLOOR)
+        if cells.spectral[cell]:
+            assert np.array_equal(direct == -np.inf, block[cell] == -np.inf)
+            finite = np.isfinite(direct)
+            assert np.all(np.abs(block[cell] - direct)[finite] <= 1e-12)
+        else:
+            assert np.array_equal(block[cell], direct)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

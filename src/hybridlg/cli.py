@@ -79,6 +79,7 @@ class _Writer:
         self.metadata = metadata
         self._rows = []
         self._handle = None
+        self._templates = {}  # CSV row template per tuple of value types
 
     def __enter__(self):
         self._handle = (
@@ -92,8 +93,14 @@ class _Writer:
 
     def write_row(self, values):
         if self.fmt == "csv":
-            self._handle.write(",".join(_fmt(v) for v in values) + "\n")
-            self._handle.flush()
+            # one %-template per row type: the bytes of _fmt in one call
+            kinds = tuple(map(type, values))
+            template = self._templates.get(kinds)
+            if template is None:
+                template = self._templates[kinds] = ",".join(
+                    "%.17g" if issubclass(kind, float) else "%s"
+                    for kind in kinds) + "\n"
+            self._handle.write(template % tuple(values))
         else:
             # strict JSON has no NaN; masked cells become null
             self._rows.append([
@@ -150,9 +157,10 @@ def _params_from(args) -> model.ModelParams:
 
 
 def _sample_times(args):
-    """``--samples`` times spread evenly over [0, ``--t-max``]."""
-    if not args.t_max >= 0:
-        raise UsageError(f"--t-max must be >= 0, got {args.t_max}")
+    """``--samples`` times spread evenly over [0, ``--t-max``]; ``--t-max``
+    0 is one instant, an infinite one would give NaN rows."""
+    if not 0 <= args.t_max < math.inf:
+        raise UsageError(f"--t-max must lie in [0, inf), got {args.t_max}")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     return np.linspace(0.0, args.t_max, args.samples)

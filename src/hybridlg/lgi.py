@@ -80,6 +80,13 @@ def _branch_sy(branches, eps_trace):
     return out
 
 
+def _check_interval(name, value):
+    """Reject a measurement interval or horizon outside 0 < value < inf; an
+    infinite one would only give NaN readouts."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"expected 0 < {name} < inf, got {value}")
+
+
 def correlators(params: model.ModelParams, t, engine="exact",
                 eps_trace=1e-12, dt=1e-3) -> CorrelatorRecord:
     """Evaluate C01, C12, C02 and K3 at interval t.
@@ -88,8 +95,7 @@ def correlators(params: model.ModelParams, t, engine="exact",
     readouts of the K3 engine, the default) or "rk4".  A trajectory whose
     trace falls below ``eps_trace`` raises with the offending branch named.
     """
-    if not t > 0:
-        raise ValueError(f"expected t > 0, got {t}")
+    _check_interval("t", t)
     if engine == "exact":
         readouts = _Cells([params.gamma], [params.q], params).readouts([0], [t])
         at_t, at_2t = (columns[0].tolist() for columns in readouts)
@@ -136,8 +142,8 @@ class OptimizeConfig:
     def __post_init__(self):
         if not self.resolution >= 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if self.t_max is not None:
+            _check_interval("t_max", self.t_max)
         if not self.refine_tol > 0:
             raise ValueError(f"refine_tol must be > 0, got {self.refine_tol}")
 
@@ -480,7 +486,12 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
         raise ValueError("gamma and q grids must be nonempty")
     gammas = np.repeat(gamma_grid, len(q_grid))
     qs = np.tile(q_grid, len(gamma_grid))
-    for gamma, q in zip(gammas.tolist(), qs.tolist()):
+    # ModelParams checks each field on its own, so the first row, then the
+    # first column, raise the first error of a cell-by-cell loop
+    width = len(q_grid)
+    first_row = zip(gammas[:width].tolist(), qs[:width].tolist())
+    first_column = zip(gammas[::width].tolist(), qs[::width].tolist())
+    for gamma, q in (*first_row, *first_column):
         replace(params, gamma=gamma, q=q)
     tasks = [
         (work, gammas[k:k + _SWEEP_CHUNK_CELLS], qs[k:k + _SWEEP_CHUNK_CELLS],

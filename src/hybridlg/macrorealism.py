@@ -39,19 +39,25 @@ class JointProbTable:
     triples: dict    # {(q0, q1, q2): prob}
 
 
-def _table(t, at_t, at_2t, eps_trace) -> JointProbTable:
-    """The table from the branch readouts (tr+, tr-, sy+, sy-) at t and 2t.
-
-    Each probability is Tr(P_s rho~) = (1 + s Tr[sigma_y rho~]) / 2.
-    """
+def _normalized(at_t, at_2t, eps_trace):
+    """({+1: sy+, -1: sy-} at t, the same at 2t) from the branch readouts
+    (tr+, tr-, sy+, sy-) at t and 2t, each sy divided by its trace; the first
+    branch, in this order, whose trace is below ``eps_trace`` raises."""
     plus_t, plus_2t, minus_t, minus_2t = lgi._branch_sy([
         ("branch +1 at t", at_t[0], at_t[2]),
         ("branch +1 at 2t", at_2t[0], at_2t[2]),
         ("branch -1 at t", at_t[1], at_t[3]),
         ("branch -1 at 2t", at_2t[1], at_2t[3]),
     ], eps_trace)
-    sy_t, sy_2t = {+1: plus_t, -1: minus_t}, {+1: plus_2t, -1: minus_2t}
+    return {+1: plus_t, -1: minus_t}, {+1: plus_2t, -1: minus_2t}
 
+
+def _distributions(sy_t, sy_2t):
+    """(singles, pairs, triples) of :class:`JointProbTable` from the
+    normalized readouts; floats or arrays, with the same IEEE operations.
+
+    Each probability is Tr(P_s rho~) = (1 + s Tr[sigma_y rho~]) / 2.
+    """
     def prob(outcome, sy):
         return 0.5 * (1.0 + outcome * sy)
 
@@ -68,15 +74,19 @@ def _table(t, at_t, at_2t, eps_trace) -> JointProbTable:
         (q0, q1, q2): prob(q2, sy_t[q1]) * prob(q1, sy_t[q0]) * singles[0][q0]
         for q0, q1, q2 in itertools.product(OUTCOMES, repeat=3)
     }
-    return JointProbTable(t=float(t), singles=singles, pairs=pairs,
-                          triples=triples)
+    return singles, pairs, triples
+
+
+def _table(t, at_t, at_2t, eps_trace) -> JointProbTable:
+    """The table from the branch readouts (tr+, tr-, sy+, sy-) at t and 2t."""
+    return JointProbTable(float(t), *_distributions(
+        *_normalized(at_t, at_2t, eps_trace)))
 
 
 def joint_probabilities(params: model.ModelParams, t, eps_trace=1e-12
                         ) -> JointProbTable:
     """Evaluate every distribution of the three-time protocol at interval t."""
-    if not t > 0:
-        raise ValueError(f"expected t > 0, got {t}")
+    lgi._check_interval("t", t)
     cell = lgi._Cells([params.gamma], [params.q], params)
     readouts = cell.readouts([0], [t], both_at_2t=True)
     return _table(t, *(columns[0].tolist() for columns in readouts), eps_trace)
@@ -172,8 +182,46 @@ def check_nsit(table: JointProbTable) -> MacrorealismReport:
     )
 
 
+def _first_max(values):
+    """Python's ``max(values)``, elementwise: a later value replaces the
+    running maximum only when it compares greater."""
+    best = values[0]
+    for value in values[1:]:
+        best = np.where(value > best, value, best)
+    return best
+
+
+def _defect_columns(sy_t, sy_2t, q0, q2):
+    """(delta_01_2, delta_12, delta_02, aot_defect) of the ``nsit`` rows from
+    arrays of normalized readouts (:func:`_normalized`), one per cell.
+
+    Each column equals, bit for bit, what :func:`check_nsit` and
+    :func:`check_aot` give on the cell's own table: the table is the same
+    :func:`_distributions`, and each defect runs their operations in their
+    order, down to ``sum``'s start from int 0 and ``max``'s NaN handling.
+    """
+    singles, pairs, triples = _distributions(sy_t, sy_2t)
+
+    def defect(whole, first, second):  # abs(whole - sum((first, second)))
+        return abs(whole - ((0 + first) + second))
+
+    two_time = [defect(singles[i][qi], dist[(qi, +1)], dist[(qi, -1)])
+                for (i, _), dist in pairs.items() for qi in OUTCOMES]
+    three_time = [defect(pairs[(0, 1)][(a, b)], triples[(a, b, +1)],
+                         triples[(a, b, -1)])
+                  for a, b in itertools.product(OUTCOMES, repeat=2)]
+    return (
+        defect(pairs[(0, 2)][(q0, q2)], triples[(q0, +1, q2)],
+               triples[(q0, -1, q2)]),
+        defect(singles[2][q2], pairs[(1, 2)][(+1, q2)], pairs[(1, 2)][(-1, q2)]),
+        defect(singles[2][q2], pairs[(0, 2)][(+1, q2)], pairs[(0, 2)][(-1, q2)]),
+        _first_max([_first_max(two_time), _first_max(three_time)]),
+    )
+
+
 def _nsit_rows(cells, t, config, eps_trace, q0, q2):
-    """The :func:`nsit_grid` rows of one ``lgi._Cells`` chunk."""
+    """The :func:`nsit_grid` rows of one ``lgi._Cells`` chunk, its defects
+    computed on whole-chunk arrays (:func:`_defect_columns`)."""
     if t is None:  # a masked optimum has t* = NaN
         times = np.array([best.t_star for best
                           in lgi._optimize_cells(cells, config)])
@@ -183,17 +231,25 @@ def _nsit_rows(cells, t, config, eps_trace, q0, q2):
     at_t, at_2t = cells.readouts(live, times[live], both_at_2t=True)
     rows = [(t_at, np.nan, np.nan, np.nan, np.nan, lgi.MASKED_MESSAGE)
             for t_at in times.tolist()]
-    for k, readout_t, readout_2t in zip(live.tolist(), at_t.tolist(),
-                                        at_2t.tolist()):
+    # _normalized raises on a trace below the floor (not on a NaN one) and
+    # divides by a zero one that eps_trace <= 0 lets through: such cells take
+    # its per-point path, which names the first failing branch
+    traces = np.hstack([at_t[:, :2], at_2t[:, :2]])
+    caught = ((traces < eps_trace) | (traces == 0)).any(axis=1)
+    for k in np.flatnonzero(caught).tolist():
         try:
-            table = _table(times[k], readout_t, readout_2t, eps_trace)
+            _normalized(at_t[k].tolist(), at_2t[k].tolist(), eps_trace)
         except TrajectoryExtinguishedError as exc:
-            rows[k] = rows[k][:5] + (str(exc),)
-            continue
-        report = check_nsit(table)
-        rows[k] = (rows[k][0], report.delta_marginal_middle[(q0, q2)],
-                   report.delta_two_time[(1, 2)][q2],
-                   report.delta_two_time[(0, 2)][q2], report.aot.max_defect, "")
+            rows[live[k]] = rows[live[k]][:5] + (str(exc),)
+    at_t, at_2t = at_t[~caught], at_2t[~caught]
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = _defect_columns(
+            {+1: at_t[:, 2] / at_t[:, 0], -1: at_t[:, 3] / at_t[:, 1]},
+            {+1: at_2t[:, 2] / at_2t[:, 0], -1: at_2t[:, 3] / at_2t[:, 1]},
+            q0, q2)
+    for k, *defects in zip(live[~caught].tolist(),
+                           *(column.tolist() for column in columns)):
+        rows[k] = (rows[k][0], *defects, "")
     return rows
 
 
@@ -205,8 +261,8 @@ def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
     optimum under ``config``; (q0, q2) = ``outcomes``.  Extinguished and
     masked cells get NaN defects and the error text.  Cells run through the
     grid map of :func:`lgi.sweep`, so ``workers`` never changes a row."""
-    if t is not None and not t > 0:
-        raise ValueError(f"expected t > 0, got {t}")
+    if t is not None:
+        lgi._check_interval("t", t)
     return lgi._map_grid(_nsit_rows, gamma_grid, q_grid, base_params,
                          (t, config, eps_trace, *outcomes), workers)
 

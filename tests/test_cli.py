@@ -1,11 +1,13 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_complex_sets
 from hybridlg import dynamics
-from hybridlg.cli import main
+from hybridlg.cli import _fmt, _Writer, main
 from hybridlg.model import ModelParams
 from hybridlg.spectrum import build_liouvillian
 
@@ -59,6 +61,26 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
     assert main([*command, "--gamma", "1", "--q", "0.5", flag, value,
                  "--out", str(out)]) == 64
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("k3", "--gamma", "0.5", "--q", "1", "--t", "inf"),
+    ("k3", "--gamma", "0.5", "--q", "1", "--optimize", "--t-max", "inf"),
+    ("nsit", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2", "--t", "inf"),
+    ("nsit", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2",
+     "--maximize-over-t", "--t-max", "inf"),
+    ("evolve", "--gamma", "0.5", "--q", "1", "--t-max", "inf"),
+    ("evolve", "--gamma", "0.5", "--q", "1", "--t-max", "inf",
+     "--engine", "rk4"),
+    ("bloch-traj", "--gamma", "0.5", "--q", "1", "--t-max", "inf"),
+    ("sweep", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2",
+     "--t-max", "inf", "--resolution", "50"),
+])
+def test_infinite_times_exit_64_before_output(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 64
+    assert "inf" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -490,41 +512,49 @@ def test_nsit_workers_value_identical(tmp_path):
     from hybridlg.macrorealism import check_nsit, joint_probabilities
     from hybridlg.model import ModelParams
 
+    # gamma = 0 takes the Schur route; (1, 0) and (2, 1) are exactly
+    # defective and take the expm route, and (1, 0) is extinguished
+    defective = ("--grid-gamma", "0:2:3", "--grid-q", "0:1:2", "--t", "40")
     grids = (
-        ("0.5:1.5:2", "0.1:1:2:log", "1"),
-        # gamma = 0 takes the Schur route; (1, 0) and (2, 1) are exactly
-        # defective and take the expm route, and (1, 0) is extinguished
-        ("0:2:3", "0:1:2", "40"),
+        (("--grid-gamma", "0.5:1.5:2", "--grid-q", "0.1:1:2:log", "--t", "1"),
+         0),
+        (defective, 1),
+        (defective + ("--q0", "-1", "--q2", "-1"), 1),
+        (("--grid-gamma", "0:2:3", "--grid-q", "0.1:1:2:log",
+          "--maximize-over-t", "--resolution", "200"), 0),
     )
-    for grid_gamma, grid_q, t in grids:
-        base = ["nsit", "--grid-gamma", grid_gamma, "--grid-q", grid_q,
-                "--t", t]
+    for grid, extinguished in grids:
         one = tmp_path / "w1.csv"
         two = tmp_path / "w2.csv"
+        base = ["nsit", *grid]
         assert main(base + ["--workers", "1", "--out", str(one)]) == 0
         assert main(base + ["--workers", "2", "--out", str(two)]) == 0
         assert one.read_text().split("\n")[1:] == \
             two.read_text().split("\n")[1:]
-    # every row of the last grid equals its one-cell table, bit for bit
-    _, header, rows = read_csv(one)
-    errors = 0
-    for record in as_dicts(header, rows):
-        params = ModelParams(gamma=float(record["gamma"]),
-                             q=float(record["q"]))
-        try:
-            report = check_nsit(joint_probabilities(params, float(t)))
-        except TrajectoryExtinguishedError as exc:
-            errors += 1
-            assert record["error"] == str(exc)
-            assert np.isnan(float(record["delta_01_2"]))
-            continue
-        assert record["error"] == ""
-        assert float(record["delta_01_2"]) == \
-            report.delta_marginal_middle[(1, 1)]
-        assert float(record["delta_12"]) == report.delta_two_time[(1, 2)][1]
-        assert float(record["delta_02"]) == report.delta_two_time[(0, 2)][1]
-        assert float(record["aot_defect"]) == report.aot.max_defect
-    assert errors == 1
+        # every row equals its one-cell table, bit for bit
+        metadata, header, rows = read_csv(one)
+        q0, q2 = metadata["config"]["q0"], metadata["config"]["q2"]
+        errors = 0
+        for record in as_dicts(header, rows):
+            params = ModelParams(gamma=float(record["gamma"]),
+                                 q=float(record["q"]))
+            try:
+                table = joint_probabilities(params, float(record["t"]))
+            except TrajectoryExtinguishedError as exc:
+                errors += 1
+                assert record["error"] == str(exc)
+                assert np.isnan(float(record["delta_01_2"]))
+                continue
+            report = check_nsit(table)
+            assert record["error"] == ""
+            assert float(record["delta_01_2"]) == \
+                report.delta_marginal_middle[(q0, q2)]
+            assert float(record["delta_12"]) == \
+                report.delta_two_time[(1, 2)][q2]
+            assert float(record["delta_02"]) == \
+                report.delta_two_time[(0, 2)][q2]
+            assert float(record["aot_defect"]) == report.aot.max_defect
+        assert errors == extinguished
 
 
 def test_json_format(tmp_path):
@@ -547,3 +577,24 @@ def test_csv_floats_have_roundtrip_precision(tmp_path):
     # 17 significant digits present for non-trivial values
     digits = value.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
     assert len(digits) >= 16
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.text(alphabet="ab%s,-. ", max_size=6),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=5).map(tuple),
+                     min_size=1, max_size=4))
+def test_csv_row_templates_write_the_bytes_of_fmt(rows):
+    writer = _Writer(None, "csv", [], {})
+    writer._handle = io.StringIO()
+    for row in rows:
+        writer.write_row(list(row))
+    assert writer._handle.getvalue() == "".join(
+        ",".join(_fmt(value) for value in row) + "\n" for row in rows)

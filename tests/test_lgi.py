@@ -19,6 +19,7 @@ from hybridlg.lgi import (
     optimize_k3,
     sweep,
 )
+from hybridlg.macrorealism import nsit_grid
 from hybridlg.model import ModelParams
 from hybridlg.spectrum import ep_radius
 
@@ -442,6 +443,26 @@ def test_sweep_masks_cells_instead_of_aborting():
     assert np.isnan(result.k3_max[0, 0])
     assert result.masked.all()
     assert [row[4] for row in result.rows()] == [lgi.MASKED_MESSAGE] * 2
+
+
+@pytest.mark.parametrize("gamma_grid, q_grid, message", [
+    ([0.5, -1.0], [0.5, 1.0], "gamma must be >= 0, got -1.0"),
+    ([0.5, 1.0], [0.5, 2.0], "q must lie in [0, 1], got 2.0"),
+    # both bad: the cell loop meets (0.5, 2.0) before (-1.0, 0.5)
+    ([0.5, -1.0], [0.5, 2.0], "q must lie in [0, 1], got 2.0"),
+    ([-1.0, 0.5], [0.5, 2.0], "gamma must be >= 0, got -1.0"),
+    ([0.5, np.nan], [0.5, 1.0], "gamma must be >= 0, got nan"),
+])
+@pytest.mark.parametrize("grid_map", ["sweep", "nsit"])
+def test_grid_validation_raises_the_first_bad_cell_error(
+        gamma_grid, q_grid, message, grid_map):
+    base = ModelParams(gamma=1.0, q=1.0)
+    with pytest.raises(ValueError) as exc:
+        if grid_map == "sweep":
+            sweep(gamma_grid, q_grid, base, OptimizeConfig(resolution=20))
+        else:
+            nsit_grid(np.asarray(gamma_grid), np.asarray(q_grid), base, t=1.0)
+    assert str(exc.value) == message
 
 
 def test_intermediate_correlator_decomposes_over_joint_outcomes():

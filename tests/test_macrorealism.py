@@ -1,12 +1,18 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import expm_correlators
+from hybridlg import lgi
+from hybridlg.errors import TrajectoryExtinguishedError
 from hybridlg.macrorealism import (
     JointProbTable,
     OUTCOMES,
+    _nsit_rows,
+    _table,
     check_aot,
     check_nsit,
     joint_probabilities,
@@ -125,3 +131,108 @@ def test_raw_probabilities_are_not_clamped():
 def test_rejects_nonpositive_interval():
     with pytest.raises(ValueError):
         joint_probabilities(ModelParams(gamma=0.5, q=0.5), 0.0)
+
+
+def identical(row, expected):
+    """Equal values with equal signs, or NaN in both: what the CSV can tell
+    apart."""
+    return len(row) == len(expected) and all(
+        (math.isnan(a) and math.isnan(b))
+        or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+        for a, b in zip(row, expected))
+
+
+def oracle_row(t, table, q0, q2):
+    """The nsit row of one cell from the per-point API."""
+    report = check_nsit(table)
+    return (t, report.delta_marginal_middle[(q0, q2)],
+            report.delta_two_time[(1, 2)][q2],
+            report.delta_two_time[(0, 2)][q2], check_aot(table).max_defect)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cells=st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=6),
+       t=st.floats(1e-3, 20.0), q0=st.sampled_from(OUTCOMES),
+       q2=st.sampled_from(OUTCOMES))
+# gamma = 0 (Schur), the defective (1, 0) and (2, 1) (expm fallback), q at
+# both ends, and extinguished cells at long t
+@example(cells=[(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, 1.0), (5.0, 0.0)],
+         t=20.0, q0=-1, q2=-1)
+@example(cells=[(0.0, 1.0), (0.7, 0.4), (5.0, 1.0)], t=1e-3, q0=1, q2=-1)
+def test_array_rows_equal_the_per_cell_tables(cells, t, q0, q2):
+    gammas, qs = zip(*cells)
+    chunk = lgi._Cells(gammas, qs, ModelParams(gamma=1.0, q=1.0))
+    rows = _nsit_rows(chunk, t, None, 1e-12, q0, q2)
+    for (gamma, q), row in zip(cells, rows):
+        try:
+            table = joint_probabilities(ModelParams(gamma=gamma, q=q), t)
+        except TrajectoryExtinguishedError as exc:
+            assert row[5] == str(exc)
+            assert identical(row[:5], (t, *[math.nan] * 4))
+            continue
+        assert row[5] == ""
+        assert identical(row[:5], oracle_row(t, table, q0, q2))
+
+
+def planted_rows(monkeypatch, slots, value, q0=1, q2=1, eps_trace=1e-12):
+    """nsit rows of a 3-cell chunk whose middle cell reads ``value`` as its
+    trace in each (at 2t?, branch) slot of ``slots``; with the planted
+    readouts of that cell."""
+    readouts = lgi._Cells.readouts
+    seen = {}
+
+    def planted(self, cells, times, both_at_2t=False):
+        at = readouts(self, cells, times, both_at_2t)
+        for at_2t, branch in slots:
+            at[at_2t][1, branch] = value
+        seen["cell"] = [columns[1].tolist() for columns in at]
+        return at
+
+    monkeypatch.setattr(lgi._Cells, "readouts", planted)
+    chunk = lgi._Cells([0.5, 0.7, 0.9], [0.3, 0.4, 0.5],
+                       ModelParams(gamma=1.0, q=1.0))
+    return _nsit_rows(chunk, 1.3, None, eps_trace, q0, q2), seen["cell"]
+
+
+# _table's order: + at t, + at 2t, - at t, - at 2t
+BRANCH_SLOTS = [((0, 0), "branch +1 at t"), ((1, 0), "branch +1 at 2t"),
+                ((0, 1), "branch -1 at t"), ((1, 1), "branch -1 at 2t")]
+
+
+@pytest.mark.parametrize("first", range(4))
+def test_planted_sub_floor_trace_names_the_first_failing_branch(
+        monkeypatch, first):
+    # the planted slot and every later one are below the floor
+    slots = [slot for slot, _ in BRANCH_SLOTS[first:]]
+    rows, (at_t, at_2t) = planted_rows(monkeypatch, slots, 1e-300)
+    name = BRANCH_SLOTS[first][1]
+    assert rows[1][5] == (f"trajectory extinguished ({name}): "
+                          "trace 1.000000e-300 below floor")
+    with pytest.raises(TrajectoryExtinguishedError) as exc:
+        _table(1.3, at_t, at_2t, 1e-12)
+    assert rows[1][5] == str(exc.value)
+    assert identical(rows[1][:5], (1.3, *[math.nan] * 4))
+    # the neighbours of the planted cell keep their rows
+    monkeypatch.undo()
+    for k, (gamma, q) in ((0, (0.5, 0.3)), (2, (0.9, 0.5))):
+        table = joint_probabilities(ModelParams(gamma=gamma, q=q), 1.3)
+        assert identical(rows[k][:5], oracle_row(1.3, table, 1, 1))
+
+
+@pytest.mark.parametrize("slot", [slot for slot, _ in BRANCH_SLOTS])
+def test_nan_trace_passes_the_floor_as_in_the_per_cell_table(
+        monkeypatch, slot):
+    rows, (at_t, at_2t) = planted_rows(monkeypatch, [slot], math.nan,
+                                       q0=-1, q2=-1)
+    assert rows[1][5] == ""
+    assert identical(rows[1][:5], oracle_row(
+        1.3, _table(1.3, at_t, at_2t, 1e-12), -1, -1))
+
+
+def test_zero_trace_under_a_zero_floor_fails_as_the_per_cell_table(
+        monkeypatch):
+    # a zero trace passes eps_trace = 0, and the per-cell division by it
+    # raises; the chunk does not turn it into an inf or NaN row instead
+    with pytest.raises(ZeroDivisionError):
+        planted_rows(monkeypatch, [(1, 1)], 0.0, eps_trace=0.0)

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import model
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
     SingularCoefficientsError,
     UnsupportedConfigurationError,
 )
-from .numerics import coalesced, solve_cubic_cardano
+from .numerics import coalesced, expm, solve_cubic_cardano
 
 #: column norm (relative to the largest) below which a mode vector is
 #: replaced by the numerically computed null direction

@@ -147,6 +147,18 @@ def _parse_grid(spec_text, name):
     raise UsageError(f"--{name}: unknown spacing {spacing!r}")
 
 
+def _trace_floor(text):
+    """Type of ``--eps-trace``: a float > 0, so neither 0, a negative value
+    nor NaN reaches the trace ratios."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a float > 0, got {text!r}")
+    return value
+
+
 def _params_from(args) -> model.ModelParams:
     try:
         return model.ModelParams(
@@ -437,7 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--engine", choices=("exact", "rk4"), default="exact")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--eps-trace", type=float, default=1e-12)
+    p.add_argument("--eps-trace", type=_trace_floor, default=1e-12)
     p.add_argument("--rho0", help="initial state, 4 complex entries row-major")
     p.set_defaults(func=_cmd_evolve)
 
@@ -451,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--engine", choices=("exact", "rk4"), default="exact")
     p.add_argument("--dt", type=float, default=1e-3,
                    help="integrator step for --engine rk4")
-    p.add_argument("--eps-trace", type=float, default=lgi.SWEEP_TRACE_FLOOR)
+    p.add_argument("--eps-trace", type=_trace_floor, default=lgi.SWEEP_TRACE_FLOOR)
     p.set_defaults(func=_cmd_k3)
 
     p = sub.add_parser("sweep", help="K3_max landscape over a (gamma, q) grid")
@@ -461,7 +473,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-q", default="1e-6:1:25:log", help="min:max:n[:log]")
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--resolution", type=int, default=2000)
-    p.add_argument("--eps-trace", type=float, default=lgi.SWEEP_TRACE_FLOOR)
+    p.add_argument("--eps-trace", type=_trace_floor, default=lgi.SWEEP_TRACE_FLOOR)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
@@ -496,7 +508,7 @@ def build_parser() -> _Parser:
                    help="evaluate each cell at its K3-optimal interval")
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--resolution", type=int, default=2000)
-    p.add_argument("--eps-trace", type=float, default=1e-12)
+    p.add_argument("--eps-trace", type=_trace_floor, default=1e-12)
     p.add_argument("--q0", type=int, choices=(1, -1), default=1,
                    help="first-outcome component of the middle-marginal delta")
     p.add_argument("--q2", type=int, choices=(1, -1), default=1,

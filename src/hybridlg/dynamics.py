@@ -31,10 +31,10 @@ lives in :func:`decompose`, which the batched K3 engine in ``lgi`` shares.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 from . import model
 from .errors import IntegrationDivergedError
+from .numerics import expm, schur
 from .spectrum import build_liouvillian, devectorize, vectorize
 
 #: eigenbasis condition number beyond which Propagator falls back to expm

@@ -24,14 +24,12 @@ double-precision underflow limit.  Point evaluations via
 """
 
 import math
-import multiprocessing
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
-from . import model
+from . import dynamics, model
 from .dynamics import EvolveConfig, decompose, evolve_rk4
 from .errors import TrajectoryExtinguishedError
 from .spectrum import build_liouvillians, vectorize
@@ -81,10 +79,11 @@ def _branch_sy(branches, eps_trace):
 
 
 def _check_interval(name, value):
-    """Reject a measurement interval or horizon outside 0 < value < inf; an
-    infinite one would only give NaN readouts."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"expected 0 < {name} < inf, got {value}")
+    """Reject a measurement interval or horizon unless 0 < value and
+    2 value < inf: the engines read every interval at 2t too, and an
+    infinite time would only give NaN readouts."""
+    if not (0 < value and 2.0 * value < math.inf):
+        raise ValueError(f"expected 0 < {name} and 2*{name} < inf, got {value}")
 
 
 def correlators(params: model.ModelParams, t, engine="exact",
@@ -262,10 +261,11 @@ class _Cells:
             gens = self.generators[cells[fallback]]
             t = times[fallback][:, None, None]
             branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, :1]
-            at_t[fallback] = (_READOUT @ expm(gens * t) @ _BRANCHES
+            # looked up on dynamics at call time, where a tracer wraps it
+            at_t[fallback] = (_READOUT @ dynamics.expm(gens * t) @ _BRANCHES
                               ).real.reshape(len(gens), -1)
-            at_2t[fallback] = (_READOUT @ expm(gens * (2.0 * t)) @ branches_2t
-                               ).real.reshape(len(gens), -1)
+            at_2t[fallback] = (_READOUT @ dynamics.expm(gens * (2.0 * t))
+                               @ branches_2t).real.reshape(len(gens), -1)
         return at_t, at_2t
 
     def value(self, cells, times, eps_trace):
@@ -499,6 +499,8 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
         for k in range(0, len(gammas), _SWEEP_CHUNK_CELLS)
     ]
     if workers > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_chunk_task, tasks)
     else:

@@ -1,10 +1,13 @@
 """Small dense complex linear algebra: cubic roots, their coalescence test,
-and 4x4 eigenvalues.
+4x4 eigenvalues, and the package's one door to ``scipy.linalg``.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of workers.  The cubic solver is a hand-rolled Cardano implementation
 (it doubles as an independent cross-check of the dense eigensolver); the
-eigensolver delegates to numpy.
+eigensolver delegates to numpy.  :func:`expm` and :func:`schur` import
+``scipy.linalg`` on their first call: only the cells the eigenbasis cannot
+serve (eigenvalue coalescences, the normal generator at gamma = 0) need it,
+so a run without such cells does not pay for its import.
 """
 
 from typing import NamedTuple
@@ -124,3 +127,16 @@ def eigenvalues_4x4(matrix):
             )
     return sort_complex(eigs)
 
+
+def expm(a):
+    """scipy's matrix exponential of ``a``, slice by slice over leading axes."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
+def schur(a, output="complex"):
+    """scipy's Schur decomposition ``(T, Z)`` of the square matrix ``a``."""
+    from scipy.linalg import schur as scipy_schur
+
+    return scipy_schur(a, output=output)

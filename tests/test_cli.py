@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,21 @@ def test_usage_errors_exit_64(tmp_path, capsys):
                  "--rho0", "1,0,0"]) == 64
 
 
+@pytest.mark.parametrize("command", [
+    ("evolve", "--gamma", "0.5", "--q", "1"),
+    ("k3", "--gamma", "3", "--q", "0", "--t", "1e4"),
+    ("sweep", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2"),
+    ("nsit", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2", "--t", "1"),
+])
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+def test_trace_floor_not_above_zero_exits_64_before_output(
+        tmp_path, capsys, command, value):
+    out = tmp_path / "out.csv"
+    assert main([*command, "--eps-trace", value, "--out", str(out)]) == 64
+    assert "--eps-trace" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_optimizer_settings_exit_64(tmp_path, capsys):
     assert main(["k3", "--gamma", "0.5", "--q", "0.5", "--optimize",
                  "--resolution", "0"]) == 64
@@ -76,12 +95,53 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
     ("bloch-traj", "--gamma", "0.5", "--q", "1", "--t-max", "inf"),
     ("sweep", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2",
      "--t-max", "inf", "--resolution", "50"),
+    # finite t whose 2t, read by every engine, overflows
+    ("k3", "--gamma", "0.5", "--q", "1", "--t", "1e308"),
+    ("nsit", "--grid-gamma", "0.5:1:2", "--grid-q", "0.5:1:2", "--t", "1e308"),
 ])
 def test_infinite_times_exit_64_before_output(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 64
     assert "inf" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(*argv):
+    """stdout bytes of ``python *argv`` in a new interpreter on ``src/``."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          check=True, timeout=120).stdout
+
+
+def test_import_and_a_plain_sweep_leave_scipy_unloaded():
+    # no gamma = 0 cell and no eigenvalue coalescence on this grid, so no
+    # cell needs numerics.expm or numerics.schur
+    loaded = _fresh_python("-c", """
+import contextlib, io, sys
+import hybridlg.cli
+hybridlg.cli.build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hybridlg.cli.main(["sweep", "--grid-gamma", "0.5:3:3",
+                              "--grid-q", "0.1:0.9:3", "--resolution", "200"])
+print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+""")
+    assert loaded == b"0 []\n"
+
+
+@pytest.mark.parametrize("gamma, q", [("1", "0"), ("2", "1"), ("0", "0.5")])
+def test_scipy_loaded_on_first_use_gives_the_same_bytes(capsys, gamma, q):
+    # (1, 0) and (2, 1) take the expm fallback, gamma = 0 the Schur branch:
+    # a fresh interpreter imports scipy inside the run, this one has it
+    import scipy.linalg  # noqa: F401
+
+    argv = ["k3", "--gamma", gamma, "--q", q, "--optimize"]
+    fresh = _fresh_python("-c", "import sys, hybridlg.cli; "
+                          "sys.exit(hybridlg.cli.main(sys.argv[1:]))", *argv)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == fresh
 
 
 def test_unopenable_paths_exit_64(tmp_path, capsys):

@@ -9,7 +9,7 @@ from conftest import (
     k3_curve,
     no_jump_state,
 )
-from hybridlg import lgi
+from hybridlg import dynamics, lgi
 from hybridlg.errors import TrajectoryExtinguishedError
 from hybridlg.lgi import (
     OptimizeConfig,
@@ -288,9 +288,10 @@ def test_flat_fourfold_cell_refines_one_candidate(monkeypatch):
         exponentiated.append(len(matrices))
         return expm(matrices)
 
-    expm = lgi.expm
-    monkeypatch.setattr(lgi, "expm", counting_expm)
+    expm = dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
     assert not optimize_k3(params).masked
+    assert exponentiated  # the fallback goes through dynamics.expm
     # 2 x (2000 scan + 9 rescan + about 20 golden-section points); 42,716
     # before the collapse and the stacked fallback
     assert sum(exponentiated) <= 4100

@@ -1,9 +1,11 @@
-"""Surface guard: every public top-level name of ``src/hybridlg`` has a user.
+"""Surface guards: every public top-level name of ``src/hybridlg`` has a
+user, and importing the package does not import scipy.
 
 A public function, class or constant is in use when another part of
 ``src/`` references it, when ``tests/test_acceptance.py`` names it, or when
 the benchmark tracer (``perfbench/tracer.py:targets()``) wraps it.  Helpers
-that only tests use belong in ``tests/``.
+that only tests use belong in ``tests/``.  ``scipy.linalg`` is imported on
+first use, by ``numerics.expm`` and ``numerics.schur`` only.
 """
 
 import ast
@@ -70,3 +72,33 @@ def test_guard_sees_definitions_and_uses():
     assert _references(tree) == {"X", "int"}  # stores are no use
     assert "analytic_branch" in _traced_names()
     assert "k3_closed_form" in _acceptance_names()
+
+
+def module_level_imports(tree):
+    """Top-level packages a module imports when it is itself imported: every
+    absolute import outside a function body (class bodies run at import)."""
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_scipy_at_module_level():
+    importers = [path.stem for path in SOURCES
+                 if "scipy" in module_level_imports(ast.parse(path.read_text()))]
+    assert importers == []
+
+
+def test_import_guard_skips_function_bodies_only():
+    tree = ast.parse("import a.b\nfrom c.d import e\nfrom . import f\n"
+                     "if True:\n    import g\nclass K:\n    import h\n"
+                     "def k():\n    import scipy\n")
+    assert module_level_imports(tree) == {"a", "c", "g", "h"}

@@ -70,7 +70,8 @@ def _metadata(args, tolerances=None):
 
 
 class _Writer:
-    """Streams rows to CSV (metadata as '# ' JSON comment) or buffers JSON."""
+    """Streams rows to CSV (metadata as '# ' JSON comment) or buffers JSON;
+    the JSON body is written only when no exception is propagating."""
 
     def __init__(self, path, fmt, columns, metadata):
         self.path = path
@@ -110,7 +111,7 @@ class _Writer:
 
     def __exit__(self, exc_type, exc, tb):
         try:
-            if self.fmt == "json":
+            if self.fmt == "json" and exc_type is None:
                 json.dump(
                     {"metadata": self.metadata, "columns": self.columns,
                      "rows": self._rows},
@@ -122,6 +123,15 @@ class _Writer:
             if self._handle is not sys.stdout:
                 self._handle.close()
         return False
+
+
+def _write(args, columns, meta, rows):
+    """Write ``rows`` to ``--out``; callers compute them first, so a failure
+    leaves no output."""
+    with _Writer(args.out, args.format, columns, meta) as writer:
+        for row in rows:
+            writer.write_row(row)
+    return EXIT_OK
 
 
 def _parse_grid(spec_text, name):
@@ -217,16 +227,17 @@ def _cmd_evolve(args):
         "r", "sx", "sy", "sz",
     ]
     meta = _metadata(args, {"eps_trace": args.eps_trace})
+    if args.engine == "exact":
+        states = Propagator(params).states(rho0, times)
+    else:
+        states = rk4_states(rho0, params, times, EvolveConfig(dt=args.dt))
+    bloch = model.bloch_decompose(states)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.column_stack([times, states.reshape(-1, 4).view(float),
+                                bloch.r, *bloch.normalized()])
     code = EXIT_OK
+    # rows up to an extinguished one are written, and the exit code says so
     with _Writer(args.out, args.format, columns, meta) as writer:
-        if args.engine == "exact":
-            states = Propagator(params).states(rho0, times)
-        else:
-            states = rk4_states(rho0, params, times, EvolveConfig(dt=args.dt))
-        bloch = model.bloch_decompose(states)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = np.column_stack([times, states.reshape(-1, 4).view(float),
-                                    bloch.r, *bloch.normalized()])
         for row in rows.tolist():
             t, r = row[0], row[9]
             if r < args.eps_trace:
@@ -262,12 +273,10 @@ def _cmd_k3(args):
         t_eval = args.t
     record = lgi.correlators(params, t_eval, engine=args.engine,
                              eps_trace=args.eps_trace, dt=args.dt)
-    with _Writer(args.out, args.format, columns, meta) as writer:
-        writer.write_row([
-            record.t, record.c01, record.c12, record.c02, record.k3,
-            record.p_plus, record.p_minus,
-        ])
-    return EXIT_OK
+    return _write(args, columns, meta, [[
+        record.t, record.c01, record.c12, record.c02, record.k3,
+        record.p_plus, record.p_minus,
+    ]])
 
 
 def _cmd_sweep(args):
@@ -281,11 +290,8 @@ def _cmd_sweep(args):
     meta = _metadata(args, {"eps_trace": args.eps_trace})
     meta["gamma_grid"] = [_fmt(float(g)) for g in gammas]
     meta["q_grid"] = [_fmt(float(q)) for q in qs]
-    columns = ["gamma", "q", "k3_max", "t_star", "error"]
-    with _Writer(args.out, args.format, columns, meta) as writer:
-        for gamma, q, k3_max, t_star, message in result.rows():
-            writer.write_row([gamma, q, k3_max, t_star, message])
-    return EXIT_OK
+    return _write(args, ["gamma", "q", "k3_max", "t_star", "error"], meta,
+                  result.rows())
 
 
 def _cmd_spectrum(args):
@@ -309,47 +315,40 @@ def _cmd_spectrum(args):
     for k in range(3):
         columns += [f"x{k}_re", f"x{k}_im"]
     columns += ["degenerate", "discriminant"]
-    meta = _metadata(args)
-    with _Writer(args.out, args.format, columns, meta) as writer:
-        for gamma in gammas:
-            for q in qs:
-                params = model.ModelParams(
-                    gamma=float(gamma), q=float(q), J=args.J, theta=args.theta
-                )
-                report = spectrum.spectrum_report(params)
-                row = [params.gamma, params.q]
-                for eig in report.eigenvalues:
-                    row += [eig.real, eig.imag]
-                row.append(int(report.has_exact_root))
-                for x in report.cubic_roots:
-                    row += [x.real, x.imag]
-                row += [int(report.degenerate), report.discriminant]
-                writer.write_row(row)
-    return EXIT_OK
+    rows = []
+    for gamma in gammas:
+        for q in qs:
+            params = model.ModelParams(
+                gamma=float(gamma), q=float(q), J=args.J, theta=args.theta
+            )
+            report = spectrum.spectrum_report(params)
+            row = [params.gamma, params.q]
+            for eig in report.eigenvalues:
+                row += [eig.real, eig.imag]
+            row.append(int(report.has_exact_root))
+            for x in report.cubic_roots:
+                row += [x.real, x.imag]
+            row += [int(report.degenerate), report.discriminant]
+            rows.append(row)
+    return _write(args, columns, _metadata(args), rows)
 
 
 def _cmd_ep_locus(args):
-    qs = _parse_grid(args.grid_q, "grid-q")
-    meta = _metadata(args)
-    with _Writer(args.out, args.format, ["q", "r_ep", "residual"], meta) as writer:
-        for point in spectrum.ep_locus(qs):
-            writer.write_row([point.q, point.r_ep, point.residual])
-    return EXIT_OK
+    rows = [[point.q, point.r_ep, point.residual]
+            for point in spectrum.ep_locus(_parse_grid(args.grid_q, "grid-q"))]
+    return _write(args, ["q", "r_ep", "residual"], _metadata(args), rows)
 
 
 def _cmd_bloch_traj(args):
     params = _params_from(args)
     branches = ("+", "-") if args.branch == "both" else (args.branch,)
     times = _sample_times(args)
-    meta = _metadata(args)
-    with _Writer(args.out, args.format,
-                 ["branch", "t", "r", "sy", "sz"], meta) as writer:
-        for branch in branches:
-            solution = blochsol.analytic_branch(params, branch)
-            states = solution.state(times)
-            for t, (r, sy_raw, sz_raw) in zip(times, states):
-                writer.write_row([branch, float(t), r, sy_raw / r, sz_raw / r])
-    return EXIT_OK
+    rows = []
+    for branch in branches:
+        states = blochsol.analytic_branch(params, branch).state(times)
+        rows += [[branch, float(t), r, sy_raw / r, sz_raw / r]
+                 for t, (r, sy_raw, sz_raw) in zip(times, states)]
+    return _write(args, ["branch", "t", "r", "sy", "sz"], _metadata(args), rows)
 
 
 def _cmd_nsit(args):
@@ -368,10 +367,8 @@ def _cmd_nsit(args):
     columns = ["gamma", "q", "t", "delta_01_2", "delta_12", "delta_02",
                "aot_defect", "error"]
     cells = ((float(g), float(q)) for g in gammas for q in qs)
-    with _Writer(args.out, args.format, columns, meta) as writer:
-        for cell, row in zip(cells, rows):
-            writer.write_row([*cell, *row])
-    return EXIT_OK
+    return _write(args, columns, meta,
+                  ([*cell, *row] for cell, row in zip(cells, rows)))
 
 
 def _read_sweep_csv(path):
@@ -426,11 +423,9 @@ def _cmd_fit_check(args):
     meta["max_residual"] = _fmt(report.max_residual)
     meta["median_residual"] = _fmt(report.median_residual)
     columns = ["gamma", "q", "k3_computed", "k3_fit", "residual", "region"]
-    with _Writer(args.out, args.format, columns, meta) as writer:
-        for row in report.rows:
-            writer.write_row([row.gamma, row.q, row.k3_computed, row.k3_fit,
-                              row.residual, row.region])
-    return EXIT_OK
+    return _write(args, columns, meta, (
+        [row.gamma, row.q, row.k3_computed, row.k3_fit, row.residual, row.region]
+        for row in report.rows))
 
 
 # ----------------------------------------------------------------- parser

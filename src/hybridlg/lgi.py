@@ -67,15 +67,23 @@ def _correlator_terms(sy_plus, sy_minus, sy_plus_2t):
             p_plus, p_minus)
 
 
-def _branch_sy(branches, eps_trace):
-    """sy / trace of each (context, trace, sy) readout; the first one, in
-    order, whose trace is below ``eps_trace`` raises with its context."""
-    out = []
-    for context, trace, sy in branches:
-        if trace < eps_trace:
-            raise TrajectoryExtinguishedError(trace, context=context)
-        out.append(sy / trace)
-    return out
+def _branch_sy(traces, sy, eps_trace):
+    """The one extinction rule: the ratios sy / trace of branch readouts
+    given in protocol order, and per point the index of the first branch
+    whose trace is below ``eps_trace`` (a NaN trace is not), or -1."""
+    if not eps_trace > 0:
+        raise ValueError(f"eps_trace must be > 0, got {eps_trace}")
+    first = np.full(np.shape(traces[0]), -1, dtype=np.int8)
+    for k in reversed(range(len(traces))):
+        first[np.less(traces[k], eps_trace)] = k
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return [np.divide(s, trace) for s, trace in zip(sy, traces)], first
+
+
+def _extinguished(names, traces, first):
+    """The error of branch ``first`` (:func:`_branch_sy`) of ``names``."""
+    return TrajectoryExtinguishedError(float(traces[first]),
+                                       context=names[first])
 
 
 def _check_interval(name, value):
@@ -107,11 +115,12 @@ def correlators(params: model.ModelParams, t, engine="exact",
         raise ValueError(f"unknown engine {engine!r}")
 
     # rho(0) = P_+, so the evolved initial state and the + branch coincide.
-    sy_plus, sy_plus_2t, sy_minus = _branch_sy([
-        ("branch + at t", at_t[0], at_t[2]),
-        ("branch + at 2t", at_2t[0], at_2t[1]),
-        ("branch - at t", at_t[1], at_t[3]),
-    ], eps_trace)
+    traces = (at_t[0], at_2t[0], at_t[1])
+    ratios, first = _branch_sy(traces, (at_t[2], at_2t[1], at_t[3]), eps_trace)
+    if first >= 0:
+        raise _extinguished(("branch + at t", "branch + at 2t",
+                             "branch - at t"), traces, first)
+    sy_plus, sy_plus_2t, sy_minus = map(float, ratios)
     return CorrelatorRecord(float(t), *_correlator_terms(
         sy_plus, sy_minus, sy_plus_2t))
 
@@ -203,19 +212,15 @@ def _readout(*rhos):
             ).real.ravel().tolist()
 
 
-def _normalized_sy(sy, trace, eps_trace):
-    bad = ~(trace >= eps_trace)
-    return np.where(bad, np.nan, sy / np.where(bad, 1.0, trace))
-
-
 def _ranked_k3(at_t, at_2t, eps_trace):
     """K3 for the maximizer from the readouts (tr+, tr-, sy+, sy-) at t and
-    (tr+, sy+) at 2t, one per leading index: extinguished points are -inf."""
-    sy_plus = _normalized_sy(at_t[2], at_t[0], eps_trace)
-    sy_minus = _normalized_sy(at_t[3], at_t[1], eps_trace)
-    sy_plus_2t = _normalized_sy(at_2t[1], at_2t[0], eps_trace)
-    out = _correlator_terms(sy_plus, sy_minus, sy_plus_2t)[3]
-    return np.where(np.isfinite(out), out, -np.inf)
+    (tr+, sy+) at 2t, one per leading index: -inf where a branch is
+    extinguished or K3 is not finite."""
+    (sy_plus, sy_plus_2t, sy_minus), first = _branch_sy(
+        (at_t[0], at_2t[0], at_t[1]), (at_t[2], at_2t[1], at_t[3]), eps_trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _correlator_terms(sy_plus, sy_minus, sy_plus_2t)[3]
+    return np.where((first < 0) & np.isfinite(out), out, -np.inf)
 
 
 class _Cells:

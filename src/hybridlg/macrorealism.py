@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lgi, model
-from .errors import TrajectoryExtinguishedError
 
 OUTCOMES = (+1, -1)
 
@@ -39,25 +38,30 @@ class JointProbTable:
     triples: dict    # {(q0, q1, q2): prob}
 
 
+#: the branches of a table, in protocol order
+_BRANCH_NAMES = ("branch +1 at t", "branch +1 at 2t", "branch -1 at t",
+                 "branch -1 at 2t")
+
+
 def _normalized(at_t, at_2t, eps_trace):
-    """({+1: sy+, -1: sy-} at t, the same at 2t) from the branch readouts
-    (tr+, tr-, sy+, sy-) at t and 2t, each sy divided by its trace; the first
-    branch, in this order, whose trace is below ``eps_trace`` raises."""
-    plus_t, plus_2t, minus_t, minus_2t = lgi._branch_sy([
-        ("branch +1 at t", at_t[0], at_t[2]),
-        ("branch +1 at 2t", at_2t[0], at_2t[2]),
-        ("branch -1 at t", at_t[1], at_t[3]),
-        ("branch -1 at 2t", at_2t[1], at_2t[3]),
-    ], eps_trace)
-    return {+1: plus_t, -1: minus_t}, {+1: plus_2t, -1: minus_2t}
+    """(traces, sy / trace, first extinguished branch) of the branches of
+    ``_BRANCH_NAMES`` (:func:`lgi._branch_sy`) from the readouts
+    (tr+, tr-, sy+, sy-) at t and at 2t."""
+    traces = (at_t[0], at_2t[0], at_t[1], at_2t[1])
+    return (traces, *lgi._branch_sy(
+        traces, (at_t[2], at_2t[2], at_t[3], at_2t[3]), eps_trace))
 
 
-def _distributions(sy_t, sy_2t):
+def _distributions(ratios):
     """(singles, pairs, triples) of :class:`JointProbTable` from the
-    normalized readouts; floats or arrays, with the same IEEE operations.
+    normalized readouts of the branches of ``_BRANCH_NAMES``; floats or
+    arrays, with the same IEEE operations.
 
     Each probability is Tr(P_s rho~) = (1 + s Tr[sigma_y rho~]) / 2.
     """
+    plus_t, plus_2t, minus_t, minus_2t = ratios
+    sy_t, sy_2t = {+1: plus_t, -1: minus_t}, {+1: plus_2t, -1: minus_2t}
+
     def prob(outcome, sy):
         return 0.5 * (1.0 + outcome * sy)
 
@@ -79,8 +83,10 @@ def _distributions(sy_t, sy_2t):
 
 def _table(t, at_t, at_2t, eps_trace) -> JointProbTable:
     """The table from the branch readouts (tr+, tr-, sy+, sy-) at t and 2t."""
-    return JointProbTable(float(t), *_distributions(
-        *_normalized(at_t, at_2t, eps_trace)))
+    traces, ratios, first = _normalized(at_t, at_2t, eps_trace)
+    if first >= 0:
+        raise lgi._extinguished(_BRANCH_NAMES, traces, first)
+    return JointProbTable(float(t), *_distributions(map(float, ratios)))
 
 
 def joint_probabilities(params: model.ModelParams, t, eps_trace=1e-12
@@ -191,16 +197,17 @@ def _first_max(values):
     return best
 
 
-def _defect_columns(sy_t, sy_2t, q0, q2):
+def _defect_columns(ratios, q0, q2):
     """(delta_01_2, delta_12, delta_02, aot_defect) of the ``nsit`` rows from
-    arrays of normalized readouts (:func:`_normalized`), one per cell.
+    arrays of the ratios of :func:`_normalized`, one per cell.
 
     Each column equals, bit for bit, what :func:`check_nsit` and
-    :func:`check_aot` give on the cell's own table: the table is the same
-    :func:`_distributions`, and each defect runs their operations in their
-    order, down to ``sum``'s start from int 0 and ``max``'s NaN handling.
+    :func:`check_aot` give on the cell's own table, which is the same
+    :func:`_distributions`: each defect runs their operations in their order,
+    down to ``sum``'s start from int 0 and ``max``'s NaN handling.  A cell
+    with a branch below the floor has no table; its column is not read.
     """
-    singles, pairs, triples = _distributions(sy_t, sy_2t)
+    singles, pairs, triples = _distributions(ratios)
 
     def defect(whole, first, second):  # abs(whole - sum((first, second)))
         return abs(whole - ((0 + first) + second))
@@ -229,27 +236,19 @@ def _nsit_rows(cells, t, config, eps_trace, q0, q2):
         times = np.full(len(cells.generators), float(t))
     live = np.flatnonzero(~np.isnan(times))
     at_t, at_2t = cells.readouts(live, times[live], both_at_2t=True)
+    traces, ratios, first = _normalized(at_t.T, at_2t.T, eps_trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = _defect_columns(ratios, q0, q2)
     rows = [(t_at, np.nan, np.nan, np.nan, np.nan, lgi.MASKED_MESSAGE)
             for t_at in times.tolist()]
-    # _normalized raises on a trace below the floor (not on a NaN one) and
-    # divides by a zero one that eps_trace <= 0 lets through: such cells take
-    # its per-point path, which names the first failing branch
-    traces = np.hstack([at_t[:, :2], at_2t[:, :2]])
-    caught = ((traces < eps_trace) | (traces == 0)).any(axis=1)
-    for k in np.flatnonzero(caught).tolist():
-        try:
-            _normalized(at_t[k].tolist(), at_2t[k].tolist(), eps_trace)
-        except TrajectoryExtinguishedError as exc:
-            rows[live[k]] = rows[live[k]][:5] + (str(exc),)
-    at_t, at_2t = at_t[~caught], at_2t[~caught]
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = _defect_columns(
-            {+1: at_t[:, 2] / at_t[:, 0], -1: at_t[:, 3] / at_t[:, 1]},
-            {+1: at_2t[:, 2] / at_2t[:, 0], -1: at_2t[:, 3] / at_2t[:, 1]},
-            q0, q2)
-    for k, *defects in zip(live[~caught].tolist(),
-                           *(column.tolist() for column in columns)):
-        rows[k] = (rows[k][0], *defects, "")
+    for k, (cell, branch, *defects) in enumerate(zip(
+            live.tolist(), first.tolist(), *(c.tolist() for c in columns))):
+        if branch < 0:
+            rows[cell] = (rows[cell][0], *defects, "")
+        else:  # NaN defects, and the error that the cell's table raises
+            error = lgi._extinguished(_BRANCH_NAMES, [tr[k] for tr in traces],
+                                      branch)
+            rows[cell] = rows[cell][:5] + (str(error),)
     return rows
 
 

@@ -83,6 +83,27 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # the third q point is out of range: the first two rows are computable
+    (("spectrum", "--gamma", "0.5", "--grid-q", "0:2:3"), 64,
+     "q must lie in [0, 1], got 2.0"),
+    (("ep-locus", "--grid-q", "0:2:3"), 64, "expected q in [0, 1], got 2.0"),
+    (("spectrum", "--gamma", "0.5", "--q", "0.5", "--J", "-1"), 64,
+     "J must be >= 0, got -1.0"),
+    # the closed form has no solution at gamma = 0, nor off theta = pi/2
+    (("bloch-traj", "--gamma", "0", "--q", "0.5"), 70, "singular"),
+    (("bloch-traj", "--gamma", "0.5", "--q", "0.5", "--theta", "1.0"), 70,
+     "theta = pi/2"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_command_writes_no_output(tmp_path, capsys, argv, code,
+                                         message, fmt):
+    out = tmp_path / f"out.{fmt}"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("k3", "--gamma", "0.5", "--q", "1", "--t", "inf"),
     ("k3", "--gamma", "0.5", "--q", "1", "--optimize", "--t-max", "inf"),
@@ -199,6 +220,12 @@ def test_evolve_extinction_flushes_and_exits_2(tmp_path, capsys):
     _, header, rows = read_csv(out)
     assert 0 < len(rows) < 61  # partial output flushed
     assert "extinguished" in capsys.readouterr().err
+    # JSON too: the body is written, since no exception ends the command
+    out = tmp_path / "traj.json"
+    assert main(["evolve", "--gamma", "0.9905", "--q", "0", "--t-max", "60",
+                 "--samples", "61", "--format", "json", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["rows"] == [
+        [float(value) for value in row] for row in rows]
 
 
 def test_evolve_rk4_builds_its_step_operator_once(tmp_path, monkeypatch):

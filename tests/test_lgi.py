@@ -110,6 +110,70 @@ def test_extinguished_branch_is_identified():
         correlators(params, 9.0, eps_trace=1e-6)
 
 
+# correlators' order: + at t, + at 2t, - at t, as (at 2t?, column) slots
+CORRELATOR_SLOTS = [((0, 0), "branch + at t"), ((1, 0), "branch + at 2t"),
+                    ((0, 1), "branch - at t")]
+
+
+@pytest.mark.parametrize("first", range(3))
+def test_planted_sub_floor_trace_names_its_correlator_branch(
+        monkeypatch, first):
+    # the planted slot and every later one are below the floor; the first
+    # of them, in protocol order, names the error
+    readouts = lgi._Cells.readouts
+
+    def planted(self, cells, times, both_at_2t=False):
+        at = readouts(self, cells, times, both_at_2t)
+        for (at_2t, column), _ in CORRELATOR_SLOTS[first:]:
+            at[at_2t][0, column] = 1e-300
+        return at
+
+    monkeypatch.setattr(lgi._Cells, "readouts", planted)
+    with pytest.raises(TrajectoryExtinguishedError) as exc:
+        correlators(ModelParams(gamma=0.7, q=0.4), 1.3)
+    name = CORRELATOR_SLOTS[first][1]
+    assert str(exc.value) == (f"trajectory extinguished ({name}): "
+                              "trace 1.000000e-300 below floor")
+    assert type(exc.value.trace) is float
+
+
+@pytest.mark.parametrize("trace", [1e-300, np.nan])
+@pytest.mark.parametrize("method", ["value", "scan"])
+def test_planted_traces_rank_minus_inf_and_leave_every_other_point(
+        monkeypatch, trace, method):
+    cells = lgi._Cells([0.5, 0.9905, 3.0], [0.3, 1e-6, 0.5],
+                       ModelParams(gamma=1.0, q=1.0))
+    assert cells.spectral.all()  # one ranking per call, no fallback rows
+    grid = np.linspace(0.01, 20.0, 300)
+
+    def run():
+        if method == "scan":
+            return cells.scan(np.arange(3), grid, SWEEP_TRACE_FLOOR)
+        return cells.value(np.arange(3)[:, None], grid, SWEEP_TRACE_FLOOR)
+
+    clean = run()
+    assert np.isfinite(clean).all()
+    ranked, hits = lgi._ranked_k3, []
+
+    def planting(at_t, at_2t, eps_trace):
+        at_t, at_2t = at_t.copy(), at_2t.copy()
+        rng = np.random.default_rng(11)
+        hit = np.zeros(at_t.shape[1:], dtype=bool)
+        for slot in (at_t[0], at_t[1], at_2t[0]):  # tr+ and tr- at t, tr+ at 2t
+            mask = rng.random(slot.shape) < 0.05
+            slot[mask] = trace
+            hit |= mask
+        hits.append(hit[:, :len(grid)])
+        return ranked(at_t, at_2t, eps_trace)
+
+    monkeypatch.setattr(lgi, "_ranked_k3", planting)
+    out = run()
+    [hit] = hits
+    assert hit.any() and not hit.all()
+    assert (out[hit] == -np.inf).all()
+    assert np.array_equal(out[~hit], clean[~hit])
+
+
 def test_optimize_unitary_limit():
     best = optimize_k3(ModelParams(gamma=0.0, q=1.0))
     assert best.k3_max == pytest.approx(1.5, abs=1e-6)

@@ -16,6 +16,7 @@ from hybridlg.macrorealism import (
     check_aot,
     check_nsit,
     joint_probabilities,
+    nsit_grid,
 )
 from hybridlg.model import ModelParams
 
@@ -230,9 +231,19 @@ def test_nan_trace_passes_the_floor_as_in_the_per_cell_table(
         1.3, _table(1.3, at_t, at_2t, 1e-12), -1, -1))
 
 
-def test_zero_trace_under_a_zero_floor_fails_as_the_per_cell_table(
-        monkeypatch):
-    # a zero trace passes eps_trace = 0, and the per-cell division by it
-    # raises; the chunk does not turn it into an inf or NaN row instead
-    with pytest.raises(ZeroDivisionError):
-        planted_rows(monkeypatch, [(1, 1)], 0.0, eps_trace=0.0)
+def test_trace_floor_not_above_zero_is_a_value_error():
+    # the one extinction rule rejects the floor before any trace is divided,
+    # so a zero trace can never pass it; every entry point says so
+    params = ModelParams(gamma=3.0, q=0.0)
+    for eps_trace in (0.0, -1e-12, math.nan):
+        calls = [
+            lambda: lgi.correlators(params, 1e4, eps_trace=eps_trace),
+            lambda: joint_probabilities(params, 1e4, eps_trace=eps_trace),
+            lambda: nsit_grid(np.array([3.0]), np.array([0.0, 1.0]), params,
+                              t=1e4, eps_trace=eps_trace),
+            lambda: lgi.optimize_k3(params, lgi.OptimizeConfig(
+                resolution=50, eps_trace=eps_trace)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="eps_trace must be > 0"):
+                call()

@@ -1,11 +1,15 @@
 """Surface guards: every public top-level name of ``src/hybridlg`` has a
-user, and importing the package does not import scipy.
+user, importing the package does not import scipy, and one function holds
+the trace floor.
 
 A public function, class or constant is in use when another part of
 ``src/`` references it, when ``tests/test_acceptance.py`` names it, or when
 the benchmark tracer (``perfbench/tracer.py:targets()``) wraps it.  Helpers
 that only tests use belong in ``tests/``.  ``scipy.linalg`` is imported on
-first use, by ``numerics.expm`` and ``numerics.schur`` only.
+first use, by ``numerics.expm`` and ``numerics.schur`` only.  A trace is
+compared with ``eps_trace`` in ``lgi._branch_sy`` only, the one extinction
+rule, and in the row cut of ``cli._cmd_evolve``, which writes rows up to an
+extinguished state.
 """
 
 import ast
@@ -102,3 +106,39 @@ def test_import_guard_skips_function_bodies_only():
                      "if True:\n    import g\nclass K:\n    import h\n"
                      "def k():\n    import scipy\n")
     assert module_level_imports(tree) == {"a", "c", "g", "h"}
+
+
+def trace_floor_comparisons(tree):
+    """Innermost enclosing function (None at module level) of every
+    comparison that reads a name or attribute ``eps_trace``."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+                getattr(sub, "id", getattr(sub, "attr", None)) == "eps_trace"
+                for operand in (node.left, *node.comparators)
+                for sub in ast.walk(operand)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_function_compares_with_the_trace_floor():
+    places = {(path.stem, where) for path in SOURCES
+              for where in trace_floor_comparisons(ast.parse(path.read_text()))}
+    assert places == {("lgi", "_branch_sy"), ("cli", "_cmd_evolve")}
+
+
+def test_trace_floor_guard_sees_every_comparison():
+    tree = ast.parse(
+        "def rule(trace, eps_trace):\n    return trace < eps_trace\n"
+        "def cut(args, r):\n    if r < args.eps_trace:\n        pass\n"
+        "def nested(x, cfg):\n    return np.where(~(x.min(0) >= cfg.eps_trace), 0, x)\n"
+        "def uses(eps_trace):\n    return sy / eps_trace\n"
+        "FLOOR = 1 if 0 < eps_trace else 2\n")
+    assert trace_floor_comparisons(tree) == {"rule", "cut", "nested", None}

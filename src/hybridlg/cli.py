@@ -8,8 +8,9 @@ count (cells are pure and assembled by index).
 
 Exit codes: 0 success, 2 trajectory extinction (also ``k3 --optimize`` on a
 cell whose every scanned time point is extinguished), 64 usage error
-(including an --in/--out path that cannot be opened), 70 internal numeric
-failure.
+(including an --in/--out path that cannot be opened, ``--workers`` below 1,
+and a parameter regime the command does not support, such as ``bloch-traj``
+off theta = pi/2), 70 internal numeric failure.
 """
 
 import argparse
@@ -23,7 +24,8 @@ import numpy as np
 from . import __version__, blochsol, fit, lgi, macrorealism, model, spectrum
 # perfbench's tracer wraps cli.evolve_rk4, so the name stays bound here
 from .dynamics import EvolveConfig, Propagator, evolve_rk4, rk4_states  # noqa: F401
-from .errors import HybridLGError, TrajectoryExtinguishedError
+from .errors import (HybridLGError, TrajectoryExtinguishedError,
+                     UnsupportedConfigurationError)
 
 EXIT_OK = 0
 EXIT_EXTINGUISHED = 2
@@ -531,7 +533,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, UnsupportedConfigurationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TrajectoryExtinguishedError as exc:

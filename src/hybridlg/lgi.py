@@ -23,7 +23,9 @@ double-precision underflow limit.  Point evaluations via
 :func:`correlators` keep the stricter observation-point default.
 """
 
+import atexit
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -478,6 +480,33 @@ def _chunk_task(task):
     return work(_Cells(gammas, qs, params), *args)
 
 
+#: the grid map's process pool as (workers, pid, pool), or None
+_pool_slot = None
+
+
+@atexit.register
+def _close_pool():
+    """Terminate and join the grid-map pool if this process built it; a
+    forked child drops its parent's pool without touching it."""
+    global _pool_slot
+    if _pool_slot is not None and _pool_slot[1] == os.getpid():
+        _pool_slot[2].terminate()
+        _pool_slot[2].join()
+    _pool_slot = None
+
+
+def _worker_pool(workers):
+    """This process's pool of ``workers`` processes: built on first use,
+    reused while the count and the process match, replaced otherwise."""
+    global _pool_slot
+    if _pool_slot is None or _pool_slot[:2] != (workers, os.getpid()):
+        import multiprocessing
+
+        _close_pool()
+        _pool_slot = (workers, os.getpid(), multiprocessing.Pool(workers))
+    return _pool_slot[2]
+
+
 def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
               workers=1) -> list:
     """Per-cell results of ``work(cells, *args)`` over a (gamma, q) grid.
@@ -486,7 +515,11 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
     go to ``work`` as :class:`_Cells` chunks of ``_SWEEP_CHUNK_CELLS``, in row
     order (gamma outer).  ``work`` must not let a cell's result depend on
     its chunk; ``workers`` then only decides which process runs a chunk.
+    With ``workers`` > 1 the chunks go to the process's one pool, which
+    later maps with the same count reuse and which is shut down at exit.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if len(gamma_grid) == 0 or len(q_grid) == 0:
         raise ValueError("gamma and q grids must be nonempty")
     gammas = np.repeat(gamma_grid, len(q_grid))
@@ -504,10 +537,7 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
         for k in range(0, len(gammas), _SWEEP_CHUNK_CELLS)
     ]
     if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_chunk_task, tasks)
+        chunks = _worker_pool(workers).map(_chunk_task, tasks)
     else:
         chunks = map(_chunk_task, tasks)
     return [result for chunk in chunks for result in chunk]
@@ -518,8 +548,9 @@ def sweep(gamma_grid, q_grid, base_params: model.ModelParams | None = None,
     """Maximize K3 on every cell of a (gamma, q) grid.
 
     Cells go to the engine through :func:`_map_grid`, so output is identical
-    for any worker count.  Cells whose every time point is extinguished are
-    masked instead of aborting the sweep.
+    for any worker count; ``workers`` > 1 runs them on the process's one
+    pool, which later calls with the same count reuse.  Cells whose every
+    time point is extinguished are masked instead of aborting the sweep.
     """
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)

@@ -259,7 +259,8 @@ def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
     gamma outer, at interval ``t`` or, with ``t`` None, at each cell's K3
     optimum under ``config``; (q0, q2) = ``outcomes``.  Extinguished and
     masked cells get NaN defects and the error text.  Cells run through the
-    grid map of :func:`lgi.sweep`, so ``workers`` never changes a row."""
+    grid map of :func:`lgi.sweep`, on its one reused pool when ``workers``
+    > 1, so ``workers`` never changes a row."""
     if t is not None:
         lgi._check_interval("t", t)
     return lgi._map_grid(_nsit_rows, gamma_grid, q_grid, base_params,

@@ -90,9 +90,10 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
     (("ep-locus", "--grid-q", "0:2:3"), 64, "expected q in [0, 1], got 2.0"),
     (("spectrum", "--gamma", "0.5", "--q", "0.5", "--J", "-1"), 64,
      "J must be >= 0, got -1.0"),
-    # the closed form has no solution at gamma = 0, nor off theta = pi/2
+    # the closed form has no solution at gamma = 0 (a numeric failure), and
+    # it serves only theta = pi/2 (a usage error)
     (("bloch-traj", "--gamma", "0", "--q", "0.5"), 70, "singular"),
-    (("bloch-traj", "--gamma", "0.5", "--q", "0.5", "--theta", "1.0"), 70,
+    (("bloch-traj", "--gamma", "0.5", "--q", "0.5", "--theta", "1.0"), 64,
      "theta = pi/2"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -100,7 +101,9 @@ def test_failed_command_writes_no_output(tmp_path, capsys, argv, code,
                                          message, fmt):
     out = tmp_path / f"out.{fmt}"
     assert main([*argv, "--format", fmt, "--out", str(out)]) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith({64: "usage error: ", 70: "numeric failure: "}[code])
+    assert message in err
     assert not out.exists()
 
 
@@ -147,9 +150,36 @@ hybridlg.cli.build_parser()
 with contextlib.redirect_stdout(io.StringIO()):
     code = hybridlg.cli.main(["sweep", "--grid-gamma", "0.5:3:3",
                               "--grid-q", "0.1:0.9:3", "--resolution", "200"])
-print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(code, sorted(name for name in sys.modules
+                  if name.split(".")[0] in ("scipy", "multiprocessing")))
 """)
     assert loaded == b"0 []\n"
+
+
+def test_pool_children_end_with_the_interpreter():
+    # stdout is a pipe, as perfbench/run.py starts its worker: the run only
+    # returns once no pool child holds it open.  A pool still running when
+    # the interpreter tears down would print a ResourceWarning.
+    script = """
+import contextlib, io, json, multiprocessing
+import hybridlg.cli
+pids = []
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hybridlg.cli.main(["nsit", "--t", "1", "--workers", "2"]) == 0
+    pids.append(sorted(child.pid for child in multiprocessing.active_children()))
+print(json.dumps(pids))
+"""
+    done = subprocess.run(
+        [sys.executable, "-W", "always::ResourceWarning", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(_SRC)}, capture_output=True,
+        check=True, timeout=60)
+    assert done.stderr == b""
+    first, second = json.loads(done.stdout)
+    assert len(first) == 2 and second == first  # one pool for both runs
+    for pid in first:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize("gamma, q", [("1", "0"), ("2", "1"), ("0", "0.5")])
@@ -497,6 +527,19 @@ def test_fit_check_pipeline(tmp_path):
     records = as_dicts(header, rows)
     assert all(r["region"] in ("1", "2", "3") for r in records)
     assert all(float(r["residual"]) <= 0.2 for r in records)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--workers", "0"),
+    ("sweep", "--workers", "-3"),
+    ("nsit", "--t", "1", "--workers", "0"),
+    ("nsit", "--t", "1", "--workers", "-3"),
+])
+def test_workers_below_one_exit_64_before_output(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 64
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_codes_for_domain_failures(tmp_path, capsys):

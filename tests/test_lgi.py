@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,7 +249,65 @@ def test_sweep_row_is_monotone_in_efficiency():
     assert np.all(np.diff(values) <= 1e-9)
 
 
+def _cell_pids(cells):
+    """Grid-map work: the pid of the process that ran each cell."""
+    return [os.getpid()] * len(cells.eigs)
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+def _failing_cells(cells):
+    raise _ChunkFailure(f"a chunk of {len(cells.eigs)} cells")
+
+
+#: four chunks of lgi._SWEEP_CHUNK_CELLS cells
+_POOL_GRID = (np.linspace(0.5, 1.5, 4), np.linspace(0.1, 1.0, 128))
+
+
+def _map_pids(workers, work=_cell_pids):
+    return set(lgi._map_grid(work, *_POOL_GRID, ModelParams(gamma=1.0, q=1.0),
+                             (), workers))
+
+
+def _children():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def test_grid_maps_reuse_one_pool_per_worker_count():
+    first = _map_pids(2)
+    pool = _children()
+    assert len(pool) == 2 and first <= pool and os.getpid() not in first
+    assert _map_pids(2) <= pool
+    assert _children() == pool
+    # a new count replaces the pool: the old children are gone
+    third = _map_pids(3)
+    assert len(_children()) == 3 and third <= _children()
+    assert not _children() & pool
+
+
+def test_failing_chunk_reaches_the_caller_and_the_pool_goes_on():
+    _map_pids(2)
+    pool = _children()
+    with pytest.raises(_ChunkFailure, match="a chunk of 128 cells"):
+        _map_pids(2, _failing_cells)
+    assert _map_pids(2) <= pool
+    assert _children() == pool
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_grid_maps_reject_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        sweep([1.0], [0.5], workers=workers)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        nsit_grid([1.0], [0.5], ModelParams(gamma=1.0, q=1.0), t=1.0,
+                  workers=workers)
+
+
 def test_sweep_worker_independence():
+    # the pool exists before the first parallel sweep, which reuses it
+    _map_pids(2)
     config = OptimizeConfig(resolution=400)
     grids = (
         (np.linspace(0.3, 1.2, 3), np.logspace(-3, 0, 3)),

@@ -23,11 +23,13 @@ Normalization is never applied inside an integrator: the equation governs the
 unnormalized rho and all nonlinearity lives in the rho/Tr[rho] readout.
 :class:`Propagator` is the fast path for many times at one parameter point;
 it diagonalizes the generator once and evaluates arbitrary times by scaling
-mode amplitudes, falling back to one stacked expm over all times when the
-eigenbasis is too ill-conditioned near a spectral degeneracy.  That decision
-lives in :func:`decompose`, which the batched K3 engine in ``lgi`` shares.
+mode amplitudes.  Where the eigenbasis is too ill-conditioned near a spectral
+degeneracy, it takes the :class:`NewtonForm` of exp(tG) instead, which needs
+the eigenvalues only.  That decision lives in :func:`decompose`, which the
+batched K3 engine in ``lgi`` shares; neither path calls expm.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +39,7 @@ from .errors import IntegrationDivergedError
 from .numerics import expm, schur
 from .spectrum import build_liouvillian, devectorize, vectorize
 
-#: eigenbasis condition number beyond which Propagator falls back to expm
+#: eigenbasis condition number beyond which a cell takes the NewtonForm
 _EIG_COND_LIMIT = 1e8
 
 
@@ -172,9 +174,10 @@ def decompose(generators):
     eigenvalue) is diagonalized unitarily via Schur.  Otherwise the ``eig``
     basis is kept while its condition number stays below
     ``_EIG_COND_LIMIT``; cells past it (parameters near an eigenvalue
-    coalescence) are marked not diagonalizable and must be propagated by
-    expm; their ``inv_modes`` are NaN.  Each cell's data come from its own
-    LAPACK call, so they do not depend on the rest of the stack.
+    coalescence) are marked not diagonalizable and are propagated by the
+    :class:`NewtonForm` on their ``eigs``; their ``inv_modes`` are NaN.
+    Each cell's data come from its own LAPACK call, so they do not depend on
+    the rest of the stack.
     """
     gens = np.asarray(generators, dtype=complex)
     adjoint = gens.conj().swapaxes(-1, -2)
@@ -193,13 +196,151 @@ def decompose(generators):
     return eigs, modes, inv_modes, diagonalizable
 
 
+#: _SERIES_REACH[j - 1] is the largest r with r^j / j! <= 2^-56
+_SERIES_REACH = np.array([(2.0 ** -56 * math.factorial(j)) ** (1.0 / j)
+                          for j in range(1, 20)])
+
+
+class _Series:
+    """f_t[x_0..x_i] of f_t(z) = e^{tz} for every prefix of the nodes x, by
+    the Taylor series about their mean mu, for t diam(x) < 1.
+
+    With y = x - mu, f_t[x_0..x_i] = e^{t mu} t^i sum_j h_j(y_0..y_i) t^j
+    / (i + j)!, h_j the complete homogeneous symmetric polynomials
+    (Opitz's formula on the Taylor series of exp), summed by Horner in t.
+    With r = t max|y|, below 1 where t diam(x) < 1, term j of prefix i is
+    at most r^j / (j! i!): each point sums its terms up to the first whose
+    bound falls below the unit roundoff relative to the leading 1 / i!.
+    The count depends on the point's own t only, never on the other points
+    of a call.
+    """
+
+    def __init__(self, nodes):
+        self.mu = nodes.sum() / len(nodes)
+        offsets = (nodes - self.mu).tolist()
+        self.reach = max(abs(y) for y in offsets)
+        h = [1.0] + [0.0] * len(_SERIES_REACH)   # h_j of the nodes so far
+        rows = []
+        for i, y in enumerate(offsets):
+            for j in range(1, len(h)):
+                h[j] += y * h[j - 1]
+            rows.append([h[j] / math.factorial(i + j) for j in range(len(h))])
+        self.table = np.array(rows, dtype=complex)
+
+    def __call__(self, t):
+        """The divided differences of every prefix at the points t (1-D);
+        shape (len(t), len(nodes))."""
+        terms = np.searchsorted(_SERIES_REACH, t * self.reach)[:, None] + 1
+        column = t[:, None]
+        # Horner from each point's own top term: a point stays 0 above it
+        total = np.zeros((len(t), len(self.table)), dtype=complex)
+        for j in range(int(terms.max(initial=1)), -1, -1):
+            total *= column
+            total += np.where(terms >= j, self.table[:, j], 0.0)
+        # e^{t mu} t^i by repeated products: an e^{t mu} of 0 stays 0 for any t
+        scale = np.repeat(column, len(self.table), axis=1).astype(complex)
+        scale[:, 0] = np.exp(t * self.mu)
+        return total * np.cumprod(scale, axis=1)
+
+
+class NewtonForm:
+    """exp(tG) in Newton form, for a generator G that :func:`decompose`
+    cannot diagonalize:
+
+        exp(tG) = sum_k f_t[l_0..l_k] P_k,   P_k = prod_{j<k} (G - l_j),
+
+    with f_t(z) = e^{tz} and the nodes l the eigenvalues of G in a fixed
+    order, the one nearest -gamma last.  At theta = pi/2 that node is the
+    sx mode, which the trace and sigma_y readouts of the sigma_y branches
+    do not see, so there ``R P_3 B`` vanishes to rounding.  The form needs
+    no eigenvectors: the divided differences are confluent where nodes
+    coincide, so a defective G is as good as any other.
+
+    The divided differences f_t[S] of the node subsets S follow the
+    symmetric hybrid rule of McCurdy, Ng & Parlett (Math. Comp. 43, 1984):
+    where t diam(S) < 1, the Taylor series about the mean of S
+    (:class:`_Series`); elsewhere the recurrence that divides by the
+    largest gap of S, so no point divides by a gap below 1/t.  The plan of
+    subsets, gaps and series coefficients is built once per generator.
+    """
+
+    def __init__(self, generator, eigs, gamma):
+        eigs = np.asarray(eigs, dtype=complex)
+        last = int(np.argmin(np.abs(eigs + gamma)))
+        self.nodes = np.append(np.delete(eigs, last), eigs[last])
+        eye = np.eye(len(eigs))
+        products = [eye.astype(complex)]
+        for node in self.nodes[:-1]:
+            products.append(products[-1] @ (generator - node * eye))
+        self.products = np.array(products)
+        # node subset (bit mask) -> None for one node, else the pair (a, b)
+        # of its largest gap, that gap and the subset's series; children
+        # come before their parents
+        self._plan = {}
+        for k in range(len(eigs), 0, -1):
+            self._add((1 << k) - 1)
+
+    def _add(self, mask):
+        if mask in self._plan:
+            return
+        members = [j for j in range(len(self.nodes)) if mask >> j & 1]
+        if len(members) == 1:
+            self._plan[mask] = None
+            return
+        gaps = {(a, b): abs(self.nodes[b] - self.nodes[a])
+                for i, a in enumerate(members) for b in members[i + 1:]}
+        a, b = max(gaps, key=gaps.get)
+        self._add(mask ^ 1 << a)
+        self._add(mask ^ 1 << b)
+        self._plan[mask] = (a, b, gaps[a, b], _Series(self.nodes[members]))
+
+    def coefficients(self, times):
+        """f_t[l_0..l_k] for every k at each t >= 0; shape
+        ``times.shape + (len(nodes),)``.  At t = 0 exactly (1, 0, ..., 0).
+
+        Where the whole node set takes the series, that one series, about
+        the mean of all nodes, gives every prefix.  At the other points each
+        subset of the plan is evaluated once, children first, by its rule.
+        """
+        times = np.asarray(times, dtype=float)
+        t = times.ravel()
+        n = len(self.nodes)
+        _, _, diam, series = self._plan[(1 << n) - 1]
+        near = t * diam < 1.0
+        if near.all():
+            return series(t).reshape(times.shape + (n,))
+        out = np.empty((len(t), n), dtype=complex)
+        if near.any():
+            out[near] = series(t[near])
+        t = t[~near]
+        singles = np.exp(np.multiply.outer(t, self.nodes))
+        values = {}
+        for mask, entry in self._plan.items():
+            if entry is None:
+                values[mask] = singles[:, mask.bit_length() - 1]
+                continue
+            a, b, diam, series = entry
+            close = t * diam < 1.0
+            if close.all():
+                values[mask] = series(t)[:, -1]
+                continue
+            value = ((values[mask ^ 1 << a] - values[mask ^ 1 << b])
+                     / (self.nodes[b] - self.nodes[a]))
+            if close.any():
+                value[close] = series(t[close])[:, -1]
+            values[mask] = value
+        out[~near] = np.stack([values[(1 << k) - 1] for k in range(1, n + 1)],
+                              axis=-1)
+        return out.reshape(times.shape + (n,))
+
+
 class Propagator:
     """Reusable propagator for many times at fixed parameters.
 
     Diagonalizes the generator once through :func:`decompose`; ``states``
     then costs one small matmul per batch of times.  If the generator is not
-    diagonalizable there, every call falls back to one stacked expm of
-    ``G t`` over its times (scipy exponentiates each slice on its own).
+    diagonalizable there, it takes the :class:`NewtonForm` of exp(tG)
+    instead: ``sum_k c_k(t) P_k v0``, from the same eigenvalues.
     """
 
     def __init__(self, params: model.ModelParams):
@@ -208,6 +349,8 @@ class Propagator:
         eigs, modes, inv_modes, diagonalizable = decompose(self.generator[None])
         self._diagonalizable = bool(diagonalizable[0])
         self._eigs, self._modes, self._inv_modes = eigs[0], modes[0], inv_modes[0]
+        if not self._diagonalizable:
+            self._newton = NewtonForm(self.generator, eigs[0], params.gamma)
 
     def states(self, rho0, times) -> np.ndarray:
         """Unnormalized rho(t) for each t in ``times``; shape (len(times), 2, 2)."""
@@ -217,7 +360,8 @@ class Propagator:
             phases = np.exp(np.multiply.outer(times, self._eigs))
             vecs = (phases * amplitudes) @ self._modes.T
         else:
-            vecs = expm(self.generator * times[:, None, None]) @ vectorize(rho0)
+            vecs = (self._newton.coefficients(times)
+                    @ (self._newton.products @ vectorize(rho0)))
         return vecs.reshape(len(times), 2, 2)
 
     def state(self, rho0, t) -> np.ndarray:

@@ -26,14 +26,22 @@ class TrajectoryExtinguishedError(HybridLGError):
         level = "" if trace is None else f": trace {trace:.6e} below floor"
         super().__init__(f"trajectory extinguished{where}{level}")
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not from the message
+        return type(self), (self.trace, self.context)
+
 
 class IntegrationDivergedError(HybridLGError):
     """Raised when a fixed-step integrator produced NaN/Inf mid-run."""
 
     def __init__(self, step_index, message=""):
         self.step_index = step_index
+        self.message = message
         detail = f": {message}" if message else ""
         super().__init__(f"integration diverged at step {step_index}{detail}")
+
+    def __reduce__(self):
+        return type(self), (self.step_index, self.message)
 
 
 class DegenerateRootsError(HybridLGError):

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, model
-from .dynamics import EvolveConfig, decompose, evolve_rk4
+from . import model
+from .dynamics import EvolveConfig, NewtonForm, decompose, evolve_rk4
 from .errors import TrajectoryExtinguishedError
 from .spectrum import build_liouvillians, vectorize
 
@@ -100,8 +100,8 @@ def correlators(params: model.ModelParams, t, engine="exact",
                 eps_trace=1e-12, dt=1e-3) -> CorrelatorRecord:
     """Evaluate C01, C12, C02 and K3 at interval t.
 
-    ``engine`` selects the propagation route: "exact" (the spectral / expm
-    readouts of the K3 engine, the default) or "rk4".  A trajectory whose
+    ``engine`` selects the propagation route: "exact" (the spectral /
+    Newton-form readouts of the K3 engine, the default) or "rk4".  A trajectory whose
     trace falls below ``eps_trace`` raises with the offending branch named.
     """
     _check_interval("t", t)
@@ -228,14 +228,16 @@ def _ranked_k3(at_t, at_2t, eps_trace):
 class _Cells:
     """Branch readouts for a batch of (gamma, q) cells sharing J and theta.
 
-    One stacked eigendecomposition gives, per cell, the weights
-    w = (e_obs^T V)(V^-1 v0) for obs in {trace, sigma_y} and v0 in {P+, P-},
-    so every readout is a sum of four exponentials exp(t lambda) w and the 2t
-    readouts use their squares.  The coarse scan (:meth:`scan`) builds them
-    from blocked factors, the refinement directly (:meth:`value`).  Cells that
-    :func:`decompose` cannot diagonalize are evaluated with one expm(G t)
-    shared by both branches and one expm(G 2t) per point, all points of a
-    call in one stacked expm (scipy exponentiates each slice on its own).
+    Every readout of a cell is Re(sum_k c_k(t) w_k) for the four columns
+    (tr+, tr-, sy+, sy-): four time factors c_k times fixed weights w_k.
+    One stacked eigendecomposition gives, per cell, c_k = exp(t lambda_k)
+    and w_k = (e_obs^T V)(V^-1 v0) for obs in {trace, sigma_y} and v0 in
+    {P+, P-}; the 2t readouts use the squares of the factors.  The coarse
+    scan (:meth:`scan`) builds them from blocked factors, the refinement
+    directly (:meth:`value`).  Cells that :func:`decompose` cannot
+    diagonalize take the :class:`dynamics.NewtonForm` instead, built once
+    here: c_k = f_t[l_0..l_k], evaluated at t and at 2t, and
+    w_k = e_obs^T P_k v0.
     """
 
     def __init__(self, gammas, qs, params: model.ModelParams):
@@ -249,6 +251,11 @@ class _Cells:
                    * amplitudes[..., :, None, :]).reshape(-1, 4, 4)
         self.eigs = np.where(self.spectral[:, None], eigs, 0.0)
         self.weights = np.where(self.spectral[:, None, None], weights, 0.0)
+        self.newton = {}
+        for n in np.flatnonzero(~self.spectral).tolist():
+            form = NewtonForm(self.generators[n], eigs[n], np.asarray(gammas)[n])
+            self.newton[n] = form
+            self.weights[n] = (_READOUT @ form.products @ _BRANCHES).reshape(4, 4)
 
     def readouts(self, cells, times, both_at_2t=False):
         """(tr+, tr-, sy+, sy-) at t and at 2t, at (cells[i], times[i]),
@@ -256,23 +263,20 @@ class _Cells:
         scan needs no more."""
         cells = np.asarray(cells)
         times = np.asarray(times, dtype=float)
-        phases = np.exp(times[..., None] * self.eigs[cells])
-        weights = self.weights[cells]
-        at_t = _contract(phases[..., None, :], weights)[..., 0, :].real
-        at_2t = _contract((phases * phases)[..., None, :],
-                          weights if both_at_2t else weights[..., 0::2]
-                          )[..., 0, :].real
+        factors = np.exp(times[..., None] * self.eigs[cells])
+        factors_2t = factors * factors
         if not self.spectral[cells].all():
             cells, times = np.broadcast_arrays(cells, times)
-            fallback = ~self.spectral[cells]
-            gens = self.generators[cells[fallback]]
-            t = times[fallback][:, None, None]
-            branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, :1]
-            # looked up on dynamics at call time, where a tracer wraps it
-            at_t[fallback] = (_READOUT @ dynamics.expm(gens * t) @ _BRANCHES
-                              ).real.reshape(len(gens), -1)
-            at_2t[fallback] = (_READOUT @ dynamics.expm(gens * (2.0 * t))
-                               @ branches_2t).real.reshape(len(gens), -1)
+            for n in np.unique(cells[~self.spectral[cells]]).tolist():
+                at = cells == n
+                t = times[at]
+                both = self.newton[n].coefficients(np.concatenate((t, 2.0 * t)))
+                factors[at], factors_2t[at] = both[:len(t)], both[len(t):]
+        weights = self.weights[cells]
+        at_t = _contract(factors[..., None, :], weights)[..., 0, :].real
+        at_2t = _contract(factors_2t[..., None, :],
+                          weights if both_at_2t else weights[..., 0::2]
+                          )[..., 0, :].real
         return at_t, at_2t
 
     def value(self, cells, times, eps_trace):
@@ -327,31 +331,50 @@ def _run_leaders(owner, values):
 
 
 def _coarse_peaks(cells: _Cells, grid, eps_trace):
-    """Candidate (cell, grid index) pairs, cell-major, and the masked cells.
+    """Candidate (cell, grid index) pairs, cell-major, the masked cells and
+    the flat cells.
 
     Every local maximum within ``_PEAK_WINDOW`` of its cell's grid maximum
     is a candidate; the global maximum always is one.  A tied run of them
-    keeps only its earliest member (:func:`_run_leaders`).  :meth:`_Cells.scan`
-    reads the grid in blocks of whole cells, ``_SCAN_BLOCK_POINTS`` or so each.
+    keeps only its earliest member (:func:`_run_leaders`).  A cell whose
+    finite grid values all lie within ``_TIE_TOL`` is flat: its maxima are
+    rounding noise, and its one candidate (one tied run) moves to its
+    earliest finite point.  :meth:`_Cells.scan` reads the grid in blocks of
+    whole cells, ``_SCAN_BLOCK_POINTS`` or so each.
     """
     count = len(cells.generators)
     step = max(1, _SCAN_BLOCK_POINTS // len(grid))
-    peaks, masked = [], np.zeros(count, dtype=bool)
+    peaks, high, low = [], np.empty(count), np.empty(count)
     for first in range(0, count, step):
         block = np.arange(first, min(first + step, count))
         curve = cells.scan(block, grid, eps_trace)
-        vmax = curve.max(axis=1)
-        masked[block] = vmax == -np.inf
+        high[block] = vmax = curve.max(axis=1)
+        low[block] = curve.min(axis=1)
         edge = np.full((len(block), 1), -np.inf)
         padded = np.concatenate((edge, curve, edge), axis=1)
         is_peak = ((curve >= padded[:, :-2]) & (curve >= padded[:, 2:])
                    & (curve >= vmax[:, None] - _PEAK_WINDOW)
-                   & ~masked[block, None])
+                   & (vmax > -np.inf)[:, None])
         rows, index = np.nonzero(is_peak)
         peaks.append((block[rows], index, curve[rows, index]))
     owner, index, value = (np.concatenate(column) for column in zip(*peaks))
     leaders = _run_leaders(owner, value)
-    return owner[leaders], index[leaders], masked
+    owner, index = owner[leaders], index[leaders]
+
+    # the spread of each cell's finite values: NaN if there are none, and
+    # from a fresh scan of the cell if some are extinguished
+    with np.errstate(invalid="ignore"):
+        spread = high - low
+    earliest = np.zeros(count, dtype=int)
+    for cell in np.flatnonzero(spread == np.inf).tolist():
+        curve = cells.scan(np.array([cell]), grid, eps_trace)[0]
+        finite = curve > -np.inf
+        spread[cell] = high[cell] - curve[finite].min()
+        earliest[cell] = np.argmax(finite)
+    flat = spread <= _TIE_TOL
+    pinned = flat[owner]
+    index[pinned] = earliest[owner[pinned]]
+    return owner, index, high == -np.inf, flat
 
 
 def _golden_section(cells: _Cells, owner, a, b, tol, eps_trace):
@@ -397,14 +420,16 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     horizon = config.horizon(cells.params)
     n = config.resolution
     grid = np.linspace(horizon / n, horizon, n)
-    owner, index, masked = _coarse_peaks(cells, grid, config.eps_trace)
+    owner, index, masked, flat = _coarse_peaks(cells, grid, config.eps_trace)
 
     # a maximum on the first grid point may really live on the open t -> 0+
     # boundary; let the bracket reach down to the refinement scale so the
-    # result does not depend on the coarse grid density
-    lo = np.where(index >= 1, grid[np.maximum(index - 1, 0)],
+    # result does not depend on the coarse grid density.  A flat cell's
+    # bracket is its grid point alone, so it reports that point.
+    width = np.where(flat[owner], 0, 1)
+    lo = np.where(index >= width, grid[np.maximum(index - width, 0)],
                   min(config.refine_tol, grid[0] / 2))
-    hi = grid[np.minimum(index + 1, n - 1)]
+    hi = grid[np.minimum(index + width, n - 1)]
     rescan_ts = np.linspace(lo, hi, 9, axis=-1)
     rescan = cells.value(owner[:, None], rescan_ts, config.eps_trace)
     j = np.argmax(rescan, axis=1)
@@ -442,9 +467,11 @@ def optimize_k3(params: model.ModelParams, config: OptimizeConfig = OptimizeConf
     Candidate peaks are every local maximum of a uniform scan within a small
     window of the global grid maximum; each is re-scanned at 4x the grid
     density and refined by golden section to ``refine_tol``.  Refined values
-    within 1e-9 are ties and resolve toward the smallest t.  Time points
-    whose trace fell below the floor are skipped; if every point is
-    extinguished the result is masked (NaN).
+    within 1e-9 are ties and resolve toward the smallest t; a curve whose
+    finite grid values all lie within 1e-9 is flat and reports its earliest
+    finite grid point, unrefined.  Time points whose trace fell below the
+    floor are skipped; if every point is extinguished the result is masked
+    (NaN).
     """
     return _optimize_cells(_Cells([params.gamma], [params.q], params), config)[0]
 

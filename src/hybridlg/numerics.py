@@ -5,9 +5,10 @@ Everything here is a pure function of its inputs and safe to call from any
 number of workers.  The cubic solver is a hand-rolled Cardano implementation
 (it doubles as an independent cross-check of the dense eigensolver); the
 eigensolver delegates to numpy.  :func:`expm` and :func:`schur` import
-``scipy.linalg`` on their first call: only the cells the eigenbasis cannot
-serve (eigenvalue coalescences, the normal generator at gamma = 0) need it,
-so a run without such cells does not pay for its import.
+``scipy.linalg`` on their first call: the K3 engine needs only the Schur
+form, of the normal generator at gamma = 0, and expm serves the exact
+single-state evolution and the closed-form fallback of ``blochsol``, so a
+run without them does not pay for its import.
 """
 
 from typing import NamedTuple

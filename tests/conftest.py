@@ -1,5 +1,5 @@
+import mpmath
 import numpy as np
-from scipy.linalg import expm
 
 from hybridlg import lgi, model
 from hybridlg.blochsol import branch_cubic
@@ -159,19 +159,28 @@ def expm_pair_probabilities(params, t):
     }
 
 
-def expm_readouts(generator, t, both_at_2t=False):
+def mp_readouts(generator, t, both_at_2t=False):
     """(tr+, tr-, sy+, sy-) at t and (tr+, sy+) at 2t (all four with
-    ``both_at_2t``) of one generator, each from its own expm: one expm(G t)
-    shared by both branches and one expm(G 2t).
+    ``both_at_2t``) of one generator, from mpmath's expm(G t) at 50 digits
+    and its square: exact for the double-precision generator far below the
+    double rounding.
 
-    The per-point oracle of ``lgi._Cells.readouts``' stacked expm fallback.
+    The oracle of ``lgi._Cells.readouts`` on the cells that
+    ``dynamics.decompose`` cannot diagonalize.
     """
     from hybridlg.lgi import _BRANCHES, _READOUT
 
-    at_t = (_READOUT @ expm(generator * t) @ _BRANCHES).real.ravel()
-    branches_2t = _BRANCHES if both_at_2t else _BRANCHES[:, 0]
-    at_2t = (_READOUT @ expm(generator * (2.0 * t)) @ branches_2t).real.ravel()
-    return at_t, at_2t
+    with mpmath.workdps(50):
+        step = mpmath.expm(mpmath.matrix(generator.tolist()) * float(t))
+        readout = mpmath.matrix(_READOUT.tolist())
+        branches = mpmath.matrix(_BRANCHES.tolist())
+        at_t = readout * step * branches
+        at_2t = readout * step * step * branches
+    columns = (0, 1) if both_at_2t else (0,)
+    return (np.array([float(mpmath.re(at_t[i, j]))
+                      for i in range(2) for j in range(2)]),
+            np.array([float(mpmath.re(at_2t[i, j]))
+                      for i in range(2) for j in columns]))
 
 
 def rk4_sample_loop(rho0, params, times, cfg):

@@ -141,8 +141,7 @@ def _fresh_python(*argv):
 
 
 def test_import_and_a_plain_sweep_leave_scipy_unloaded():
-    # no gamma = 0 cell and no eigenvalue coalescence on this grid, so no
-    # cell needs numerics.expm or numerics.schur
+    # no gamma = 0 cell on this grid, so no cell needs numerics.schur
     loaded = _fresh_python("-c", """
 import contextlib, io, sys
 import hybridlg.cli
@@ -154,6 +153,24 @@ print(code, sorted(name for name in sys.modules
                   if name.split(".")[0] in ("scipy", "multiprocessing")))
 """)
     assert loaded == b"0 []\n"
+
+
+def test_fallback_cells_leave_scipy_unloaded():
+    # (1, 0) and (2, 1) are the cells decompose cannot diagonalize: the
+    # Newton form serves them without a matrix exponential
+    loaded = _fresh_python("-c", """
+import contextlib, io, sys
+import hybridlg.cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["k3", "--gamma", "1", "--q", "0", "--optimize"],
+                 ["k3", "--gamma", "2", "--q", "1", "--optimize"],
+                 ["sweep", "--grid-gamma", "1:2:2", "--grid-q", "0:1:2"]):
+        codes.append(hybridlg.cli.main(argv))
+print(codes, sorted(name for name in sys.modules
+                    if name.split(".")[0] == "scipy"))
+""")
+    assert loaded == b"[0, 0, 0] []\n"
 
 
 def test_pool_children_end_with_the_interpreter():
@@ -184,8 +201,9 @@ print(json.dumps(pids))
 
 @pytest.mark.parametrize("gamma, q", [("1", "0"), ("2", "1"), ("0", "0.5")])
 def test_scipy_loaded_on_first_use_gives_the_same_bytes(capsys, gamma, q):
-    # (1, 0) and (2, 1) take the expm fallback, gamma = 0 the Schur branch:
-    # a fresh interpreter imports scipy inside the run, this one has it
+    # gamma = 0 takes the Schur branch: a fresh interpreter imports scipy
+    # inside the run, this one has it.  (1, 0) and (2, 1) take the Newton
+    # form and load no scipy either way.
     import scipy.linalg  # noqa: F401
 
     argv = ["k3", "--gamma", gamma, "--q", q, "--optimize"]
@@ -643,7 +661,7 @@ def test_nsit_workers_value_identical(tmp_path):
     from hybridlg.model import ModelParams
 
     # gamma = 0 takes the Schur route; (1, 0) and (2, 1) are exactly
-    # defective and take the expm route, and (1, 0) is extinguished
+    # defective and take the Newton form, and (1, 0) is extinguished
     defective = ("--grid-gamma", "0:2:3", "--grid-q", "0:1:2", "--t", "40")
     grids = (
         (("--grid-gamma", "0.5:1.5:2", "--grid-q", "0.1:1:2:log", "--t", "1"),

@@ -1,3 +1,7 @@
+import cmath
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +11,7 @@ from scipy.linalg import expm
 from conftest import rhs, rk4_loop, rk4_sample_loop
 from hybridlg.dynamics import (
     EvolveConfig,
+    NewtonForm,
     Propagator,
     _split_steps,
     evolve_exact,
@@ -23,7 +28,7 @@ from hybridlg.model import (
     bloch_decompose,
     hamiltonian,
 )
-from hybridlg.spectrum import build_liouvillian
+from hybridlg.spectrum import build_liouvillian, vectorize
 
 
 def random_density(rng, normalized=True):
@@ -319,16 +324,93 @@ def test_propagator_near_degeneracy_falls_back_to_expm():
 
 @pytest.mark.parametrize("gamma, q", [(1.0, 0.0), (2.0, 1.0)])
 def test_propagator_fallback_is_per_time_expm(gamma, q):
-    # on the locus the eigenbasis is rejected; the stacked expm fallback
-    # exponentiates each time on its own, so it equals evolve_exact exactly
+    # on the locus the eigenbasis is rejected; the Newton form stays within
+    # 1e-13 of the trace of a 50-digit expm (the bound of the K3 engine's
+    # fallback readouts), and t = 0 gives rho0 exactly
     params = ModelParams(gamma=gamma, q=q)
     prop = Propagator(params)
     assert not prop._diagonalizable
     times = np.linspace(0.0, 20.0, 201)
     states = prop.states(PROJECTOR_PLUS, times)
     assert np.array_equal(states[0], PROJECTOR_PLUS)
-    for t, state in zip(times, states):
-        assert np.array_equal(state, evolve_exact(PROJECTOR_PLUS, params, t))
+    generator = mpmath.matrix(prop.generator.tolist())
+    rho0 = mpmath.matrix(vectorize(PROJECTOR_PLUS).tolist())
+    for t, state in zip(times[::10], states[::10]):
+        with mpmath.workdps(50):
+            exact = mpmath.expm(generator * float(t)) * rho0
+        exact = np.array([complex(x) for x in exact]).reshape(2, 2)
+        assert np.abs(state - exact).max() <= 1e-13 * np.trace(exact).real, t
+
+
+def _opitz(nodes, t):
+    """f_t[x_0..x_k] of f_t(z) = e^{tz} for every prefix of ``nodes``, at 50
+    digits: the first row of exp(tZ), Z bidiagonal with the nodes on its
+    diagonal and ones above it (Opitz's formula)."""
+    with mpmath.workdps(50):
+        bidiagonal = mpmath.diag([complex(x) for x in nodes])
+        for k in range(1, len(nodes)):
+            bidiagonal[k - 1, k] = 1
+        row = mpmath.expm(bidiagonal * float(t))
+        return np.array([complex(row[0, k]) for k in range(len(nodes))])
+
+
+@st.composite
+def _node_sets(draw):
+    """Four nodes, each coincident with, clustered next to (a gap in
+    [1e-12, 1e-3]) or separated from an earlier one, in Re [-3, 0]."""
+    def anywhere():
+        return complex(draw(st.floats(-3.0, 0.0)), draw(st.floats(-3.0, 3.0)))
+
+    nodes = [anywhere()]
+    for _ in range(3):
+        anchor = draw(st.sampled_from(nodes))
+        kind = draw(st.sampled_from(["coincident", "clustered", "separated"]))
+        if kind == "coincident":
+            nodes.append(anchor)
+        elif kind == "clustered":
+            gap = 10.0 ** draw(st.floats(-12.0, -3.0))
+            nodes.append(anchor + gap * cmath.exp(1j * draw(st.floats(0.0, 6.3))))
+        else:
+            nodes.append(anywhere())
+    return np.array(nodes)
+
+
+#: |f_t[x_0..x_k] - Opitz| over t^k e^{t max Re x} / k!, which bounds
+#: |f_t[x_0..x_k]|.  Measured at most 1.0e-14 (the rounding of t x inside
+#: each exponential, up to 170 eps here); the bound leaves 5x.
+DIVIDED_TOL = 5e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nodes=_node_sets(), t=st.floats(1e-6, 40.0))
+def test_divided_differences_match_opitz(nodes, t):
+    # -gamma on the last node keeps it last
+    form = NewtonForm(np.diag(nodes), nodes, -nodes[-1])
+    got = form.coefficients([t])[0]
+    exact = _opitz(form.nodes, t)
+    scale = [t ** k * math.exp(t * nodes.real.max()) / math.factorial(k)
+             for k in range(4)]
+    assert np.all(np.abs(got - exact) <= DIVIDED_TOL * np.array(scale))
+
+
+def test_divided_differences_at_zero_are_exact():
+    for nodes in ([-1.0] * 4, [0.0, -3.0 + 2e-8j, -3.0 - 2e-8j, -2.0],
+                  [-0.5 + 1j, -1e-3, -2.0 - 1j, -0.5 + 1j + 1e-9]):
+        nodes = np.array(nodes, dtype=complex)
+        form = NewtonForm(np.diag(nodes), nodes, 1.0)
+        assert form.coefficients(np.zeros(3)).tolist() == [[1, 0, 0, 0]] * 3
+
+
+@pytest.mark.parametrize("gamma, q", [(1.0, 0.0), (2.0, 1.0), (1.0, 1e-14)])
+def test_divided_differences_of_a_point_do_not_depend_on_its_call(gamma, q):
+    # each point sums its own number of series terms, so a call's value at t
+    # is the value of t alone, bit for bit
+    prop = Propagator(ModelParams(gamma=gamma, q=q))
+    form = prop._newton
+    times = np.linspace(1e-3, 40.0, 400)
+    alone = np.array([form.coefficients([t])[0] for t in times])
+    assert np.array_equal(form.coefficients(times), alone)
+    assert np.array_equal(form.coefficients(times[::-1]), alone[::-1])
 
 
 def test_three_engines_agree():

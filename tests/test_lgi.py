@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     expm_correlators,
     expm_pair_probabilities,
-    expm_readouts,
     k3_curve,
+    mp_readouts,
     no_jump_state,
 )
-from hybridlg import dynamics, lgi
+from hybridlg import dynamics, lgi, numerics
 from hybridlg.errors import TrajectoryExtinguishedError
 from hybridlg.lgi import (
     OptimizeConfig,
@@ -296,6 +299,39 @@ def test_failing_chunk_reaches_the_caller_and_the_pool_goes_on():
     assert _children() == pool
 
 
+def test_extinguished_chunk_reaches_the_caller_and_the_pool_goes_on():
+    # a fresh interpreter, so that a map that hangs fails on the timeout
+    # instead of stalling this process's pool
+    script = """
+import numpy as np
+from hybridlg import lgi
+from hybridlg.errors import TrajectoryExtinguishedError
+from hybridlg.model import ModelParams
+
+def extinguished(cells):
+    raise TrajectoryExtinguishedError(1e-300, f"{len(cells.eigs)} cells")
+
+def count(cells):
+    return [len(cells.eigs)] * len(cells.eigs)
+
+grid = (np.linspace(0.5, 1.5, 4), np.linspace(0.1, 1.0, 128))
+try:
+    lgi._map_grid(extinguished, *grid, ModelParams(1.0, 1.0), (), 2)
+except TrajectoryExtinguishedError as error:
+    print(type(error).__name__, error.trace, error.context, error)
+print(sum(lgi._map_grid(count, *grid, ModelParams(1.0, 1.0), (), 2)))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          check=True, timeout=60)
+    assert done.stdout.decode().splitlines() == [
+        "TrajectoryExtinguishedError 1e-300 128 cells trajectory extinguished "
+        "(128 cells): trace 1.000000e-300 below floor",
+        "65536",
+    ]
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_grid_maps_reject_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
@@ -312,7 +348,7 @@ def test_sweep_worker_independence():
     grids = (
         (np.linspace(0.3, 1.2, 3), np.logspace(-3, 0, 3)),
         # gamma = 0 takes the Schur route, (2, 1) is exactly defective and
-        # takes the expm route
+        # takes the Newton form
         (np.array([0.0, 0.7, 2.0]), np.array([1e-3, 0.4, 1.0])),
     )
     for gammas, qs in grids:
@@ -330,9 +366,27 @@ def test_sweep_worker_independence():
             assert serial.t_star[i, j] == best.t_star
 
 
+#: |fallback readout - mp_readouts| / the branch's own trace, at times
+#: <= 20.  Measured at most 7.0e-14, at (1, 0) and t = 20.
+FALLBACK_TOL = 1e-13
+
+#: the same at times in (20, 40], the 2t readouts of t <= 20: measured at
+#: most 6.2e-13, at (1, 0)
+FALLBACK_TOL_2T = 2e-12
+
+
+def _assert_near_oracle(readouts, oracle, times):
+    """Fallback readouts (tr+, tr-, sy+, sy-), or (tr+, sy+), within the
+    bound of their time, relative to the trace of their own branch."""
+    traces = oracle[[0, 1, 0, 1] if len(oracle) == 4 else [0, 0]]
+    bound = FALLBACK_TOL if times <= 20.0 else FALLBACK_TOL_2T
+    assert np.all(np.abs(readouts - oracle) <= bound * np.abs(traces)), times
+
+
 def test_stacked_expm_fallback_matches_per_point_oracle():
-    # (2, 1) and (1, 0) are defective and take the expm fallback; the generic
-    # cell stays spectral and must not be disturbed by the stacked call
+    # (2, 1) and (1, 0) are defective and take the Newton form, within the
+    # 50-digit bound; the generic cell stays spectral and must not be
+    # disturbed by the fallback rows of the same call
     cells = lgi._Cells([2.0, 0.7, 1.0], [1.0, 0.3, 0.0], ModelParams(1.0, 1.0))
     assert cells.spectral.tolist() == [False, True, False]
     rng = np.random.default_rng(7)
@@ -349,11 +403,28 @@ def test_stacked_expm_fallback_matches_per_point_oracle():
                 cell, t = int(owner[index]), float(times[index])
                 if cells.spectral[cell]:
                     expected = cells.readouts(cell, t, both_at_2t)
+                    assert np.array_equal(at_t[index], expected[0])
+                    assert np.array_equal(at_2t[index], expected[1])
                 else:
-                    expected = expm_readouts(cells.generators[cell], t,
-                                             both_at_2t)
-                assert np.array_equal(at_t[index], expected[0])
-                assert np.array_equal(at_2t[index], expected[1])
+                    expected = mp_readouts(cells.generators[cell], t,
+                                           both_at_2t)
+                    _assert_near_oracle(at_t[index], expected[0], t)
+                    _assert_near_oracle(at_2t[index], expected[1], 2.0 * t)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(t=st.floats(1e-6, 20.0))
+@pytest.mark.parametrize("gamma, q", [(1.0, 0.0), (2.0, 1.0), (1.0, 1e-14)])
+def test_fallback_readouts_meet_the_50_digit_oracle(gamma, q, t):
+    # the cells decompose rejects, fourfold (1, 0), defective (2, 1) and
+    # its q -> 0 neighbour at gamma = J; at theta = 1.0 no cell of
+    # gamma in [0, 20], q in [0, 1] is rejected (largest cond 6.8)
+    cells = lgi._Cells([gamma], [q], ModelParams(1.0, 1.0))
+    assert not cells.spectral[0]
+    at_t, at_2t = cells.readouts(0, t, both_at_2t=True)
+    expected = mp_readouts(cells.generators[0], t, both_at_2t=True)
+    _assert_near_oracle(at_t, expected[0], t)
+    _assert_near_oracle(at_2t, expected[1], 2.0 * t)
 
 
 class _StubCurves:
@@ -388,9 +459,9 @@ def test_coarse_peaks_collapse_tied_runs_only():
     ]
     assert len(np.flatnonzero(
         (plateau[1:-1] >= plateau[:-2]) & (plateau[1:-1] >= plateau[2:]))) > 20
-    owner, index, masked = lgi._coarse_peaks(
+    owner, index, masked, flat = lgi._coarse_peaks(
         _StubCurves(curves), np.arange(220.0), SWEEP_TRACE_FLOOR)
-    assert not masked.any()
+    assert not masked.any() and not flat.any()
     assert owner.tolist() == [0, 1, 1, 2, 2, 2]
     first_plateau_peak = 10 + int(np.argmax(
         (plateau >= np.r_[-np.inf, plateau[:-1]])
@@ -398,28 +469,63 @@ def test_coarse_peaks_collapse_tied_runs_only():
     assert index.tolist() == [first_plateau_peak, 5, 15, 5, 25, 45]
 
 
+def test_flat_curves_pin_their_earliest_finite_point():
+    rng = np.random.default_rng(5)
+    noise = 1.0 + 1e-12 * rng.standard_normal(200)
+    gone = np.full(10, -np.inf)
+    curves = [
+        noise,
+        # extinguished at both ends: the first finite point is 10
+        np.concatenate([gone, noise[:180], gone]),
+        # a spread of 2e-9 is not flat: its one peak stays where it is
+        np.concatenate([gone, np.linspace(1.0, 1.0 + 2e-9, 190)]),
+        np.full(200, -np.inf),
+    ]
+    owner, index, masked, flat = lgi._coarse_peaks(
+        _StubCurves(curves), np.arange(200.0), SWEEP_TRACE_FLOOR)
+    assert masked.tolist() == [False, False, False, True]
+    assert flat.tolist() == [True, True, False, False]
+    assert owner.tolist() == [0, 1, 2]
+    assert index.tolist() == [0, 10, 199]
+
+
 def test_flat_fourfold_cell_refines_one_candidate(monkeypatch):
     params = ModelParams(gamma=1.0, q=0.0)
     config = OptimizeConfig()
     horizon = config.horizon(params)
     grid = np.linspace(horizon / config.resolution, horizon, config.resolution)
-    owner, _, _ = lgi._coarse_peaks(lgi._Cells([1.0], [0.0], params), grid,
-                                    config.eps_trace)
+    owner, _, _, flat = lgi._coarse_peaks(lgi._Cells([1.0], [0.0], params),
+                                          grid, config.eps_trace)
     assert len(owner) == 1  # 668 tied noise maxima before the collapse
+    assert flat.tolist() == [True]
 
-    exponentiated = []
+    def no_expm(matrices):
+        raise AssertionError("the K3 engine exponentiated a matrix")
 
-    def counting_expm(matrices):
-        exponentiated.append(len(matrices))
-        return expm(matrices)
-
-    expm = dynamics.expm
-    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    # the Newton form needs no matrix exponential
+    monkeypatch.setattr(dynamics, "expm", no_expm)
+    monkeypatch.setattr(numerics, "expm", no_expm)
     assert not optimize_k3(params).masked
-    assert exponentiated  # the fallback goes through dynamics.expm
-    # 2 x (2000 scan + 9 rescan + about 20 golden-section points); 42,716
-    # before the collapse and the stacked fallback
-    assert sum(exponentiated) <= 4100
+
+
+def test_flat_curve_reports_its_earliest_grid_point(monkeypatch):
+    # K3 at (1, 0) is flat to about 2e-11 over the whole grid: t* is the
+    # first grid point, whatever the last bits of the scan
+    params = ModelParams(gamma=1.0, q=0.0)
+    config = OptimizeConfig()
+    best = optimize_k3(params, config)
+    assert best.t_star == config.horizon(params) / config.resolution
+    assert best.k3_max == k3(params, best.t_star, eps_trace=SWEEP_TRACE_FLOOR)
+    scan = lgi._Cells.scan
+    for seed in range(4):
+        signs = np.random.default_rng(seed).choice([-np.inf, np.inf], 2000)
+
+        def nudged(self, cells, grid, eps_trace, signs=signs):
+            return np.nextafter(scan(self, cells, grid, eps_trace),
+                                signs[:len(grid)])
+
+        monkeypatch.setattr(lgi._Cells, "scan", nudged)
+        assert optimize_k3(params, config) == best
 
 
 def _default_grid_cells():
@@ -434,8 +540,9 @@ def test_default_grid_keeps_every_separate_peak():
     # measured before and after the tie collapse: the near-unitary peaks of
     # the default grid are separate, so none of them is collapsed
     cells, grid = _default_grid_cells()
-    owner, _, masked = lgi._coarse_peaks(cells, grid, SWEEP_TRACE_FLOOR)
+    owner, _, masked, flat = lgi._coarse_peaks(cells, grid, SWEEP_TRACE_FLOOR)
     assert not masked.any()
+    assert not flat.any()
     assert len(owner) == 1227
     assert np.bincount(owner).max() == 7
 
@@ -522,7 +629,7 @@ def test_scan_gives_the_candidates_of_a_direct_scan():
 
 @pytest.mark.parametrize("resolution", [1, 2, 3, 7, 2000, 2001])
 def test_scan_rows_do_not_depend_on_the_block(resolution):
-    # (2, 1) and (1, 0) take the expm fallback, gamma = 0 the Schur route; at
+    # (2, 1) and (1, 0) take the Newton form, gamma = 0 the Schur route; at
     # resolutions 3, 7 and 2001 the last block of M = ceil(sqrt(n)) points
     # runs past the grid, and 1 and 2 are a single block
     cells = lgi._Cells([0.5, 2.0, 0.0, 1.0, 3.0], [0.3, 1.0, 0.5, 0.0, 1e-6],

@@ -156,7 +156,7 @@ def oracle_row(t, table, q0, q2):
                       min_size=1, max_size=6),
        t=st.floats(1e-3, 20.0), q0=st.sampled_from(OUTCOMES),
        q2=st.sampled_from(OUTCOMES))
-# gamma = 0 (Schur), the defective (1, 0) and (2, 1) (expm fallback), q at
+# gamma = 0 (Schur), the defective (1, 0) and (2, 1) (Newton form), q at
 # both ends, and extinguished cells at long t
 @example(cells=[(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, 1.0), (5.0, 0.0)],
          t=20.0, q0=-1, q2=-1)

@@ -425,16 +425,21 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     # a maximum on the first grid point may really live on the open t -> 0+
     # boundary; let the bracket reach down to the refinement scale so the
     # result does not depend on the coarse grid density.  A flat cell's
-    # bracket is its grid point alone, so it reports that point.
-    width = np.where(flat[owner], 0, 1)
-    lo = np.where(index >= width, grid[np.maximum(index - width, 0)],
+    # bracket ends at its grid point and reaches below it only from the
+    # first one.
+    pinned = flat[owner]
+    lo = np.where(index >= 1, grid[np.maximum(index - 1, 0)],
                   min(config.refine_tol, grid[0] / 2))
-    hi = grid[np.minimum(index + width, n - 1)]
+    lo = np.where(pinned & (index >= 1), grid[index], lo)
+    hi = np.where(pinned, grid[index], grid[np.minimum(index + 1, n - 1)])
     rescan_ts = np.linspace(lo, hi, 9, axis=-1)
     rescan = cells.value(owner[:, None], rescan_ts, config.eps_trace)
-    j = np.argmax(rescan, axis=1)
+    # a flat cell reports its grid point, unrefined, unless its curve rises
+    # toward t -> 0+ by more than a tie
+    pinned &= rescan.max(axis=1) <= rescan[:, -1] + _TIE_TOL
+    j = np.where(pinned, 8, np.argmax(rescan, axis=1))
     rows = np.arange(len(owner))
-    a = rescan_ts[rows, np.maximum(j - 1, 0)]
+    a = rescan_ts[rows, np.where(pinned, 8, np.maximum(j - 1, 0))]
     b = rescan_ts[rows, np.minimum(j + 1, 8)]
     a, b = _golden_section(cells, owner, a, b, config.refine_tol,
                            config.eps_trace)
@@ -469,7 +474,8 @@ def optimize_k3(params: model.ModelParams, config: OptimizeConfig = OptimizeConf
     density and refined by golden section to ``refine_tol``.  Refined values
     within 1e-9 are ties and resolve toward the smallest t; a curve whose
     finite grid values all lie within 1e-9 is flat and reports its earliest
-    finite grid point, unrefined.  Time points whose trace fell below the
+    finite grid point, unrefined, unless it rises by more than 1e-9 between
+    t -> 0+ and its first grid point.  Time points whose trace fell below the
     floor are skipped; if every point is extinguished the result is masked
     (NaN).
     """

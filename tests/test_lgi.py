@@ -528,6 +528,18 @@ def test_flat_curve_reports_its_earliest_grid_point(monkeypatch):
         assert optimize_k3(params, config) == best
 
 
+def test_flat_grid_curve_keeps_a_maximum_below_its_first_point():
+    # with t_max = 1e5 the grid starts at t = 50, where (2, 1) has relaxed:
+    # K3 is flat on the grid but rises to about 1 as t -> 0+
+    params = ModelParams(gamma=2.0, q=1.0)
+    config = OptimizeConfig(t_max=1e5)
+    grid = np.linspace(1e5 / config.resolution, 1e5, config.resolution)
+    _, _, _, flat = lgi._coarse_peaks(lgi._Cells([2.0], [1.0], params), grid,
+                                      config.eps_trace)
+    assert flat.tolist() == [True]
+    assert optimize_k3(params, config) == optimize_k3(params)
+
+
 def _default_grid_cells():
     base = ModelParams(gamma=1.0, q=1.0)
     gammas, qs = np.linspace(0.05, 5.0, 40), np.logspace(-6, 0, 25)

@@ -296,7 +296,8 @@ class NewtonForm:
 
     def coefficients(self, times):
         """f_t[l_0..l_k] for every k at each t >= 0; shape
-        ``times.shape + (len(nodes),)``.  At t = 0 exactly (1, 0, ..., 0).
+        ``times.shape + (len(nodes),)``.  At t = 0 exactly (1, 0, ..., 0);
+        a time below 0 raises ``ValueError``.
 
         Where the whole node set takes the series, that one series, about
         the mean of all nodes, gives every prefix.  At the other points each
@@ -304,6 +305,8 @@ class NewtonForm:
         """
         times = np.asarray(times, dtype=float)
         t = times.ravel()
+        if (t < 0).any():
+            raise ValueError(f"expected t >= 0, got {t.min()}")
         n = len(self.nodes)
         _, _, diam, series = self._plan[(1 << n) - 1]
         near = t * diam < 1.0
@@ -353,7 +356,8 @@ class Propagator:
             self._newton = NewtonForm(self.generator, eigs[0], params.gamma)
 
     def states(self, rho0, times) -> np.ndarray:
-        """Unnormalized rho(t) for each t in ``times``; shape (len(times), 2, 2)."""
+        """Unnormalized rho(t) for each t in ``times``; shape (len(times), 2, 2).
+        The Newton form takes times >= 0 only (``ValueError``)."""
         times = np.asarray(times, dtype=float)
         if self._diagonalizable:
             amplitudes = self._inv_modes @ vectorize(rho0)

@@ -345,11 +345,14 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     count = len(cells.generators)
     step = max(1, _SCAN_BLOCK_POINTS // len(grid))
     peaks, high, low = [], np.empty(count), np.empty(count)
+    earliest = np.empty(count, dtype=int)
     for first in range(0, count, step):
         block = np.arange(first, min(first + step, count))
         curve = cells.scan(block, grid, eps_trace)
         high[block] = vmax = curve.max(axis=1)
-        low[block] = curve.min(axis=1)
+        finite = curve > -np.inf
+        low[block] = np.where(finite, curve, np.inf).min(axis=1)
+        earliest[block] = finite.argmax(axis=1)
         edge = np.full((len(block), 1), -np.inf)
         padded = np.concatenate((edge, curve, edge), axis=1)
         is_peak = ((curve >= padded[:, :-2]) & (curve >= padded[:, 2:])
@@ -361,17 +364,7 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     leaders = _run_leaders(owner, value)
     owner, index = owner[leaders], index[leaders]
 
-    # the spread of each cell's finite values: NaN if there are none, and
-    # from a fresh scan of the cell if some are extinguished
-    with np.errstate(invalid="ignore"):
-        spread = high - low
-    earliest = np.zeros(count, dtype=int)
-    for cell in np.flatnonzero(spread == np.inf).tolist():
-        curve = cells.scan(np.array([cell]), grid, eps_trace)[0]
-        finite = curve > -np.inf
-        spread[cell] = high[cell] - curve[finite].min()
-        earliest[cell] = np.argmax(finite)
-    flat = spread <= _TIE_TOL
+    flat = (high - low <= _TIE_TOL) & (high > -np.inf)
     pinned = flat[owner]
     index[pinned] = earliest[owner[pinned]]
     return owner, index, high == -np.inf, flat
@@ -434,9 +427,10 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     hi = np.where(pinned, grid[index], grid[np.minimum(index + 1, n - 1)])
     rescan_ts = np.linspace(lo, hi, 9, axis=-1)
     rescan = cells.value(owner[:, None], rescan_ts, config.eps_trace)
-    # a flat cell reports its grid point, unrefined, unless its curve rises
-    # toward t -> 0+ by more than a tie
-    pinned &= rescan.max(axis=1) <= rescan[:, -1] + _TIE_TOL
+    # a flat cell reports its grid point, unrefined, unless its curve spans
+    # more than a tie between t -> 0+ and that point: then it is refined from
+    # its best rescan point like any other
+    pinned &= rescan.max(axis=1) - rescan.min(axis=1) <= _TIE_TOL
     j = np.where(pinned, 8, np.argmax(rescan, axis=1))
     rows = np.arange(len(owner))
     a = rescan_ts[rows, np.where(pinned, 8, np.maximum(j - 1, 0))]
@@ -474,7 +468,7 @@ def optimize_k3(params: model.ModelParams, config: OptimizeConfig = OptimizeConf
     density and refined by golden section to ``refine_tol``.  Refined values
     within 1e-9 are ties and resolve toward the smallest t; a curve whose
     finite grid values all lie within 1e-9 is flat and reports its earliest
-    finite grid point, unrefined, unless it rises by more than 1e-9 between
+    finite grid point, unrefined, unless it spans more than 1e-9 between
     t -> 0+ and its first grid point.  Time points whose trace fell below the
     floor are skipped; if every point is extinguished the result is masked
     (NaN).

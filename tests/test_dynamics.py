@@ -342,6 +342,12 @@ def test_propagator_fallback_is_per_time_expm(gamma, q):
         assert np.abs(state - exact).max() <= 1e-13 * np.trace(exact).real, t
 
 
+def test_propagator_fallback_rejects_negative_times():
+    prop = Propagator(ModelParams(gamma=1.0, q=0.0))
+    with pytest.raises(ValueError, match="t >= 0"):
+        prop.states(PROJECTOR_PLUS, [0.5, -0.1])
+
+
 def _opitz(nodes, t):
     """f_t[x_0..x_k] of f_t(z) = e^{tz} for every prefix of ``nodes``, at 50
     digits: the first row of exp(tZ), Z bidiagonal with the nodes on its

@@ -540,6 +540,19 @@ def test_flat_grid_curve_keeps_a_maximum_below_its_first_point():
     assert optimize_k3(params, config) == optimize_k3(params)
 
 
+@pytest.mark.parametrize("gamma, q", [(0.5, 0.3), (0.0, 0.5), (1.5, 0.2)])
+def test_one_point_grid_refines_a_peak_below_its_point(gamma, q):
+    # a one-point grid is flat by definition; with t_max just past the peak
+    # the best rescan point is the grid point itself, and the peak in the
+    # last rescan interval must still be refined
+    params = ModelParams(gamma=gamma, q=q)
+    best = optimize_k3(params)
+    config = OptimizeConfig(t_max=1.02 * best.t_star, resolution=1)
+    one = optimize_k3(params, config)
+    assert abs(one.k3_max - best.k3_max) <= 1e-12
+    assert abs(one.t_star - best.t_star) <= config.refine_tol
+
+
 def _default_grid_cells():
     base = ModelParams(gamma=1.0, q=1.0)
     gammas, qs = np.linspace(0.05, 5.0, 40), np.logspace(-6, 0, 25)

@@ -345,14 +345,17 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     count = len(cells.generators)
     step = max(1, _SCAN_BLOCK_POINTS // len(grid))
     peaks, high, low = [], np.empty(count), np.empty(count)
-    earliest = np.empty(count, dtype=int)
+    earliest = np.zeros(count, dtype=int)
     for first in range(0, count, step):
         block = np.arange(first, min(first + step, count))
         curve = cells.scan(block, grid, eps_trace)
         high[block] = vmax = curve.max(axis=1)
-        finite = curve > -np.inf
-        low[block] = np.where(finite, curve, np.inf).min(axis=1)
-        earliest[block] = finite.argmax(axis=1)
+        low[block] = vmin = curve.min(axis=1)
+        if (vmin == -np.inf).any():
+            # the finite values only; tested per block, as few are extinguished
+            finite = curve > -np.inf
+            low[block] = np.where(finite, curve, np.inf).min(axis=1)
+            earliest[block] = finite.argmax(axis=1)
         edge = np.full((len(block), 1), -np.inf)
         padded = np.concatenate((edge, curve, edge), axis=1)
         is_peak = ((curve >= padded[:, :-2]) & (curve >= padded[:, 2:])

@@ -46,6 +46,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .numerics import coalesced, expm, solve_cubic_cardano
+from .spectrum import bloch_generator
 
 #: column norm (relative to the largest) below which a mode vector is
 #: replaced by the numerically computed null direction
@@ -59,25 +60,19 @@ def _require_plane_confined(params: model.ModelParams):
         )
 
 
+#: (r, sy, sz) in the Pauli coordinates (sx, sy, sz, r) of the Bloch generator
+_BLOCK = np.ix_([3, 1, 2], [3, 1, 2])
+
+
 def reduced_matrix(params: model.ModelParams, variant="exact") -> np.ndarray:
     """3x3 real generator of the closed (R, Sy, Sz) block; ``variant`` is
-    "exact" or "approximate"."""
+    "exact" (the block of ``spectrum.bloch_generator``) or "approximate"."""
     _require_plane_confined(params)
-    g, q, J = params.gamma, params.q, params.J
-    if variant == "exact":
-        m = np.array([
-            [-g * (1 - q), 0.0, g * (1 - q)],
-            [0.0, -g, J],
-            [g * (1 + q), -J, -g * (1 + q)],
-        ])
-    elif variant == "approximate":
-        m = np.array([
-            [-g * (1 - q), 0.0, g],
-            [0.0, -g, J],
-            [g * (1 + q), -J, -g],
-        ])
-    else:
+    if variant not in ("exact", "approximate"):
         raise ValueError(f"unknown variant {variant!r}")
+    m = bloch_generator(params)[_BLOCK]
+    if variant == "approximate":
+        m[0, 2], m[2, 2] = params.gamma, -params.gamma
     return m
 
 

@@ -166,27 +166,36 @@ def evolve_exact(rho0, params: model.ModelParams, t) -> np.ndarray:
 
 
 def decompose(generators):
-    """Spectral data of a stack of generators, shape (N, 4, 4).
+    """Spectral data of a stack of generators, shape (N, 4, 4), real or
+    complex.
 
     Returns ``(eigs, modes, inv_modes, diagonalizable)`` with G = V diag(eigs)
-    V^-1 per cell.  A normal generator (the dissipation-free limit, where
-    plain ``eig`` can hand back a badly conditioned basis at the degenerate
-    eigenvalue) is diagonalized unitarily via Schur.  Otherwise the ``eig``
-    basis is kept while its condition number stays below
+    V^-1 per cell, all complex.  A normal generator (the dissipation-free
+    limit, where plain ``eig`` can hand back a badly conditioned basis at the
+    degenerate eigenvalue) is diagonalized unitarily via Schur.  Otherwise
+    the ``eig`` basis is kept while its condition number stays below
     ``_EIG_COND_LIMIT``; cells past it (parameters near an eigenvalue
     coalescence) are marked not diagonalizable and are propagated by the
     :class:`NewtonForm` on their ``eigs``; their ``inv_modes`` are NaN.
-    Each cell's data come from its own LAPACK call, so they do not depend on
-    the rest of the stack.
+    ``eig`` returns unit columns, so cond_2(V) <= ||V||_F^4 / |det V| =
+    16 / |det V|: a cell whose |det V| exceeds 32 / ``_EIG_COND_LIMIT``
+    passes without its SVD, which only the other cells pay for.
+    Each cell's data come from its own LAPACK calls, so they do not depend
+    on the rest of the stack (a real stack whose spectra are all real comes
+    back from ``eig`` as real arrays, with the same values).
     """
-    gens = np.asarray(generators, dtype=complex)
+    gens = np.asarray(generators)
     adjoint = gens.conj().swapaxes(-1, -2)
     normality_defect = np.linalg.norm(gens @ adjoint - adjoint @ gens,
                                       axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(gens, axis=(-2, -1))) ** 2
     normal = normality_defect <= 1e-12 * scale
     eigs, modes = np.linalg.eig(gens)
-    diagonalizable = normal | (np.linalg.cond(modes) < _EIG_COND_LIMIT)
+    eigs, modes = eigs.astype(complex), modes.astype(complex)
+    diagonalizable = normal | (np.abs(np.linalg.det(modes))
+                               > 32.0 / _EIG_COND_LIMIT)
+    doubt = np.flatnonzero(~diagonalizable)
+    diagonalizable[doubt] = np.linalg.cond(modes[doubt]) < _EIG_COND_LIMIT
     inv_modes = np.full_like(modes, np.nan)
     for n in np.flatnonzero(normal):
         T, Z = schur(gens[n], output="complex")

@@ -34,7 +34,7 @@ import numpy as np
 from . import model
 from .dynamics import EvolveConfig, NewtonForm, decompose, evolve_rk4
 from .errors import TrajectoryExtinguishedError
-from .spectrum import build_liouvillians, vectorize
+from .spectrum import bloch_generators, vectorize
 
 #: trace floor used by optimize/sweep; guards float underflow only, so that
 #: strongly conditioned ensembles (q -> 0 at long times) remain scannable.
@@ -182,12 +182,17 @@ _SCAN_BLOCK_POINTS = 4096
 #: cells per sweep task; ``workers`` only decides which process runs a task
 _SWEEP_CHUNK_CELLS = 128
 
-#: rows of vectorized readouts: <<e|rho>> = Tr[rho] and Tr[sigma_y rho]
-_READOUT = np.stack([vectorize(model.IDENTITY), vectorize(model.SIGMA_Y.T)])
+#: rows: the readouts Tr[rho] = r and Tr[sigma_y rho] = sy of a state in
+#: the Pauli coordinates (sx, sy, sz, r) of ``spectrum.bloch_generators``
+_READOUT = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
 
-#: columns: the two post-measurement branches P_+ (also rho(0)) and P_-
-_BRANCHES = np.stack([vectorize(model.PROJECTOR_PLUS),
-                      vectorize(model.PROJECTOR_MINUS)], axis=1)
+#: columns: the two post-measurement branches P_+- = (I +- sigma_y) / 2,
+#: (sx, sy, sz, r) = (0, +-1, 0, 1); P_+ is also rho(0)
+_BRANCHES = np.array([[0.0, 0.0], [1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
+
+#: the rows of :data:`_READOUT` on the vectorized rho of ``--engine rk4``
+_VECTORIZED_READOUT = np.stack([vectorize(model.IDENTITY),
+                                vectorize(model.SIGMA_Y.T)])
 
 
 def _contract(a, b):
@@ -210,7 +215,8 @@ def _real_product(a, b):
 
 def _readout(*rhos):
     """(tr, sy) of one state, (tr+, tr-, sy+, sy-) of the P+ and P- branches."""
-    return (_READOUT @ np.stack([vectorize(rho) for rho in rhos], axis=1)
+    return (_VECTORIZED_READOUT
+            @ np.stack([vectorize(rho) for rho in rhos], axis=1)
             ).real.ravel().tolist()
 
 
@@ -230,8 +236,11 @@ class _Cells:
 
     Every readout of a cell is Re(sum_k c_k(t) w_k) for the four columns
     (tr+, tr-, sy+, sy-): four time factors c_k times fixed weights w_k.
-    One stacked eigendecomposition gives, per cell, c_k = exp(t lambda_k)
-    and w_k = (e_obs^T V)(V^-1 v0) for obs in {trace, sigma_y} and v0 in
+    The cells evolve under the real Bloch generator B
+    (``spectrum.bloch_generators``), in which the readouts and the branches
+    are 0/+-1 vectors (:data:`_READOUT`, :data:`_BRANCHES`).  One stacked
+    eigendecomposition of B gives, per cell, c_k = exp(t lambda_k) and
+    w_k = (e_obs^T V)(V^-1 v0) for obs in {trace, sigma_y} and v0 in
     {P+, P-}; the 2t readouts use the squares of the factors.  The coarse
     scan (:meth:`scan`) builds them from blocked factors, the refinement
     directly (:meth:`value`).  Cells that :func:`decompose` cannot
@@ -242,7 +251,7 @@ class _Cells:
 
     def __init__(self, gammas, qs, params: model.ModelParams):
         self.params = params
-        self.generators = build_liouvillians(model.hamiltonian(params), gammas, qs)
+        self.generators = bloch_generators(params, gammas, qs)
         eigs, modes, inv_modes, self.spectral = decompose(self.generators)
         readout = _contract(_READOUT, modes)           # (N, 2, 4)
         amplitudes = _contract(inv_modes, _BRANCHES)    # (N, 4, 2)

@@ -15,8 +15,13 @@ dimensionless cubic
 
 whose discriminant 4 (r^2 - 1)^3 - 27 q^2 r^2 vanishes exactly on the locus
 where eigenvalues (and eigenvectors) coalesce.
+
+The equation preserves Hermiticity for every q, so in the Pauli coordinates
+rho = (r I + sx sigma_x + sy sigma_y + sz sigma_z) / 2 it is a real 4x4
+generator B (:func:`bloch_generator`), similar to G, with the trace r last.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +70,37 @@ def build_liouvillians(hamiltonian, gammas, qs) -> np.ndarray:
     commutator = (_kron(hamiltonian, model.IDENTITY)
                   - _kron(model.IDENTITY, hamiltonian.T))
     return -1j * commutator + 2.0 * gammas * (qs * _RECYCLING - 0.5 * _DECAY)
+
+
+def bloch_generator(params: model.ModelParams) -> np.ndarray:
+    """Real 4x4 generator of the Pauli coordinates (sx, sy, sz, r).
+
+    The drive rotates the Bloch vector, ds/dt = w x s with
+    w = -J (sin theta, 0, cos theta); the dissipator damps sx and sy at
+    gamma and moves the ground-state weight (r - sz) / 2 at rates
+    2 gamma (1 + q) into sz and 2 gamma (q - 1) into r.  At theta = pi/2 the
+    (r, sy, sz) block closes up to the J cos(pi/2) = 6.1e-17 J coupling of
+    sx, and is ``blochsol.reduced_matrix(params, "exact")``.
+    """
+    return bloch_generators(params, params.gamma, params.q)
+
+
+def bloch_generators(params: model.ModelParams, gammas, qs) -> np.ndarray:
+    """B of :func:`bloch_generator` for the J and theta of ``params`` and
+    arrays of gamma and q, shape (..., 4, 4); each entry is one product at
+    most, so a cell's B does not depend on its batch."""
+    gammas = np.asarray(gammas, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    drive = params.J * math.sin(params.theta)
+    detuning = params.J * math.cos(params.theta)
+    gain, loss = gammas * (1.0 + qs), gammas * (1.0 - qs)
+    out = np.zeros(np.broadcast(gammas, qs).shape + (4, 4))
+    out[..., 0, 0] = out[..., 1, 1] = -gammas
+    out[..., 0, 1], out[..., 1, 0] = detuning, -detuning
+    out[..., 1, 2], out[..., 2, 1] = drive, -drive
+    out[..., 2, 2], out[..., 2, 3] = -gain, gain
+    out[..., 3, 2], out[..., 3, 3] = loss, -loss
+    return out
 
 
 def vectorize(rho) -> np.ndarray:

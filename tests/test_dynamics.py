@@ -10,10 +10,12 @@ from scipy.linalg import expm
 
 from conftest import rhs, rk4_loop, rk4_sample_loop
 from hybridlg.dynamics import (
+    _EIG_COND_LIMIT,
     EvolveConfig,
     NewtonForm,
     Propagator,
     _split_steps,
+    decompose,
     evolve_exact,
     evolve_kraus,
     evolve_rk4,
@@ -28,7 +30,13 @@ from hybridlg.model import (
     bloch_decompose,
     hamiltonian,
 )
-from hybridlg.spectrum import build_liouvillian, vectorize
+from hybridlg.spectrum import (
+    bloch_generators,
+    build_liouvillian,
+    build_liouvillians,
+    ep_radius,
+    vectorize,
+)
 
 
 def random_density(rng, normalized=True):
@@ -340,6 +348,31 @@ def test_propagator_fallback_is_per_time_expm(gamma, q):
             exact = mpmath.expm(generator * float(t)) * rho0
         exact = np.array([complex(x) for x in exact]).reshape(2, 2)
         assert np.abs(state - exact).max() <= 1e-13 * np.trace(exact).real, t
+
+
+@pytest.mark.parametrize("basis", ["bloch", "vectorized"])
+def test_determinant_screen_keeps_the_cond_rule(basis):
+    # cells r_ep(q) (1 +- delta) on both sides of the coalescence locus, and
+    # one normal cell: decompose skips the SVD of every cell whose |det V|
+    # exceeds 32 / _EIG_COND_LIMIT, and must decide as the cond rule does
+    deltas = np.concatenate(([0.0], np.logspace(-16, -2, 15)))
+    gammas, qs = [0.0], [0.5]
+    for q in (0.0, 1e-14, 1e-6, 1e-3, 0.3, 0.7, 1.0):
+        r = ep_radius(q).r_ep
+        gammas += [r * (1.0 + d) for d in deltas] + [r * (1.0 - d) for d in deltas]
+        qs += [q] * (2 * len(deltas))
+    gammas, qs = np.array(gammas), np.array(qs)
+    params = ModelParams(gamma=1.0, q=1.0)
+    generators = (bloch_generators(params, gammas, qs) if basis == "bloch"
+                  else build_liouvillians(hamiltonian(params), gammas, qs))
+    diagonalizable = decompose(generators)[3]
+    modes = np.linalg.eig(generators)[1]
+    rule = (gammas == 0.0) | (np.linalg.cond(modes) < _EIG_COND_LIMIT)
+    assert np.array_equal(diagonalizable, rule)
+    # both outcomes occur, and some cells need the SVD to decide
+    assert 0 < diagonalizable.sum() < len(gammas)
+    screened = np.abs(np.linalg.det(modes)) > 32.0 / _EIG_COND_LIMIT
+    assert (diagonalizable & ~screened).any()
 
 
 def test_propagator_fallback_rejects_negative_times():

@@ -1,12 +1,18 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import assert_same_complex_sets
 
 from conftest import rhs
+from hybridlg.blochsol import reduced_matrix
 from hybridlg.model import ModelParams
 from hybridlg.numerics import coalesced, eigenvalues_4x4, solve_cubic_cardano
 from hybridlg.spectrum import (
+    bloch_generator,
+    bloch_generators,
     build_liouvillian,
     characteristic_cubic,
     devectorize,
@@ -159,3 +165,61 @@ def test_spectrum_report_fields():
 
     at_ep = spectrum_report(ModelParams(gamma=2.0, q=1.0))
     assert at_ep.degenerate
+
+
+#: vec(rho) = PAULI @ (sx, sy, sz, r), in the (rho_00, rho_01, rho_10, rho_11)
+#: order of build_liouvillian, and its inverse
+PAULI = 0.5 * np.array([[0, 0, 1, 1], [1, -1j, 0, 0], [1, 1j, 0, 0],
+                        [0, 0, -1, 1]])
+PAULI_INV = np.array([[0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1],
+                      [1, 0, 0, 1]])
+
+#: (r, sy, sz) in the coordinates (sx, sy, sz, r) of bloch_generator
+_BLOCK = np.ix_([3, 1, 2], [3, 1, 2])
+
+
+def test_bloch_generator_block_is_the_reduced_matrix_bit_for_bit():
+    qs = [0.0, 1e-14, 1e-6, 0.1, 0.3, 0.7, 1.0 - 1e-9, 1.0]
+    for g in np.linspace(0.0, 5.0, 11).tolist() + [0.9905, 1.7872528623376915]:
+        for q in qs:
+            for J in (1.0, 0.7):
+                params = ModelParams(gamma=g, q=q, J=J)
+                # the closed form that blochsol.reduced_matrix wrote out
+                expected = np.array([
+                    [-g * (1 - q), 0.0, g * (1 - q)],
+                    [0.0, -g, J],
+                    [g * (1 + q), -J, -g * (1 + q)],
+                ])
+                for block in (bloch_generator(params)[_BLOCK],
+                              reduced_matrix(params, "exact")):
+                    assert np.array_equal(block, expected)
+                    assert np.array_equal(np.signbit(block),
+                                          np.signbit(expected))
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 1.0])
+def test_bloch_generator_is_the_liouvillian_in_pauli_coordinates(theta):
+    # PAULI_INV G PAULI is real to the last bit; it matches the closed-form
+    # B to one ulp of its largest entry (measured at most 2.2e-16 of it on
+    # this grid: 1.8e-15 at gamma = 5)
+    assert np.array_equal(PAULI_INV @ PAULI, np.eye(4))
+    for g in np.linspace(0.0, 5.0, 11):
+        for q in np.linspace(0.0, 1.0, 6):
+            params = ModelParams(gamma=g, q=q, theta=theta)
+            changed = PAULI_INV @ build_liouvillian(params) @ PAULI
+            bloch = bloch_generator(params)
+            assert np.all(changed.imag == 0.0)
+            assert (np.abs(changed.real - bloch).max()
+                    <= np.finfo(float).eps * np.abs(bloch).max()), (g, q)
+
+
+def test_bloch_generators_of_a_stack_equal_each_cell():
+    base = ModelParams(gamma=0.0, q=1.0, J=0.8, theta=1.0)
+    gammas = np.array([[0.0, 0.3], [1.0, 4.5]])
+    qs = np.array([1.0, 1e-6])
+    stack = bloch_generators(base, gammas, qs)
+    assert stack.shape == (2, 2, 4, 4)
+    for index in np.ndindex(gammas.shape):
+        single = bloch_generator(replace(base, gamma=gammas[index],
+                                         q=qs[index[1]]))
+        assert np.array_equal(stack[index], single)

@@ -103,7 +103,12 @@ class FitCoefficients:
 
 def eval_polynomials(gamma: float, coeffs: FitCoefficients | None = None,
                      allow_extrapolation=False):
-    """(A, B, C, D) at gamma via Horner evaluation of the four polynomials."""
+    """(A, B, C, D) at gamma via Horner evaluation of the four polynomials.
+
+    An array of gamma takes the same IEEE operations elementwise, one Horner
+    pass for all of them (give ``allow_extrapolation`` then: the domain
+    check reads one gamma).
+    """
     if coeffs is None:
         coeffs = FitCoefficients.published()
     if not allow_extrapolation and not in_fit_domain(gamma):
@@ -119,23 +124,6 @@ def eval_polynomials(gamma: float, coeffs: FitCoefficients | None = None,
             value = value * gamma + c
         values.append(value)
     return tuple(values)
-
-
-def eval_fit(gamma: float, q: float, coeffs: FitCoefficients | None = None,
-             allow_extrapolation=False) -> float:
-    """A tanh(B log q + C) + D; q = 0 returns the asymptote.
-
-    The q -> 0 limit of the tanh argument is -sign(B) * inf, so the asymptote
-    is -sign(B) * A + D.
-    """
-    if coeffs is None:
-        coeffs = FitCoefficients.published()
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    A, B, C, D = eval_polynomials(gamma, coeffs, allow_extrapolation)
-    if q == 0.0:
-        return -math.copysign(1.0, B) * A + D
-    return A * math.tanh(B * coeffs.log(q) + C) + D
 
 
 @dataclass(frozen=True)
@@ -189,15 +177,30 @@ def residual_report(rows, coeffs: FitCoefficients | None = None,
     """
     if coeffs is None:
         coeffs = FitCoefficients.published()
-    report = []
-    for gamma, q, k3_computed, t_star, message in rows:
-        fitted = residual = math.nan
+    rows = list(rows)
+    regions = []   # None: a row to fit
+    for gamma, q, k3_computed, _, message in rows:
         if not allow_extrapolation and not in_fit_domain(gamma):
-            region = "excluded"
+            regions.append("excluded")
         elif message or math.isnan(k3_computed):
-            region = "masked"
+            regions.append("masked")
+        elif not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must lie in [0, 1], got {q}")
         else:
-            fitted = eval_fit(gamma, q, coeffs, allow_extrapolation=True)
+            regions.append(None)
+    gammas = np.array([row[0] for row, region in zip(rows, regions)
+                       if region is None], dtype=float)
+    polynomials = zip(*(values.tolist() for values in eval_polynomials(
+        gammas, coeffs, allow_extrapolation=True)))
+    report = []
+    for (gamma, q, k3_computed, _, _), region in zip(rows, regions):
+        fitted = residual = math.nan
+        if region is None:
+            # A tanh(B log q + C) + D; the q -> 0 limit of the tanh argument
+            # is -sign(B) * inf, so q = 0 gives -sign(B) * A + D
+            A, B, C, D = next(polynomials)
+            fitted = (-math.copysign(1.0, B) * A + D if q == 0.0
+                      else A * math.tanh(B * coeffs.log(q) + C) + D)
             residual = abs(fitted - k3_computed)
             region = _classify(residual)
         report.append(ResidualRow(gamma, q, k3_computed, fitted, residual,

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 
@@ -66,6 +68,25 @@ def branch_coefficients_closed_form(params, branch="+"):
         denominator = g * g * q * (xs[j] - xk) * (xs[j] - xl)
         coeffs.append(numerator / denominator)
     return xs, np.asarray(coeffs)
+
+
+def eval_fit(gamma, q, coeffs=None, allow_extrapolation=False):
+    """A tanh(B log q + C) + D of the universal fit at one point; q = 0
+    returns the asymptote -sign(B) A + D, the q -> 0 limit.
+
+    The per-row oracle of ``fit.residual_report``, which evaluates the
+    polynomials of all its rows at once.
+    """
+    from hybridlg.fit import FitCoefficients, eval_polynomials
+
+    if coeffs is None:
+        coeffs = FitCoefficients.published()
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    A, B, C, D = eval_polynomials(gamma, coeffs, allow_extrapolation)
+    if q == 0.0:
+        return -math.copysign(1.0, B) * A + D
+    return A * math.tanh(B * coeffs.log(q) + C) + D
 
 
 def k3_curve(params, times, eps_trace=lgi.SWEEP_TRACE_FLOOR):

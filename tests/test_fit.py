@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import eval_fit
 from hybridlg import lgi
 from hybridlg.errors import OutOfDomainError
 from hybridlg.model import ModelParams
@@ -14,7 +15,6 @@ from hybridlg.fit import (
     TABLE_B,
     TABLE_C,
     TABLE_D,
-    eval_fit,
     eval_polynomials,
     in_fit_domain,
     residual_report,
@@ -81,6 +81,54 @@ def test_horner_matches_naive_power_sum():
 @given(gamma=st.floats(0.0, 6.0))
 def test_horner_is_bitwise_polyval(gamma):
     assert_matches_polyval(gamma)
+
+
+_SWEEP_ROWS = st.lists(st.tuples(
+    st.floats(0.0, 6.0), st.floats(0.0, 1.0),
+    st.floats(0.0, 3.0) | st.just(math.nan), st.just(1.0),
+    st.sampled_from(["", "all time points extinguished"])), max_size=40)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=_SWEEP_ROWS, allow_extrapolation=st.booleans(),
+       log_base=st.sampled_from(["e", "10"]))
+def test_residual_report_rows_are_eval_fit_bit_for_bit(
+        rows, allow_extrapolation, log_base):
+    # residual_report runs one Horner over all rows; each value must be
+    # the per-row oracle's
+    coeffs = FitCoefficients.published(log_base)
+    report = residual_report(rows, coeffs, allow_extrapolation)
+    assert len(report.rows) == len(rows)
+    for (gamma, q, k3_computed, _, message), row in zip(rows, report.rows):
+        assert (row.gamma, row.q) == (gamma, q)
+        if not allow_extrapolation and not in_fit_domain(gamma):
+            assert row.region == "excluded"
+        elif message or math.isnan(k3_computed):
+            assert row.region == "masked"
+        else:
+            expected = eval_fit(gamma, q, coeffs, allow_extrapolation=True)
+            assert type(row.k3_fit) is float
+            assert row.k3_fit == expected or (math.isnan(row.k3_fit)
+                                              and math.isnan(expected))
+            continue
+        assert math.isnan(row.k3_fit) and math.isnan(row.residual)
+
+
+def test_residual_report_rejects_bad_efficiency():
+    with pytest.raises(ValueError, match="q must lie in"):
+        residual_report([(0.5, 0.3, 1.0, 1.0, ""), (0.5, 1.5, 1.0, 1.0, "")])
+    # an excluded or masked row is not fitted, so its q is not checked
+    residual_report([(1.5, 1.5, 1.0, 1.0, ""), (0.5, 1.5, 1.0, 1.0, "x")])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(gammas=st.lists(st.floats(0.0, 6.0), max_size=30))
+def test_horner_over_an_array_is_the_scalar_horner(gammas):
+    values = eval_polynomials(np.array(gammas, dtype=float),
+                              allow_extrapolation=True)
+    for k, gamma in enumerate(gammas):
+        assert [v[k] for v in values] == list(
+            eval_polynomials(gamma, allow_extrapolation=True))
 
 
 def test_domain_membership_and_guard():

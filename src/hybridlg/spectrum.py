@@ -55,21 +55,11 @@ def build_liouvillian(params: model.ModelParams) -> np.ndarray:
     closed form with (0,3) entry 2 q gamma and diagonal (0, -gamma, -gamma,
     -2 gamma).
     """
-    return build_liouvillians(model.hamiltonian(params), params.gamma, params.q)
-
-
-def build_liouvillians(hamiltonian, gammas, qs) -> np.ndarray:
-    """Generators for one Hamiltonian and arrays of gamma and q, shape (..., 4, 4).
-
-    Scalar gamma and q give one 4x4 generator (:func:`build_liouvillian`).
-    Every entry takes the same floating-point operations whatever the batch
-    shape, so a cell's generator does not depend on the batch it was built in.
-    """
-    gammas = np.asarray(gammas, dtype=float)[..., None, None]
-    qs = np.asarray(qs, dtype=float)[..., None, None]
+    hamiltonian = model.hamiltonian(params)
     commutator = (_kron(hamiltonian, model.IDENTITY)
                   - _kron(model.IDENTITY, hamiltonian.T))
-    return -1j * commutator + 2.0 * gammas * (qs * _RECYCLING - 0.5 * _DECAY)
+    return -1j * commutator + 2.0 * params.gamma * (
+        params.q * _RECYCLING - 0.5 * _DECAY)
 
 
 def bloch_generator(params: model.ModelParams) -> np.ndarray:
@@ -87,8 +77,9 @@ def bloch_generator(params: model.ModelParams) -> np.ndarray:
 
 def bloch_generators(params: model.ModelParams, gammas, qs) -> np.ndarray:
     """B of :func:`bloch_generator` for the J and theta of ``params`` and
-    arrays of gamma and q, shape (..., 4, 4); each entry is one product at
-    most, so a cell's B does not depend on its batch."""
+    arrays of gamma and q, shape (..., 4, 4).  Each entry is elementwise
+    arithmetic on its own gamma and q, so a cell's B does not depend on its
+    batch."""
     gammas = np.asarray(gammas, dtype=float)
     qs = np.asarray(qs, dtype=float)
     drive = params.J * math.sin(params.theta)

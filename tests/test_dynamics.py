@@ -33,7 +33,6 @@ from hybridlg.model import (
 from hybridlg.spectrum import (
     bloch_generators,
     build_liouvillian,
-    build_liouvillians,
     ep_radius,
     vectorize,
 )
@@ -363,8 +362,11 @@ def test_determinant_screen_keeps_the_cond_rule(basis):
         qs += [q] * (2 * len(deltas))
     gammas, qs = np.array(gammas), np.array(qs)
     params = ModelParams(gamma=1.0, q=1.0)
-    generators = (bloch_generators(params, gammas, qs) if basis == "bloch"
-                  else build_liouvillians(hamiltonian(params), gammas, qs))
+    if basis == "bloch":
+        generators = bloch_generators(params, gammas, qs)
+    else:
+        generators = np.array([build_liouvillian(ModelParams(gamma=g, q=q))
+                               for g, q in zip(gammas.tolist(), qs.tolist())])
     diagonalizable = decompose(generators)[3]
     modes = np.linalg.eig(generators)[1]
     rule = (gammas == 0.0) | (np.linalg.cond(modes) < _EIG_COND_LIMIT)

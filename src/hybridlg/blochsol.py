@@ -176,14 +176,13 @@ def _branch_sy_numeric(params: model.ModelParams, branch, times):
     return v[:, 1].real / v[:, 0].real
 
 
-def k3_closed_form(params: model.ModelParams, t, degenerate_fallback=True) -> float:
+def k3_closed_form(params: model.ModelParams, t) -> float:
     """Three-time correlation parameter from the two branch solutions.
 
     K3 = sy+(t) + (sy+(t) - sy-(t))/2 + sy+(t) (sy+(t) + sy-(t))/2 - sy+(2t)
     with sy+- the normalized Sy of the +-1 measurement branches.  When the
-    mode expansion degenerates and ``degenerate_fallback`` is set, the branch
-    curves are evaluated numerically from the same approximate system (a
-    warning is emitted).
+    mode expansion degenerates, the branch curves are evaluated numerically
+    from the same approximate system (a warning is emitted).
     """
     times = np.asarray([t, 2.0 * t], dtype=float)
     try:
@@ -192,8 +191,6 @@ def k3_closed_form(params: model.ModelParams, t, degenerate_fallback=True) -> fl
         syp_t, syp_2t = plus.normalized_sy(times)
         sym_t = minus.normalized_sy(np.asarray([t]))[0]
     except DegenerateRootsError:
-        if not degenerate_fallback:
-            raise
         warnings.warn(
             "mode rates coalesce; evaluating branch curves numerically",
             stacklevel=2,

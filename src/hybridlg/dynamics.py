@@ -21,12 +21,11 @@ grid, not once per sample.
 
 Normalization is never applied inside an integrator: the equation governs the
 unnormalized rho and all nonlinearity lives in the rho/Tr[rho] readout.
-:class:`Propagator` is the fast path for many times at one parameter point;
-it diagonalizes the generator once and evaluates arbitrary times by scaling
-mode amplitudes.  Where the eigenbasis is too ill-conditioned near a spectral
-degeneracy, it takes the :class:`NewtonForm` of exp(tG) instead, which needs
-the eigenvalues only.  That decision lives in :func:`decompose`, which the
-batched K3 engine in ``lgi`` shares; neither path calls expm.
+:class:`Propagator` is the fast path for many times at one parameter point:
+the :class:`NewtonForm` of exp(tG), which needs the eigenvalues of G only,
+so a cell on the coalescence locus takes the same path as any other.  The
+batched K3 engine in ``lgi`` diagonalizes through :func:`decompose` and takes
+the same form on the cells it rejects; neither calls expm.
 """
 
 import math
@@ -253,7 +252,8 @@ class _Series:
 
 
 class NewtonForm:
-    """exp(tG) in Newton form, for a generator G that :func:`decompose`
+    """exp(tG) in Newton form, for any generator G; :class:`Propagator`
+    takes it on every cell, the K3 engine on the cells :func:`decompose`
     cannot diagonalize:
 
         exp(tG) = sum_k f_t[l_0..l_k] P_k,   P_k = prod_{j<k} (G - l_j),
@@ -347,38 +347,27 @@ class NewtonForm:
 
 
 class Propagator:
-    """Reusable propagator for many times at fixed parameters.
+    """Reusable propagator for many times at fixed parameters: the
+    :class:`NewtonForm` of exp(tG), built once from the eigenvalues of G.
 
-    Diagonalizes the generator once through :func:`decompose`; ``states``
-    then costs one small matmul per batch of times.  If the generator is not
-    diagonalizable there, it takes the :class:`NewtonForm` of exp(tG)
-    instead: ``sum_k c_k(t) P_k v0``, from the same eigenvalues.
+    ``states`` costs the divided differences of each time and one small
+    matmul, ``sum_k c_k(t) (P_k v0)``.  It needs no eigenvectors, so cells
+    on the coalescence locus take the same path as every other.
     """
 
     def __init__(self, params: model.ModelParams):
         self.params = params
         self.generator = build_liouvillian(params)
-        eigs, modes, inv_modes, diagonalizable = decompose(self.generator[None])
-        self._diagonalizable = bool(diagonalizable[0])
-        self._eigs, self._modes, self._inv_modes = eigs[0], modes[0], inv_modes[0]
-        if not self._diagonalizable:
-            self._newton = NewtonForm(self.generator, eigs[0], params.gamma)
+        self._newton = NewtonForm(self.generator,
+                                  np.linalg.eigvals(self.generator), params.gamma)
 
     def states(self, rho0, times) -> np.ndarray:
-        """Unnormalized rho(t) for each t in ``times``; shape (len(times), 2, 2).
-        The Newton form takes times >= 0 only (``ValueError``)."""
+        """Unnormalized rho(t) for each t >= 0 in ``times`` (``ValueError``
+        below 0), rho0 exactly at t = 0; shape (len(times), 2, 2)."""
         times = np.asarray(times, dtype=float)
-        if self._diagonalizable:
-            amplitudes = self._inv_modes @ vectorize(rho0)
-            phases = np.exp(np.multiply.outer(times, self._eigs))
-            vecs = (phases * amplitudes) @ self._modes.T
-        else:
-            vecs = (self._newton.coefficients(times)
-                    @ (self._newton.products @ vectorize(rho0)))
+        vecs = (self._newton.coefficients(times)
+                @ (self._newton.products @ vectorize(rho0)))
         return vecs.reshape(len(times), 2, 2)
-
-    def state(self, rho0, t) -> np.ndarray:
-        return self.states(rho0, [t])[0]
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,6 @@ class OptimizeConfig:
 
     t_max: float | None = None     # default 20 / J
     resolution: int = 2000
-    refine_tol: float = 1e-6
     eps_trace: float = SWEEP_TRACE_FLOOR
 
     def __post_init__(self):
@@ -154,8 +153,6 @@ class OptimizeConfig:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if self.t_max is not None:
             _check_interval("t_max", self.t_max)
-        if not self.refine_tol > 0:
-            raise ValueError(f"refine_tol must be > 0, got {self.refine_tol}")
 
     def horizon(self, params: model.ModelParams) -> float:
         if self.t_max is not None:
@@ -173,6 +170,9 @@ _PEAK_WINDOW = 1e-3
 
 #: refined values closer than this count as a tie (broken toward smaller t)
 _TIE_TOL = 1e-9
+
+#: width in t to which golden section refines each peak bracket
+_REFINE_TOL = 1e-6
 
 #: (cell, time) points per coarse-scan block, 2 cells at resolution 2000: its
 #: arrays stay under 1 MB (8192-32768 points took 4,000-6,000 page faults per
@@ -434,7 +434,7 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     # first one.
     pinned = flat[owner]
     lo = np.where(index >= 1, grid[np.maximum(index - 1, 0)],
-                  min(config.refine_tol, grid[0] / 2))
+                  min(_REFINE_TOL, grid[0] / 2))
     lo = np.where(pinned & (index >= 1), grid[index], lo)
     hi = np.where(pinned, grid[index], grid[np.minimum(index + 1, n - 1)])
     rescan_ts = np.linspace(lo, hi, 9, axis=-1)
@@ -447,8 +447,7 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     rows = np.arange(len(owner))
     a = rescan_ts[rows, np.where(pinned, 8, np.maximum(j - 1, 0))]
     b = rescan_ts[rows, np.minimum(j + 1, 8)]
-    a, b = _golden_section(cells, owner, a, b, config.refine_tol,
-                           config.eps_trace)
+    a, b = _golden_section(cells, owner, a, b, _REFINE_TOL, config.eps_trace)
     refined = 0.5 * (a + b)
     refined_value = cells.value(owner, refined, config.eps_trace)
     scan_t, scan_value = rescan_ts[rows, j], rescan[rows, j]
@@ -477,7 +476,7 @@ def optimize_k3(params: model.ModelParams, config: OptimizeConfig = OptimizeConf
 
     Candidate peaks are every local maximum of a uniform scan within a small
     window of the global grid maximum; each is re-scanned at 4x the grid
-    density and refined by golden section to ``refine_tol``.  Refined values
+    density and refined by golden section to 1e-6 in t.  Refined values
     within 1e-9 are ties and resolve toward the smallest t; a curve whose
     finite grid values all lie within 1e-9 is flat and reports its earliest
     finite grid point, unrefined, unless it spans more than 1e-9 between

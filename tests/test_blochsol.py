@@ -219,8 +219,6 @@ def test_k3_closed_form_degenerate_fallback_warns():
     with pytest.warns(UserWarning, match="numerically"):
         value = k3_closed_form(params, 1.5)
     assert np.isfinite(value)
-    with pytest.raises(DegenerateRootsError):
-        k3_closed_form(params, 1.5, degenerate_fallback=False)
 
 
 def test_intermediate_correlator_identity_against_pipeline():

@@ -157,7 +157,8 @@ print(code, sorted(name for name in sys.modules
 
 def test_fallback_cells_leave_scipy_unloaded():
     # (1, 0) and (2, 1) are the cells decompose cannot diagonalize: the
-    # Newton form serves them without a matrix exponential
+    # Newton form serves them without a matrix exponential.  evolve takes
+    # the Newton form on every cell, so its gamma = 0 cell needs no Schur form
     loaded = _fresh_python("-c", """
 import contextlib, io, sys
 import hybridlg.cli
@@ -165,12 +166,13 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["k3", "--gamma", "1", "--q", "0", "--optimize"],
                  ["k3", "--gamma", "2", "--q", "1", "--optimize"],
-                 ["sweep", "--grid-gamma", "1:2:2", "--grid-q", "0:1:2"]):
+                 ["sweep", "--grid-gamma", "1:2:2", "--grid-q", "0:1:2"],
+                 ["evolve", "--gamma", "0", "--q", "0.5"]):
         codes.append(hybridlg.cli.main(argv))
 print(codes, sorted(name for name in sys.modules
                     if name.split(".")[0] == "scipy"))
 """)
-    assert loaded == b"[0, 0, 0] []\n"
+    assert loaded == b"[0, 0, 0, 0] []\n"
 
 
 def test_pool_children_end_with_the_interpreter():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from conftest import rhs, rk4_loop, rk4_sample_loop
+from hybridlg import dynamics
 from hybridlg.dynamics import (
     _EIG_COND_LIMIT,
     EvolveConfig,
@@ -315,28 +316,34 @@ def test_propagator_matches_exact_evolution():
         prop = Propagator(params)
         rho0 = random_density(rng)
         for t in (0.0, 0.7, 4.2):
-            assert np.max(np.abs(prop.state(rho0, t)
+            assert np.max(np.abs(prop.states(rho0, [t])[0]
                                  - evolve_exact(rho0, params, t))) <= 1e-10
 
 
-def test_propagator_near_degeneracy_falls_back_to_expm():
+def test_propagator_near_triple_degeneracy_matches_exact_evolution():
     # q -> 0 at gamma = J sits at a triple spectral degeneracy
     params = ModelParams(gamma=1.0, q=1e-14)
     prop = Propagator(params)
     rho0 = PROJECTOR_PLUS
     for t in (0.5, 2.0):
-        assert np.max(np.abs(prop.state(rho0, t)
+        assert np.max(np.abs(prop.states(rho0, [t])[0]
                              - evolve_exact(rho0, params, t))) <= 1e-9
 
 
-@pytest.mark.parametrize("gamma, q", [(1.0, 0.0), (2.0, 1.0)])
-def test_propagator_fallback_is_per_time_expm(gamma, q):
-    # on the locus the eigenbasis is rejected; the Newton form stays within
-    # 1e-13 of the trace of a 50-digit expm (the bound of the K3 engine's
-    # fallback readouts), and t = 0 gives rho0 exactly
-    params = ModelParams(gamma=gamma, q=q)
+#: (gamma, q) or (gamma, q, theta): the fourfold and the defective locus
+#: cells, generic, unitary and overdamped cells, and one cell off theta = pi/2
+_EXPM_CELLS = [(1.0, 0.0), (2.0, 1.0), (0.5, 0.3), (0.0, 0.5), (3.7, 0.01),
+               (4.5, 0.2), (1.3, 0.2, 1.0)]
+
+
+@pytest.mark.parametrize("cell", _EXPM_CELLS,
+                         ids=lambda cell: "-".join(map(str, cell)))
+def test_propagator_matches_a_50_digit_expm(cell):
+    # every cell takes the Newton form, on the locus as elsewhere: it stays
+    # within 1e-13 of the trace of a 50-digit expm (the bound of the K3
+    # engine's fallback readouts), and t = 0 gives rho0 exactly
+    params = ModelParams(**dict(zip(("gamma", "q", "theta"), cell)))
     prop = Propagator(params)
-    assert not prop._diagonalizable
     times = np.linspace(0.0, 20.0, 201)
     states = prop.states(PROJECTOR_PLUS, times)
     assert np.array_equal(states[0], PROJECTOR_PLUS)
@@ -378,9 +385,26 @@ def test_determinant_screen_keeps_the_cond_rule(basis):
 
 
 def test_propagator_fallback_rejects_negative_times():
-    prop = Propagator(ModelParams(gamma=1.0, q=0.0))
-    with pytest.raises(ValueError, match="t >= 0"):
-        prop.states(PROJECTOR_PLUS, [0.5, -0.1])
+    # a locus cell and a generic one take the same path
+    for gamma, q in ((1.0, 0.0), (0.5, 0.3)):
+        prop = Propagator(ModelParams(gamma=gamma, q=q))
+        with pytest.raises(ValueError, match="t >= 0"):
+            prop.states(PROJECTOR_PLUS, [0.5, -0.1])
+
+
+@pytest.mark.parametrize("gamma, q", [(0.5, 0.3), (0.0, 0.5), (2.0, 1.0)])
+def test_propagator_never_reaches_the_eigenbasis(monkeypatch, gamma, q):
+    # a generic, a unitary and a defective cell: none of them calls decompose
+    # or its Schur form
+    def refuse(*args, **kwargs):
+        raise AssertionError("Propagator reached the eigenbasis")
+
+    monkeypatch.setattr(dynamics, "decompose", refuse)
+    monkeypatch.setattr(dynamics, "schur", refuse)
+    states = Propagator(ModelParams(gamma=gamma, q=q)).states(PROJECTOR_PLUS,
+                                                              [0.0, 1.5])
+    assert np.array_equal(states[0], PROJECTOR_PLUS)
+    assert np.isfinite(states).all()
 
 
 def _opitz(nodes, t):

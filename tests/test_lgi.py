@@ -644,7 +644,7 @@ def test_one_point_grid_refines_a_peak_below_its_point(gamma, q):
     config = OptimizeConfig(t_max=1.02 * best.t_star, resolution=1)
     one = optimize_k3(params, config)
     assert abs(one.k3_max - best.k3_max) <= 1e-12
-    assert abs(one.t_star - best.t_star) <= config.refine_tol
+    assert abs(one.t_star - best.t_star) <= lgi._REFINE_TOL
 
 
 def _default_grid_cells():

@@ -9,8 +9,9 @@ count (cells are pure and assembled by index).
 Exit codes: 0 success, 2 trajectory extinction (also ``k3 --optimize`` on a
 cell whose every scanned time point is extinguished), 64 usage error
 (including an --in/--out path that cannot be opened, ``--workers`` below 1,
-and a parameter regime the command does not support, such as ``bloch-traj``
-off theta = pi/2), 70 internal numeric failure.
+an ``--engine rk4`` step count t/dt that is not finite, and a parameter
+regime the command does not support, such as ``bloch-traj`` off
+theta = pi/2), 70 internal numeric failure.
 """
 
 import argparse
@@ -347,9 +348,9 @@ def _cmd_bloch_traj(args):
     times = _sample_times(args)
     rows = []
     for branch in branches:
-        states = blochsol.analytic_branch(params, branch).state(times)
-        rows += [[branch, float(t), r, sy_raw / r, sz_raw / r]
-                 for t, (r, sy_raw, sz_raw) in zip(times, states)]
+        r, sy, sz = blochsol.analytic_branch(params, branch).state(times).T
+        rows += [[branch, *row] for row in
+                 np.column_stack([times, r, sy / r, sz / r]).tolist()]
     return _write(args, ["branch", "t", "r", "sy", "sz"], _metadata(args), rows)
 
 

@@ -15,9 +15,12 @@ Three interchangeable routes propagate the unnormalized state:
 The generator does not depend on time, so a fixed-step scheme is one step
 operator applied n times: both stepping engines apply its n-th power by
 binary powering (the levels of :func:`_power_levels`, applied by
-:func:`_apply_levels`) and take the short final step separately.  RK4
-builds the generator, the step operator and its levels once per sample
-grid, not once per sample.
+:func:`_apply_levels`) and take the short final step separately.  RK4 runs
+on the real Pauli-basis generator B (``spectrum.bloch_generator``), on
+which every state is exactly Hermitian; it builds B, the step operator and
+its levels once per sample grid, and one operator per distinct sample
+interval, so each sample is one real 4x4 matvec.  The Kraus map stays on
+the complex vectorized state.
 
 Normalization is never applied inside an integrator: the equation governs the
 unnormalized rho and all nonlinearity lives in the rho/Tr[rho] readout.
@@ -36,7 +39,7 @@ import numpy as np
 from . import model
 from .errors import IntegrationDivergedError
 from .numerics import expm, schur
-from .spectrum import build_liouvillian, devectorize, vectorize
+from .spectrum import bloch_generator, build_liouvillian, devectorize, vectorize
 
 #: eigenbasis condition number beyond which a cell takes the NewtonForm
 _EIG_COND_LIMIT = 1e8
@@ -54,8 +57,11 @@ class EvolveConfig:
 
 
 def _split_steps(t, dt):
-    """Number of full dt steps plus the final partial step landing on t."""
-    n_full = int(np.floor(t / dt + 1e-9))
+    """Number of full dt steps plus the final partial step landing on t;
+    a step count t / dt that is not finite raises ``ValueError``."""
+    if not math.isfinite(t / dt):
+        raise ValueError(f"the step count t/dt = {t:g}/{dt:g} is not finite")
+    n_full = math.floor(t / dt + 1e-9)
     remainder = t - n_full * dt
     if remainder < 1e-9 * dt:
         remainder = 0.0
@@ -103,51 +109,86 @@ def _rk4_step_delta(gen, h):
     """One classical RK4 step of dv/dt = G v is v <- S v with
     S = sum_{k<=4} (hG)^k / k!; returns S - I, in Horner form."""
     hg = h * gen
-    eye = np.eye(4, dtype=complex)
+    eye = np.eye(len(gen))
     return hg @ (eye + hg @ (eye + hg @ (eye + hg / 4.0) / 3.0) / 2.0)
 
 
-def rk4_states(rho0, params: model.ModelParams, times, cfg: EvolveConfig = EvolveConfig(),
+def _rk4_bloch(v0, params: model.ModelParams, times, cfg: EvolveConfig,
                diagnostics=None) -> np.ndarray:
-    """Classical fixed-step RK4 on the vectorized linear equation at each of
-    the non-decreasing ``times >= 0``; shape (len(times), 2, 2).
+    """RK4 Pauli vectors (sx, sy, sz, r) under the real B of
+    ``spectrum.bloch_generator``, from v0 at t = 0 to each of the
+    non-decreasing ``times >= 0``; shape (len(times), 4).
 
-    The generator does not depend on t, so n RK4 steps are exactly S^n for
-    one step matrix S (:func:`_rk4_step_delta` builds S - I).  G, S and the
-    binary-power levels of S are built once; each sample interval takes its
-    full steps from them plus a shortened step landing on its time, and its
-    state is projected onto the Hermitian matrices.  Global error is
-    O(dt^4); S is a polynomial in G, so this stays an independent check of
-    the Pade-based expm.  ``diagnostics`` gets the last sample's
-    ``hermiticity_defect`` before projection and the ``steps`` from t = 0.
-    A NaN/Inf state raises :class:`IntegrationDivergedError` with its step
-    bound, counted from t = 0.
+    B does not depend on t, so n steps are S^n (:func:`_rk4_step_delta`
+    builds S - I).  Each distinct split ``(n_full, remainder)`` of the
+    sample intervals gets one operator, the product of the levels of S for
+    the set bits of n_full and of the shortened step, so a sample is one
+    4x4 matvec.  Finiteness is checked once: the full steps of the first
+    non-finite sample are replayed from the state before it
+    (:func:`_apply_levels`) to name its step bound, else the bound is the
+    sample's last step.
     """
     times = np.asarray(times, dtype=float)
     if times.size and not (times[0] >= 0 and np.all(np.diff(times) >= 0)):
         raise ValueError(f"expected non-decreasing times >= 0, got {times}")
-    gen = build_liouvillian(params)
-    splits = [_split_steps(h, cfg.dt) for h in np.diff(times, prepend=0.0)]
+    gen = bloch_generator(params)
+    splits = [_split_steps(h, cfg.dt)
+              for h in np.diff(times, prepend=0.0).tolist()]
     levels = _power_levels(_rk4_step_delta(gen, cfg.dt),
                            max((n for n, _ in splits), default=0))
-    states = np.empty((len(times), 4), dtype=complex)
-    v, done = vectorize(rho0), 0
-    for k, (n_full, remainder) in enumerate(splits):
-        v = _apply_levels(levels, n_full, v, done)
-        done += n_full
-        if remainder:
-            v = _apply_levels([(_rk4_step_delta(gen, remainder), 1)], 1, v, done)
-            done += 1
-        # Hermitian projection in vector form: average the coherences, drop
-        # imaginary drift on the populations.
-        raw, coh = v, 0.5 * (v[1] + v[2].conjugate())
-        v = np.array([v[0].real, coh, coh.conjugate(), v[3].real], dtype=complex)
-        states[k] = v
+    ops, states = {}, np.empty((len(splits), 4))
+    v = v0 = np.asarray(v0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n_full, remainder in dict.fromkeys(splits):
+            factors = [delta for k, (delta, _) in enumerate(levels)
+                       if n_full >> k & 1]
+            if remainder:
+                factors.append(_rk4_step_delta(gen, remainder))
+            op = np.eye(4)
+            for delta in factors:
+                op = op + delta @ op
+            ops[n_full, remainder] = op
+        for k, split in enumerate(splits):
+            states[k] = v = ops[split] @ v
+    steps = [n + (h > 0) for n, h in splits]
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        done = sum(steps[:k])
+        _apply_levels(levels, splits[k][0], states[k - 1] if k else v0, done)
+        raise IntegrationDivergedError(done + steps[k], f"state={states[k]!r}")
     if diagnostics is not None and times.size:
-        diagnostics["hermiticity_defect"] = max(
-            abs(raw[1] - v[1]), abs(raw[0].imag), abs(raw[3].imag))
-        diagnostics["steps"] = done
-    return states.reshape(-1, 2, 2)
+        diagnostics["steps"] = sum(steps)
+    return states
+
+
+def _density(pauli) -> np.ndarray:
+    """rho = (r I + sx sigma_x + sy sigma_y + sz sigma_z) / 2 of each Pauli
+    vector (sx, sy, sz, r) in ``pauli`` (N, 4); shape (N, 2, 2), exactly
+    Hermitian."""
+    sx, sy, sz, r = 0.5 * pauli.T
+    rho = np.zeros((len(pauli), 2, 2), dtype=complex)
+    rho[:, 0, 0], rho[:, 1, 1] = r + sz, r - sz
+    rho[:, 0, 1].real, rho[:, 0, 1].imag = sx, -sy
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    return rho
+
+
+def rk4_states(rho0, params: model.ModelParams, times, cfg: EvolveConfig = EvolveConfig(),
+               diagnostics=None) -> np.ndarray:
+    """Classical fixed-step RK4 at each of the non-decreasing ``times >= 0``;
+    shape (len(times), 2, 2).
+
+    RK4 runs on the Pauli vector of rho0 (:func:`_rk4_bloch`), so every
+    returned rho is exactly Hermitian.  Global error is O(dt^4); S is a
+    polynomial in B, so this stays an independent check of the Pade-based
+    expm of G.  ``diagnostics`` gets the ``steps`` from t = 0.  A NaN/Inf
+    state raises :class:`IntegrationDivergedError` with its step bound,
+    counted from t = 0.
+    """
+    r, sx, sy, sz = model.bloch_decompose(rho0)
+    return _density(_rk4_bloch(np.array([sx, sy, sz, r]), params, times, cfg,
+                               diagnostics))
 
 
 def evolve_rk4(rho0, params: model.ModelParams, t, cfg: EvolveConfig = EvolveConfig(),

@@ -91,10 +91,13 @@ class BlochState(NamedTuple):
 
 def bloch_decompose(rho) -> BlochState:
     """Map a density matrix, or a stack (..., 2, 2) of them, to (trace,
-    unnormalized Bloch vector)."""
+    unnormalized Bloch vector): the real parts of Tr[rho sigma] from the
+    four entries, r = rho00 + rho11, sx = rho01 + rho10,
+    sy = i rho01 - i rho10, sz = rho00 - rho11."""
     rho = np.asarray(rho, dtype=complex)
-    return BlochState(*(np.trace(m, axis1=-2, axis2=-1).real
-                        for m in (rho, rho @ SIGMA_X, rho @ SIGMA_Y, rho @ SIGMA_Z)))
+    r00, r01, r10, r11 = (rho[..., i, j] for i in (0, 1) for j in (0, 1))
+    return BlochState(r00.real + r11.real, r01.real + r10.real,
+                      r10.imag - r01.imag, r00.real - r11.real)
 
 
 def check_density_matrix(rho, hermiticity_tol=1e-10, positivity_tol=1e-9):

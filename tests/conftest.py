@@ -205,20 +205,24 @@ def mp_readouts(generator, t, both_at_2t=False):
 
 
 def rk4_sample_loop(rho0, params, times, cfg):
-    """RK4 at each of ``times`` by one ``evolve_rk4`` call per sample
-    interval, each starting from the previous sample's (projected) state.
+    """RK4 Pauli vectors (sx, sy, sz, r) at each of ``times`` by one
+    ``dynamics._rk4_bloch`` call per sample interval, each starting from the
+    previous sample's vector; shape (len(times), 4).
 
     The per-sample oracle of ``dynamics.rk4_states``, which builds the
-    generator and the step-operator powers once for the whole grid.
+    generator, the step-operator powers and one operator per interval split
+    once for the whole grid.
     """
-    from hybridlg.dynamics import evolve_rk4
+    from hybridlg.dynamics import _rk4_bloch
+    from hybridlg.model import bloch_decompose
 
-    states, state, previous = [], np.asarray(rho0, dtype=complex), 0.0
+    r, sx, sy, sz = bloch_decompose(rho0)
+    states, state, previous = [], np.array([sx, sy, sz, r]), 0.0
     for t in times:
-        state = evolve_rk4(state, params, float(t) - previous, cfg)
+        state = _rk4_bloch(state, params, [float(t) - previous], cfg)[0]
         previous = float(t)
         states.append(state)
-    return np.array(states).reshape(len(states), 2, 2)
+    return np.array(states).reshape(len(states), 4)
 
 
 def rk4_loop(rho0, params, t, dt, diagnostics=None):

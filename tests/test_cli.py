@@ -279,7 +279,7 @@ def test_evolve_extinction_flushes_and_exits_2(tmp_path, capsys):
 
 
 def test_evolve_rk4_builds_its_step_operator_once(tmp_path, monkeypatch):
-    calls = {"build_liouvillian": 0, "_rk4_step_delta": 0}
+    calls = {"build_liouvillian": 0, "bloch_generator": 0, "_rk4_step_delta": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(dynamics, name)):
             calls[_name] += 1
@@ -289,7 +289,9 @@ def test_evolve_rk4_builds_its_step_operator_once(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "rk4.csv")]) == 0
     # 201 samples with the default --t-max 20 --dt 1e-3, in one set-up
     assert len(read_csv(tmp_path / "rk4.csv")[2]) == 201
-    assert calls == {"build_liouvillian": 1, "_rk4_step_delta": 1}
+    # RK4 runs on the real B; the complex G is not built
+    assert calls == {"build_liouvillian": 0, "bloch_generator": 1,
+                     "_rk4_step_delta": 1}
 
 
 @pytest.mark.parametrize("samples, step", [
@@ -317,6 +319,34 @@ def test_evolve_rk4_engine_matches_exact(tmp_path):
         results[engine] = np.array(
             [[float(x) for x in row] for row in rows])
     assert np.max(np.abs(results["exact"] - results["rk4"])) <= 1e-7
+
+
+@pytest.mark.parametrize("theta", ["1.0", "0.3"])
+def test_evolve_rk4_matches_exact_off_the_default_theta(tmp_path, theta):
+    # B couples sx into the (r, sy, sz) block off theta = pi/2, so this
+    # checks all four Pauli rows of the RK4 generator against G
+    results = {}
+    for engine in ("exact", "rk4"):
+        out = tmp_path / f"{engine}.csv"
+        assert main(["evolve", "--gamma", "0.8", "--q", "0.4", "--theta", theta,
+                     "--engine", engine, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        results[engine] = np.array([[float(x) for x in row] for row in rows])
+    assert results["rk4"].shape == (201, 13)
+    # measured 6.4e-15 (theta 1.0) and 1.8e-14 (theta 0.3) with dt = 1e-3
+    assert np.max(np.abs(results["exact"] - results["rk4"])) <= 1e-11
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--engine", "rk4", "--t-max", "1e300", "--samples", "2"),
+    ("k3", "--engine", "rk4", "--t", "1e300"),
+])
+def test_rk4_step_count_that_overflows_exits_64(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--gamma", "0.5", "--q", "0.5", "--dt", "1e-10",
+                 "--out", str(out)]) == 64
+    assert "t/dt = 1e+300/1e-10 is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_accepts_user_state(tmp_path):

@@ -98,12 +98,18 @@ def test_evolve_rk4_partial_final_step_lands_on_t():
     assert np.max(np.abs(approx - exact)) <= 1e-10
 
 
-def test_evolve_rk4_reports_hermiticity_defect():
+def test_rk4_states_are_exactly_hermitian():
     diagnostics = {}
-    evolve_rk4(PROJECTOR_PLUS, ModelParams(gamma=0.5, q=0.5), 1.0,
-               EvolveConfig(dt=1e-3), diagnostics=diagnostics)
+    states = rk4_states(PROJECTOR_PLUS, ModelParams(gamma=0.5, q=0.5),
+                        np.linspace(0.0, 1.0, 201), EvolveConfig(dt=1e-3),
+                        diagnostics=diagnostics)
     assert diagnostics["steps"] == 1000
-    assert 0.0 <= diagnostics["hermiticity_defect"] <= 1e-12
+    # bit for bit: rho10 = conj(rho01), and the populations have +0.0 as
+    # their imaginary parts
+    def bits(values):
+        return np.ascontiguousarray(values).view(np.uint64)
+    assert np.array_equal(bits(states[:, 1, 0]), bits(states[:, 0, 1].conj()))
+    assert not bits(np.diagonal(states, axis1=1, axis2=2).imag).any()
 
 
 def test_evolve_rk4_detects_divergence():
@@ -128,7 +134,8 @@ def test_rk4_states_equal_the_per_sample_loop(gamma, q, t_max, samples, dt):
     times = np.linspace(0.0, t_max, samples)
     diagnostics = {}
     states = rk4_states(PROJECTOR_PLUS, params, times, cfg, diagnostics)
-    assert np.array_equal(states, rk4_sample_loop(PROJECTOR_PLUS, params, times, cfg))
+    assert np.array_equal(states, dynamics._density(
+        rk4_sample_loop(PROJECTOR_PLUS, params, times, cfg)))
     intervals = np.diff(times, prepend=0.0)
     assert diagnostics["steps"] == sum(
         n + (r > 0) for n, r in (_split_steps(h, dt) for h in intervals))
@@ -140,7 +147,8 @@ def test_rk4_states_equal_the_per_sample_loop_on_an_uneven_grid():
     params, cfg = ModelParams(gamma=0.7, q=0.3), EvolveConfig(dt=1e-3)
     times = [0.3, 2.0, 2.0, 2.0004, 2.5]
     assert np.array_equal(rk4_states(PROJECTOR_PLUS, params, times, cfg),
-                          rk4_sample_loop(PROJECTOR_PLUS, params, times, cfg))
+                          dynamics._density(rk4_sample_loop(
+                              PROJECTOR_PLUS, params, times, cfg)))
 
 
 def test_rk4_states_reject_unordered_or_negative_times():
@@ -171,6 +179,11 @@ def test_evolve_rk4_powering_matches_step_loop(gamma, q, t, dt):
     looped = rk4_loop(PROJECTOR_PLUS, params, t, dt, diagnostics=looped_diag)
     assert powered_diag["steps"] == looped_diag["steps"]
     assert np.max(np.abs(powered - looped)) <= RK4_POWERING_TOL
+
+
+def test_evolve_kraus_step_count_that_overflows_raises_value_error():
+    with pytest.raises(ValueError, match="is not finite"):
+        evolve_kraus(PROJECTOR_PLUS, ModelParams(gamma=0.5, q=0.5), 1e300, 1e-10)
 
 
 def test_evolve_kraus_powering_matches_iterated_steps():

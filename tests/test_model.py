@@ -72,6 +72,30 @@ def test_bloch_decompose_of_a_stack_equals_each_matrix():
         assert all(np.array_equal(a[index], b) for a, b in zip(stacked, single))
 
 
+def test_bloch_decompose_equals_the_traces_of_rho_sigma_bit_for_bit():
+    # the oracle is Tr[rho sigma] by stacked matmuls; -0 prints as "-0" in a
+    # CSV, so the sign bits must agree as well as the values
+    from hybridlg.dynamics import Propagator, rk4_states
+
+    def traces(rho):
+        return [np.trace(m, axis1=-2, axis2=-1).real
+                for m in (rho, rho @ SIGMA_X, rho @ SIGMA_Y, rho @ SIGMA_Z)]
+
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        params = ModelParams(gamma=rng.uniform(0, 5), q=rng.uniform(0, 1),
+                             theta=rng.choice([np.pi / 2, 1.0]))
+        times = np.linspace(0.0, rng.uniform(0, 40), 201)
+        exact = Propagator(params).states(PROJECTOR_PLUS, times)
+        noise = 1e-17 * (rng.normal(size=exact.shape)
+                         + 1j * rng.normal(size=exact.shape))
+        for stack in (exact, exact + noise,
+                      rk4_states(PROJECTOR_PLUS, params, times[:21])):
+            for got, want in zip(bloch_decompose(stack), traces(stack)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_check_density_matrix_rejects_bad_states():
     with pytest.raises(ValueError):
         check_density_matrix(np.array([[1.0, 0.5], [0.1, 1.0]]))  # not Hermitian

@@ -9,13 +9,14 @@ count (cells are pure and assembled by index).
 Exit codes: 0 success, 2 trajectory extinction (also ``k3 --optimize`` on a
 cell whose every scanned time point is extinguished), 64 usage error
 (including an --in/--out path that cannot be opened, ``--workers`` below 1,
-an ``--engine rk4`` step count t/dt that is not finite, and a parameter
-regime the command does not support, such as ``bloch-traj`` off
-theta = pi/2), 70 internal numeric failure.
+an ``--engine rk4`` step count t/dt that is not finite or exceeds 2**53,
+and a parameter regime the command does not support, such as
+``bloch-traj`` off theta = pi/2), 70 internal numeric failure.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -95,22 +96,26 @@ class _Writer:
             self._handle.write(",".join(self.columns) + "\n")
         return self
 
-    def write_row(self, values):
+    def write_rows(self, rows):
         if self.fmt == "csv":
-            # one %-template per row type: the bytes of _fmt in one call
-            kinds = tuple(map(type, values))
-            template = self._templates.get(kinds)
-            if template is None:
-                template = self._templates[kinds] = ",".join(
-                    "%.17g" if issubclass(kind, float) else "%s"
-                    for kind in kinds) + "\n"
-            self._handle.write(template % tuple(values))
+            # one %-template per row type, repeated over each run of rows of
+            # that type: the bytes of _fmt in one call per run
+            for kinds, run in itertools.groupby(
+                    rows, lambda row: tuple(map(type, row))):
+                run = list(run)
+                template = self._templates.get(kinds)
+                if template is None:
+                    template = self._templates[kinds] = ",".join(
+                        "%.17g" if issubclass(kind, float) else "%s"
+                        for kind in kinds) + "\n"
+                self._handle.write(template * len(run) % tuple(
+                    value for row in run for value in row))
         else:
             # strict JSON has no NaN; masked cells become null
-            self._rows.append([
+            self._rows.extend([
                 None if isinstance(v, float) and math.isnan(v) else v
-                for v in values
-            ])
+                for v in row
+            ] for row in rows)
 
     def __exit__(self, exc_type, exc, tb):
         try:
@@ -132,8 +137,7 @@ def _write(args, columns, meta, rows):
     """Write ``rows`` to ``--out``; callers compute them first, so a failure
     leaves no output."""
     with _Writer(args.out, args.format, columns, meta) as writer:
-        for row in rows:
-            writer.write_row(row)
+        writer.write_rows(rows)
     return EXIT_OK
 
 
@@ -238,21 +242,20 @@ def _cmd_evolve(args):
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = np.column_stack([times, states.reshape(-1, 4).view(float),
                                 bloch.r, *bloch.normalized()])
-    code = EXIT_OK
     # rows up to an extinguished one are written, and the exit code says so
+    gone = np.flatnonzero(rows[:, 9] < args.eps_trace)
+    end = gone[0] if gone.size else len(rows)
     with _Writer(args.out, args.format, columns, meta) as writer:
-        for row in rows.tolist():
-            t, r = row[0], row[9]
-            if r < args.eps_trace:
-                code = EXIT_EXTINGUISHED
-                print(
-                    f"trajectory extinguished at t={t:g} "
-                    f"(trace {r:.3e}); flushed rows up to here",
-                    file=sys.stderr,
-                )
-                break
-            writer.write_row(row)
-    return code
+        writer.write_rows(rows[:end].tolist())
+        if gone.size:
+            t, r = rows[end, [0, 9]].tolist()
+            print(
+                f"trajectory extinguished at t={t:g} "
+                f"(trace {r:.3e}); flushed rows up to here",
+                file=sys.stderr,
+            )
+            return EXIT_EXTINGUISHED
+    return EXIT_OK
 
 
 def _cmd_k3(args):

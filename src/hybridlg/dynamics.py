@@ -58,9 +58,12 @@ class EvolveConfig:
 
 def _split_steps(t, dt):
     """Number of full dt steps plus the final partial step landing on t;
-    a step count t / dt that is not finite raises ``ValueError``."""
-    if not math.isfinite(t / dt):
-        raise ValueError(f"the step count t/dt = {t:g}/{dt:g} is not finite")
+    a step count t / dt that is not finite, or above 2**53, where the
+    remainder t - n dt would be rounding noise larger than dt, raises
+    ``ValueError``."""
+    if not (math.isfinite(t / dt) and t / dt <= 2.0 ** 53):
+        raise ValueError(f"the step count t/dt = {t:g}/{dt:g} is not finite "
+                         "or exceeds 2**53")
     n_full = math.floor(t / dt + 1e-9)
     remainder = t - n_full * dt
     if remainder < 1e-9 * dt:

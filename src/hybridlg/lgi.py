@@ -174,10 +174,12 @@ _TIE_TOL = 1e-9
 #: width in t to which golden section refines each peak bracket
 _REFINE_TOL = 1e-6
 
-#: (cell, time) points per coarse-scan block, 2 cells at resolution 2000: its
-#: arrays stay under 1 MB (8192-32768 points took 4,000-6,000 page faults per
-#: 125-cell sweep, against 13).  ``landscape`` benchmark peak RSS: 63.6 MB.
-_SCAN_BLOCK_POINTS = 4096
+#: (cell, time) points per coarse-scan block, 4 cells at resolution 2000: its
+#: largest array is about 260 KB.  Once malloc has settled, a 125-cell sweep
+#: takes about 270 page faults (4096 points: 0, 16384: 430) and runs about
+#: 10 % faster than with 4096.  ``landscape`` benchmark peak RSS: 64.7 MB
+#: (64.5 MB with 4096 points).
+_SCAN_BLOCK_POINTS = 8192
 
 #: cells per sweep task; ``workers`` only decides which process runs a task
 _SWEEP_CHUNK_CELLS = 128
@@ -222,10 +224,11 @@ def _readout(*rhos):
 
 def _ranked_k3(at_t, at_2t, eps_trace):
     """K3 for the maximizer from the readouts (tr+, tr-, sy+, sy-) at t and
-    (tr+, sy+) at 2t, one per leading index: -inf where a branch is
+    (tr+, sy+) at 2t along the last axis: -inf where a branch is
     extinguished or K3 is not finite."""
     (sy_plus, sy_plus_2t, sy_minus), first = _branch_sy(
-        (at_t[0], at_2t[0], at_t[1]), (at_t[2], at_2t[1], at_t[3]), eps_trace)
+        (at_t[..., 0], at_2t[..., 0], at_t[..., 1]),
+        (at_t[..., 2], at_2t[..., 1], at_t[..., 3]), eps_trace)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _correlator_terms(sy_plus, sy_minus, sy_plus_2t)[3]
     return np.where((first < 0) & np.isfinite(out), out, -np.inf)
@@ -270,29 +273,11 @@ class _Cells:
         """(tr+, tr-, sy+, sy-) at t and at 2t, at (cells[i], times[i]),
         broadcast; at 2t only (tr+, sy+) unless ``both_at_2t``, since the K3
         scan needs no more."""
-        cells = np.asarray(cells)
-        times = np.asarray(times, dtype=float)
-        factors = np.exp(times[..., None] * self.eigs[cells])
-        factors_2t = factors * factors
-        if not self.spectral[cells].all():
-            cells, times = np.broadcast_arrays(cells, times)
-            for n in np.unique(cells[~self.spectral[cells]]).tolist():
-                at = cells == n
-                t = times[at]
-                both = self.newton[n].coefficients(np.concatenate((t, 2.0 * t)))
-                factors[at], factors_2t[at] = both[:len(t)], both[len(t):]
-        weights = self.weights[cells]
-        at_t = _contract(factors[..., None, :], weights)[..., 0, :].real
-        at_2t = _contract(factors_2t[..., None, :],
-                          weights if both_at_2t else weights[..., 0::2]
-                          )[..., 0, :].real
-        return at_t, at_2t
+        return _Evaluator(self, cells).readouts(times, both_at_2t)
 
     def value(self, cells, times, eps_trace):
         """K3 at (cells[i], times[i]), broadcast; extinguished points: -inf."""
-        at_t, at_2t = self.readouts(cells, times)
-        return _ranked_k3(np.moveaxis(at_t, -1, 0), np.moveaxis(at_2t, -1, 0),
-                          eps_trace)
+        return _Evaluator(self, cells).value(times, eps_trace)
 
     def scan(self, cells, grid, eps_trace):
         """``value(cells[:, None], grid, eps_trace)`` on a uniform ``grid``.
@@ -314,13 +299,45 @@ class _Cells:
         at_t = _real_product((weights * far).reshape(count, -1, 4), near)
         at_2t = _real_product(
             (weights[:, 0::2] * (far * far)).reshape(count, -1, 4), near * near)
-        out = _ranked_k3(at_t.reshape(count, 4, -1).swapaxes(0, 1),
-                         at_2t.reshape(count, 2, -1).swapaxes(0, 1),
+        out = _ranked_k3(at_t.reshape(count, 4, -1).transpose(0, 2, 1),
+                         at_2t.reshape(count, 2, -1).transpose(0, 2, 1),
                          eps_trace)[:, :n]
         fallback = ~self.spectral[cells]
         if fallback.any():
             out[fallback] = self.value(cells[fallback, None], grid, eps_trace)
         return out
+
+
+class _Evaluator:
+    """:meth:`_Cells.readouts` and :meth:`_Cells.value` of fixed cells
+    ``index``, at any times broadcast against them.  The cells' eigenvalues,
+    weights and Newton forms are gathered here, once for a caller that reads
+    the same cells step after step (the golden section)."""
+
+    def __init__(self, cells: _Cells, index):
+        index = np.asarray(index)
+        self.eigs, self.weights = cells.eigs[index], cells.weights[index]
+        self.newton = [(cells.newton[n], index == n) for n in
+                       np.unique(index[~cells.spectral[index]]).tolist()]
+
+    def readouts(self, times, both_at_2t=False):
+        times = np.asarray(times, dtype=float)
+        factors = np.exp(times[..., None] * self.eigs)
+        factors_2t = factors * factors
+        for form, at in self.newton:
+            at = np.broadcast_to(at, factors.shape[:-1])
+            t = np.broadcast_to(times, at.shape)[at]
+            both = form.coefficients(np.concatenate((t, 2.0 * t)))
+            factors[at], factors_2t[at] = both[:len(t)], both[len(t):]
+        weights = self.weights
+        at_t = _contract(factors[..., None, :], weights)[..., 0, :].real
+        at_2t = _contract(factors_2t[..., None, :],
+                          weights if both_at_2t else weights[..., 0::2]
+                          )[..., 0, :].real
+        return at_t, at_2t
+
+    def value(self, times, eps_trace):
+        return _ranked_k3(*self.readouts(times), eps_trace)
 
 
 def _run_leaders(owner, values):
@@ -351,8 +368,8 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     earliest finite point.  :meth:`_Cells.scan` reads the grid in blocks of
     whole cells, ``_SCAN_BLOCK_POINTS`` or so each.
     """
-    count = len(cells.generators)
-    step = max(1, _SCAN_BLOCK_POINTS // len(grid))
+    count, n = len(cells.generators), len(grid)
+    step = max(1, _SCAN_BLOCK_POINTS // n)
     peaks, high, low = [], np.empty(count), np.empty(count)
     earliest = np.zeros(count, dtype=int)
     for first in range(0, count, step):
@@ -365,13 +382,18 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
             finite = curve > -np.inf
             low[block] = np.where(finite, curve, np.inf).min(axis=1)
             earliest[block] = finite.argmax(axis=1)
-        edge = np.full((len(block), 1), -np.inf)
-        padded = np.concatenate((edge, curve, edge), axis=1)
-        is_peak = ((curve >= padded[:, :-2]) & (curve >= padded[:, 2:])
-                   & (curve >= vmax[:, None] - _PEAK_WINDOW)
-                   & (vmax > -np.inf)[:, None])
-        rows, index = np.nonzero(is_peak)
-        peaks.append((block[rows], index, curve[rows, index]))
+        # the local-maximum test reads only the points within the window,
+        # against their neighbours, -inf past either edge (index + 1 - n is
+        # the right neighbour, and stays in the row); a row that is all -inf
+        # has none
+        rows, index = np.nonzero(curve >= np.where(
+            vmax > -np.inf, vmax - _PEAK_WINDOW, np.inf)[:, None])
+        value = curve[rows, index]
+        peak = ((value >= np.where(index > 0, curve[rows, index - 1], -np.inf))
+                & (value >= np.where(index < n - 1, curve[rows, index + 1 - n],
+                                     -np.inf)))
+        rows, index, value = rows[peak], index[peak], value[peak]
+        peaks.append((block[rows], index, value))
     owner, index, value = (np.concatenate(column) for column in zip(*peaks))
     leaders = _run_leaders(owner, value)
     owner, index = owner[leaders], index[leaders]
@@ -382,34 +404,27 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     return owner, index, high == -np.inf, flat
 
 
-def _golden_section(cells: _Cells, owner, a, b, tol, eps_trace):
+def _golden_section(evaluate: _Evaluator, a, b, tol, eps_trace):
     """Maximize over every bracket [a, b] at once, each to its own width tol.
 
     Each iteration keeps one interior point of the previous one and
-    evaluates one new point per bracket that is still wider than ``tol``.
-    Returns the final brackets.
+    evaluates one new point per bracket; a bracket no wider than ``tol``
+    keeps its ends from then on.  Returns the final brackets.
     """
-    a, b = a.copy(), b.copy()
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    live = np.flatnonzero(b - a > tol)
-    fc = np.full(a.shape, -np.inf)
-    fd = np.full(a.shape, -np.inf)
-    fc[live] = cells.value(owner[live], c[live], eps_trace)
-    fd[live] = cells.value(owner[live], d[live], eps_trace)
-    while live.size:
-        left = fc[live] > fd[live]  # the maximum lies in [a, d]
-        keep_a, keep_b = live[left], live[~left]
-        b[keep_a], d[keep_a], fd[keep_a] = d[keep_a], c[keep_a], fc[keep_a]
-        c[keep_a] = b[keep_a] - GOLDEN * (b[keep_a] - a[keep_a])
-        a[keep_b], c[keep_b], fc[keep_b] = c[keep_b], d[keep_b], fd[keep_b]
-        d[keep_b] = a[keep_b] + GOLDEN * (b[keep_b] - a[keep_b])
-        still = b[live] - a[live] > tol
-        live, left = live[still], left[still]
-        fresh = cells.value(owner[live], np.where(left, c[live], d[live]),
-                            eps_trace)
-        fc[live] = np.where(left, fresh, fc[live])
-        fd[live] = np.where(left, fd[live], fresh)
+    fc, fd = evaluate.value(c, eps_trace), evaluate.value(d, eps_trace)
+    live = b - a > tol
+    while live.any():
+        left = fc > fd  # the maximum lies in [a, d]
+        low, high = np.where(left, a, c), np.where(left, d, b)
+        c, d = (np.where(left, high - GOLDEN * (high - low), d),
+                np.where(left, c, low + GOLDEN * (high - low)))
+        a, b = np.where(live, low, a), np.where(live, high, b)
+        live &= b - a > tol
+        kept = np.where(left, fc, fd)
+        fresh = evaluate.value(np.where(left, c, d), eps_trace)
+        fc, fd = np.where(left, fresh, kept), np.where(left, kept, fresh)
     return a, b
 
 
@@ -447,9 +462,10 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     rows = np.arange(len(owner))
     a = rescan_ts[rows, np.where(pinned, 8, np.maximum(j - 1, 0))]
     b = rescan_ts[rows, np.minimum(j + 1, 8)]
-    a, b = _golden_section(cells, owner, a, b, _REFINE_TOL, config.eps_trace)
+    evaluate = _Evaluator(cells, owner)
+    a, b = _golden_section(evaluate, a, b, _REFINE_TOL, config.eps_trace)
     refined = 0.5 * (a + b)
-    refined_value = cells.value(owner, refined, config.eps_trace)
+    refined_value = evaluate.value(refined, config.eps_trace)
     scan_t, scan_value = rescan_ts[rows, j], rescan[rows, j]
     take = (refined_value > scan_value) | (
         (refined_value == scan_value) & (refined < scan_t))

@@ -97,6 +97,66 @@ def k3_curve(params, times, eps_trace=lgi.SWEEP_TRACE_FLOOR):
     return np.where(value == -np.inf, np.nan, value)
 
 
+def dense_coarse_peaks(cells, grid, eps_trace, block_points=4096):
+    """``lgi._coarse_peaks`` with the dense candidate rule: each block's
+    curves are padded with -inf, and every point is compared with both
+    neighbours and with the window below its row's maximum.  The oracle of
+    the sparse rule, which tests only the points within the window."""
+    count = len(cells.generators)
+    step = max(1, block_points // len(grid))
+    peaks, high, low = [], np.empty(count), np.empty(count)
+    earliest = np.zeros(count, dtype=int)
+    for first in range(0, count, step):
+        block = np.arange(first, min(first + step, count))
+        curve = cells.scan(block, grid, eps_trace)
+        high[block] = vmax = curve.max(axis=1)
+        finite = curve > -np.inf
+        low[block] = np.where(finite, curve, np.inf).min(axis=1)
+        earliest[block] = finite.argmax(axis=1)
+        edge = np.full((len(block), 1), -np.inf)
+        padded = np.concatenate((edge, curve, edge), axis=1)
+        is_peak = ((curve >= padded[:, :-2]) & (curve >= padded[:, 2:])
+                   & (curve >= vmax[:, None] - lgi._PEAK_WINDOW)
+                   & (vmax > -np.inf)[:, None])
+        rows, index = np.nonzero(is_peak)
+        peaks.append((block[rows], index, curve[rows, index]))
+    owner, index, value = (np.concatenate(column) for column in zip(*peaks))
+    leaders = lgi._run_leaders(owner, value)
+    owner, index = owner[leaders], index[leaders]
+    flat = (high - low <= lgi._TIE_TOL) & (high > -np.inf)
+    pinned = flat[owner]
+    index[pinned] = earliest[owner[pinned]]
+    return owner, index, high == -np.inf, flat
+
+
+def golden_section_by_index(cells, owner, a, b, tol, eps_trace):
+    """``lgi._golden_section`` as index bookkeeping: each step evaluates
+    ``cells.value`` on the brackets still wider than ``tol`` only.  The
+    oracle of the section that updates every bracket with ``np.where``."""
+    a, b = a.copy(), b.copy()
+    c = b - lgi.GOLDEN * (b - a)
+    d = a + lgi.GOLDEN * (b - a)
+    live = np.flatnonzero(b - a > tol)
+    fc = np.full(a.shape, -np.inf)
+    fd = np.full(a.shape, -np.inf)
+    fc[live] = cells.value(owner[live], c[live], eps_trace)
+    fd[live] = cells.value(owner[live], d[live], eps_trace)
+    while live.size:
+        left = fc[live] > fd[live]  # the maximum lies in [a, d]
+        keep_a, keep_b = live[left], live[~left]
+        b[keep_a], d[keep_a], fd[keep_a] = d[keep_a], c[keep_a], fc[keep_a]
+        c[keep_a] = b[keep_a] - lgi.GOLDEN * (b[keep_a] - a[keep_a])
+        a[keep_b], c[keep_b], fc[keep_b] = c[keep_b], d[keep_b], fd[keep_b]
+        d[keep_b] = a[keep_b] + lgi.GOLDEN * (b[keep_b] - a[keep_b])
+        still = b[live] - a[live] > tol
+        live, left = live[still], left[still]
+        fresh = cells.value(owner[live], np.where(left, c[live], d[live]),
+                            eps_trace)
+        fc[live] = np.where(left, fresh, fc[live])
+        fd[live] = np.where(left, fd[live], fresh)
+    return a, b
+
+
 def assert_same_complex_sets(actual, expected, atol):
     """Match two unordered collections of complex values pairwise."""
     remaining = list(expected)

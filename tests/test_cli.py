@@ -349,6 +349,19 @@ def test_rk4_step_count_that_overflows_exits_64(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # 201 samples: t/dt = 5e307 per interval, finite
+    ("evolve", "--engine", "rk4", "--t-max", "1e300", "--dt", "1e-10"),
+    ("k3", "--engine", "rk4", "--t", "1e20", "--dt", "1e-3"),
+])
+def test_rk4_step_count_above_2_53_exits_64(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--gamma", "0.5", "--q", "0.5",
+                 "--out", str(out)]) == 64
+    assert "exceeds 2**53" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_accepts_user_state(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["evolve", "--gamma", "0.5", "--q", "0.5", "--t-max", "1",
@@ -769,12 +782,15 @@ _CELLS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=5).map(tuple),
-                     min_size=1, max_size=4))
-def test_csv_row_templates_write_the_bytes_of_fmt(rows):
+@given(rows=st.lists(st.one_of(
+    st.lists(_CELLS, min_size=1, max_size=5).map(tuple),
+    # runs of rows that share one type tuple
+    st.tuples(st.floats(allow_nan=True, allow_infinity=True), st.floats()),
+), min_size=1, max_size=8), split=st.integers(0, 8))
+def test_csv_row_templates_write_the_bytes_of_fmt(rows, split):
     writer = _Writer(None, "csv", [], {})
     writer._handle = io.StringIO()
-    for row in rows:
-        writer.write_row(list(row))
+    writer.write_rows(rows[:split])
+    writer.write_rows([list(row) for row in rows[split:]])
     assert writer._handle.getvalue() == "".join(
         ",".join(_fmt(value) for value in row) + "\n" for row in rows)

@@ -186,6 +186,16 @@ def test_evolve_kraus_step_count_that_overflows_raises_value_error():
         evolve_kraus(PROJECTOR_PLUS, ModelParams(gamma=0.5, q=0.5), 1e300, 1e-10)
 
 
+def test_step_count_above_2_53_raises_value_error():
+    params = ModelParams(gamma=0.5, q=0.5)
+    with pytest.raises(ValueError, match="exceeds 2"):
+        evolve_kraus(PROJECTOR_PLUS, params, 1e20, 1e-3)
+    # 2**53 steps exactly are still taken, by powering
+    rho = evolve_kraus(PROJECTOR_PLUS, ModelParams(gamma=0.5, q=1.0),
+                       2.0 ** 53 * 2.0 ** -40, 2.0 ** -40)
+    assert np.isfinite(rho).all()
+
+
 def test_evolve_kraus_powering_matches_iterated_steps():
     rng = np.random.default_rng(14)
     cases = [(ModelParams(gamma=0.9, q=0.4), 2.0, dt)

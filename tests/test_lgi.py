@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    dense_coarse_peaks,
+    golden_section_by_index,
     expm_correlators,
     expm_pair_probabilities,
     k3_curve,
@@ -164,8 +166,9 @@ def test_planted_traces_rank_minus_inf_and_leave_every_other_point(
     def planting(at_t, at_2t, eps_trace):
         at_t, at_2t = at_t.copy(), at_2t.copy()
         rng = np.random.default_rng(11)
-        hit = np.zeros(at_t.shape[1:], dtype=bool)
-        for slot in (at_t[0], at_t[1], at_2t[0]):  # tr+ and tr- at t, tr+ at 2t
+        hit = np.zeros(at_t.shape[:-1], dtype=bool)
+        # tr+ and tr- at t, tr+ at 2t
+        for slot in (at_t[..., 0], at_t[..., 1], at_2t[..., 0]):
             mask = rng.random(slot.shape) < 0.05
             slot[mask] = trace
             hit |= mask
@@ -532,6 +535,66 @@ class _StubCurves:
         return self.generators[cells]
 
 
+#: grid values that make plateaus, ties at the window edge below a row
+#: maximum of 1 and extinguished points
+_CURVE_LEVELS = [-np.inf, 0.0, 1.0 - 2 * lgi._PEAK_WINDOW,
+                 1.0 - lgi._PEAK_WINDOW, 1.0 - lgi._PEAK_WINDOW / 2, 1.0]
+
+
+@st.composite
+def _stub_curves(draw):
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 40)))
+    value = st.one_of(st.sampled_from(_CURVE_LEVELS), st.floats(-1.0, 1.0))
+    row = st.one_of(st.lists(value, min_size=n, max_size=n),
+                    st.just([-np.inf] * n))
+    return np.array(draw(st.lists(row, min_size=1, max_size=9)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(curves=_stub_curves(), block_points=st.sampled_from([1, 40, 8192]))
+def test_sparse_peak_test_gives_the_dense_candidates(curves, block_points):
+    grid = np.arange(float(curves.shape[1]))
+    want = dense_coarse_peaks(_StubCurves(curves), grid, SWEEP_TRACE_FLOOR)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lgi, "_SCAN_BLOCK_POINTS", block_points)
+        got = lgi._coarse_peaks(_StubCurves(curves), grid, SWEEP_TRACE_FLOOR)
+    for actual, expected in zip(got, want):
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+
+
+#: spectral cells and the fourfold and defective Newton cells; at a floor
+#: of 0.5 the q < 1 cells are extinguished from t = 0.17 ((3, 0)) to 0.86
+_SECTION_CELLS = lgi._Cells([0.5, 1.0, 2.0, 0.0, 3.0], [0.3, 0.0, 1.0, 0.5, 0.0],
+                            ModelParams(gamma=1.0, q=1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(brackets=st.lists(
+    st.tuples(st.integers(0, 4), st.floats(1e-7, 30.0),
+              st.sampled_from([0.0, 5e-7, 1e-6, 2e-6, 1e-3, 0.05, 2.0])),
+    min_size=1, max_size=12),
+    eps_trace=st.sampled_from([SWEEP_TRACE_FLOOR, 0.5]))
+def test_golden_section_ends_on_the_brackets_of_index_bookkeeping(
+        brackets, eps_trace):
+    owner, a, width = (np.array(column) for column in zip(*brackets))
+    b = a + width
+    tol = lgi._REFINE_TOL
+    want = golden_section_by_index(_SECTION_CELLS, owner, a, b, tol, eps_trace)
+    got = lgi._golden_section(lgi._Evaluator(_SECTION_CELLS, owner), a, b,
+                              tol, eps_trace)
+    assert np.array_equal(got, want)
+
+
+def test_golden_section_oracle_meets_extinguished_points():
+    # the brackets of the test above reach -inf values at a floor of 0.5
+    times = np.linspace(1e-7, 32.0, 400)
+    value = _SECTION_CELLS.value(np.arange(5)[:, None], times, 0.5)
+    assert (value == -np.inf).any(axis=1).tolist() == [
+        True, True, False, False, True]
+    assert np.isfinite(value[:, 0]).all()
+
+
 def _peaks_at(positions, heights):
     curve = np.zeros(220)
     curve[positions] = heights
@@ -678,10 +741,11 @@ _BUDGET_CELLS = {
     "fourfold (1, 0)": [(1.0, 0.0)],
 }
 
-#: K3 points per cell beyond the 2000-point coarse scan: measured 28-29 on
-#: generic, locus and most q <= 1e-6 cells, 145 and 174 on two q <= 1e-6
-#: cells, 203 at gamma = 0 (three crests in the window); 300 leaves about
-#: 1.5x headroom.  Every cell took 22-23 batched calls; 30 allows a few
+#: K3 points per cell beyond the 2000-point coarse scan: measured 29-30 on
+#: generic, locus and most q <= 1e-6 cells, 150 and 180 on two q <= 1e-6
+#: cells, 210 at gamma = 0 (three crests in the window; the golden section
+#: evaluates every bracket until the last one is done); 300 leaves about
+#: 1.4x headroom.  Every cell took 22-23 batched calls; 30 allows a few
 #: more golden-section steps but no per-candidate or per-point loop.
 _REFINE_POINT_BUDGET = 300
 _VALUE_CALL_BUDGET = 30
@@ -690,25 +754,29 @@ _VALUE_CALL_BUDGET = 30
 @pytest.mark.parametrize("region", sorted(_BUDGET_CELLS))
 def test_optimize_work_budget_per_region(region, monkeypatch):
     # (method, points) of every outermost K3 call: the scan of a cell off the
-    # spectral path reads ``value`` inside, and that is still the scan
+    # spectral path reads ``value`` inside, and that is still the scan; every
+    # direct evaluation, the golden section's included, is an
+    # ``_Evaluator.value`` call
     calls, depth = [], [0]
 
-    def counting(name):
-        method = getattr(lgi._Cells, name)
+    def counting(owner, name, points):
+        method = getattr(owner, name)
 
-        def counted(self, cells, times, eps_trace):
+        def counted(self, *args):
             if not depth[0]:
-                calls.append((name, len(cells) * len(times) if name == "scan"
-                              else np.broadcast(cells, times).size))
+                calls.append((name, points(self, *args)))
             depth[0] += 1
             try:
-                return method(self, cells, times, eps_trace)
+                return method(self, *args)
             finally:
                 depth[0] -= 1
-        monkeypatch.setattr(lgi._Cells, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    counting("scan")
-    counting("value")
+    counting(lgi._Cells, "scan",
+             lambda self, cells, grid, eps_trace: len(cells) * len(grid))
+    counting(lgi._Evaluator, "value",
+             lambda self, times, eps_trace: np.broadcast(
+                 self.eigs[..., 0], times).size)
     config = OptimizeConfig()
     for gamma, q in _BUDGET_CELLS[region]:
         calls.clear()

@@ -19,13 +19,13 @@ binary powering (the levels of :func:`_power_levels`, applied by
 on the real Pauli-basis generator B (``spectrum.bloch_generator``), on
 which every state is exactly Hermitian; it builds B, the step operator and
 its levels once per sample grid, and one operator per distinct sample
-interval, so each sample is one real 4x4 matvec.  The Kraus map stays on
-the complex vectorized state.
+interval, so each sample is one real 4x4 product.  Only the oracles, expm
+and the Kraus map, stay on the complex vectorized G.
 
 Normalization is never applied inside an integrator: the equation governs the
 unnormalized rho and all nonlinearity lives in the rho/Tr[rho] readout.
 :class:`Propagator` is the fast path for many times at one parameter point:
-the :class:`NewtonForm` of exp(tG), which needs the eigenvalues of G only,
+the :class:`NewtonForm` of exp(tB), which needs the eigenvalues of B only,
 so a cell on the coalescence locus takes the same path as any other.  The
 batched K3 engine in ``lgi`` diagonalizes through :func:`decompose` and takes
 the same form on the cells it rejects; neither calls expm.
@@ -116,22 +116,30 @@ def _rk4_step_delta(gen, h):
     return hg @ (eye + hg @ (eye + hg @ (eye + hg / 4.0) / 3.0) / 2.0)
 
 
+def _times_1d(times) -> np.ndarray:
+    """``times`` as a 1-D float array; another shape raises ``ValueError``."""
+    if np.ndim(times) != 1:
+        raise ValueError(f"expected 1-D times, got shape {np.shape(times)}")
+    return np.asarray(times, dtype=float)
+
+
 def _rk4_bloch(v0, params: model.ModelParams, times, cfg: EvolveConfig,
                diagnostics=None) -> np.ndarray:
     """RK4 Pauli vectors (sx, sy, sz, r) under the real B of
     ``spectrum.bloch_generator``, from v0 at t = 0 to each of the
-    non-decreasing ``times >= 0``; shape (len(times), 4).
+    non-decreasing 1-D ``times >= 0``; v0 is (4,) or a block (4, m) of
+    columns, the result ``(len(times),) + v0.shape``.
 
     B does not depend on t, so n steps are S^n (:func:`_rk4_step_delta`
     builds S - I).  Each distinct split ``(n_full, remainder)`` of the
     sample intervals gets one operator, the product of the levels of S for
     the set bits of n_full and of the shortened step, so a sample is one
-    4x4 matvec.  Finiteness is checked once: the full steps of the first
+    4x4 product.  Finiteness is checked once: the full steps of the first
     non-finite sample are replayed from the state before it
     (:func:`_apply_levels`) to name its step bound, else the bound is the
     sample's last step.
     """
-    times = np.asarray(times, dtype=float)
+    times = _times_1d(times)
     if times.size and not (times[0] >= 0 and np.all(np.diff(times) >= 0)):
         raise ValueError(f"expected non-decreasing times >= 0, got {times}")
     gen = bloch_generator(params)
@@ -139,8 +147,8 @@ def _rk4_bloch(v0, params: model.ModelParams, times, cfg: EvolveConfig,
               for h in np.diff(times, prepend=0.0).tolist()]
     levels = _power_levels(_rk4_step_delta(gen, cfg.dt),
                            max((n for n, _ in splits), default=0))
-    ops, states = {}, np.empty((len(splits), 4))
     v = v0 = np.asarray(v0, dtype=float)
+    ops, states = {}, np.empty((len(splits),) + v0.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for n_full, remainder in dict.fromkeys(splits):
             factors = [delta for k, (delta, _) in enumerate(levels)
@@ -154,7 +162,7 @@ def _rk4_bloch(v0, params: model.ModelParams, times, cfg: EvolveConfig,
         for k, split in enumerate(splits):
             states[k] = v = ops[split] @ v
     steps = [n + (h > 0) for n, h in splits]
-    finite = np.isfinite(states).all(axis=1)
+    finite = np.isfinite(states.reshape(len(splits), v0.size)).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         done = sum(steps[:k])
@@ -179,8 +187,8 @@ def _density(pauli) -> np.ndarray:
 
 def rk4_states(rho0, params: model.ModelParams, times, cfg: EvolveConfig = EvolveConfig(),
                diagnostics=None) -> np.ndarray:
-    """Classical fixed-step RK4 at each of the non-decreasing ``times >= 0``;
-    shape (len(times), 2, 2).
+    """Classical fixed-step RK4 at each of the non-decreasing 1-D
+    ``times >= 0``; shape (len(times), 2, 2).
 
     RK4 runs on the Pauli vector of rho0 (:func:`_rk4_bloch`), so every
     returned rho is exactly Hermitian.  Global error is O(dt^4); S is a
@@ -189,9 +197,8 @@ def rk4_states(rho0, params: model.ModelParams, times, cfg: EvolveConfig = Evolv
     state raises :class:`IntegrationDivergedError` with its step bound,
     counted from t = 0.
     """
-    r, sx, sy, sz = model.bloch_decompose(rho0)
-    return _density(_rk4_bloch(np.array([sx, sy, sz, r]), params, times, cfg,
-                               diagnostics))
+    pauli0 = np.roll(model.bloch_decompose(rho0), -1)   # (sx, sy, sz, r)
+    return _density(_rk4_bloch(pauli0, params, times, cfg, diagnostics))
 
 
 def evolve_rk4(rho0, params: model.ModelParams, t, cfg: EvolveConfig = EvolveConfig(),
@@ -392,26 +399,25 @@ class NewtonForm:
 
 class Propagator:
     """Reusable propagator for many times at fixed parameters: the
-    :class:`NewtonForm` of exp(tG), built once from the eigenvalues of G.
+    :class:`NewtonForm` of exp(tB), built once from the eigenvalues of B.
 
     ``states`` costs the divided differences of each time and one small
-    matmul, ``sum_k c_k(t) (P_k v0)``.  It needs no eigenvectors, so cells
+    matmul, ``sum_k c_k(t) (P_k v0)`` on the Pauli vector v0 of rho0, so
+    every state is exactly Hermitian.  It needs no eigenvectors, so cells
     on the coalescence locus take the same path as every other.
     """
 
     def __init__(self, params: model.ModelParams):
-        self.params = params
-        self.generator = build_liouvillian(params)
+        self.generator = bloch_generator(params)
         self._newton = NewtonForm(self.generator,
                                   np.linalg.eigvals(self.generator), params.gamma)
 
     def states(self, rho0, times) -> np.ndarray:
-        """Unnormalized rho(t) for each t >= 0 in ``times`` (``ValueError``
-        below 0), rho0 exactly at t = 0; shape (len(times), 2, 2)."""
-        times = np.asarray(times, dtype=float)
-        vecs = (self._newton.coefficients(times)
-                @ (self._newton.products @ vectorize(rho0)))
-        return vecs.reshape(len(times), 2, 2)
+        """Unnormalized rho(t) at each t >= 0 of the 1-D ``times``, else
+        ``ValueError``; rho0's Pauli vector at t = 0; shape (len(times), 2, 2)."""
+        coefficients = self._newton.coefficients(_times_1d(times))
+        pauli = self._newton.products @ np.roll(model.bloch_decompose(rho0), -1)
+        return _density((coefficients @ pauli).real)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .dynamics import EvolveConfig, NewtonForm, decompose, evolve_rk4
+from .dynamics import EvolveConfig, NewtonForm, _rk4_bloch, decompose
+# perfbench's tracer wraps lgi.evolve_rk4, so the name stays bound here
+from .dynamics import evolve_rk4  # noqa: F401
 from .errors import TrajectoryExtinguishedError
-from .spectrum import bloch_generators, vectorize
+from .spectrum import bloch_generators
 
 #: trace floor used by optimize/sweep; guards float underflow only, so that
 #: strongly conditioned ensembles (q -> 0 at long times) remain scannable.
@@ -101,18 +103,19 @@ def correlators(params: model.ModelParams, t, engine="exact",
     """Evaluate C01, C12, C02 and K3 at interval t.
 
     ``engine`` selects the propagation route: "exact" (the spectral /
-    Newton-form readouts of the K3 engine, the default) or "rk4".  A trajectory whose
-    trace falls below ``eps_trace`` raises with the offending branch named.
+    Newton-form readouts of the K3 engine, the default) or "rk4" (one RK4
+    run of both branches :data:`_BRANCHES` to t and 2t; a step count t / dt
+    above 2**53 raises ``ValueError``).  A trajectory whose trace falls
+    below ``eps_trace`` raises with the offending branch named.
     """
     _check_interval("t", t)
     if engine == "exact":
         readouts = _Cells([params.gamma], [params.q], params).readouts([0], [t])
         at_t, at_2t = (columns[0].tolist() for columns in readouts)
     elif engine == "rk4":
-        cfg = EvolveConfig(dt=dt)
-        at_t = _readout(evolve_rk4(model.PROJECTOR_PLUS, params, t, cfg),
-                        evolve_rk4(model.PROJECTOR_MINUS, params, t, cfg))
-        at_2t = _readout(evolve_rk4(model.PROJECTOR_PLUS, params, 2.0 * t, cfg))
+        readouts = _READOUT @ _rk4_bloch(_BRANCHES, params, [t, 2.0 * t],
+                                         EvolveConfig(dt=dt))
+        at_t, at_2t = readouts[0].ravel().tolist(), readouts[1, :, 0].tolist()
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
@@ -192,10 +195,6 @@ _READOUT = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
 #: (sx, sy, sz, r) = (0, +-1, 0, 1); P_+ is also rho(0)
 _BRANCHES = np.array([[0.0, 0.0], [1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
 
-#: the rows of :data:`_READOUT` on the vectorized rho of ``--engine rk4``
-_VECTORIZED_READOUT = np.stack([vectorize(model.IDENTITY),
-                                vectorize(model.SIGMA_Y.T)])
-
 
 def _contract(a, b):
     """a @ b over the last two axes, as explicit elementwise sums.
@@ -213,13 +212,6 @@ def _real_product(a, b):
     """Re(a @ b) over the last two axes, as one real product per matrix."""
     return (np.concatenate((a.real, -a.imag), axis=-1)
             @ np.concatenate((b.real, b.imag), axis=-2))
-
-
-def _readout(*rhos):
-    """(tr, sy) of one state, (tr+, tr-, sy+, sy-) of the P+ and P- branches."""
-    return (_VECTORIZED_READOUT
-            @ np.stack([vectorize(rho) for rho in rhos], axis=1)
-            ).real.ravel().tolist()
 
 
 def _ranked_k3(at_t, at_2t, eps_trace):

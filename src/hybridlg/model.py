@@ -27,8 +27,8 @@ IDENTITY = np.eye(2, dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 #: sigma_y eigenprojectors, P_+- = |+-y><+-y|
-PROJECTOR_PLUS = 0.5 * np.array([[1.0, -1.0j], [1.0j, 1.0]], dtype=complex)
-PROJECTOR_MINUS = 0.5 * np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex)
+PROJECTOR_PLUS = 0.5 * (IDENTITY + SIGMA_Y)
+PROJECTOR_MINUS = 0.5 * (IDENTITY - SIGMA_Y)
 
 #: protocol initial state: the +1 eigenstate of sigma_y
 INITIAL_STATE = PROJECTOR_PLUS.copy()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_complex_sets
-from hybridlg import dynamics
+from hybridlg import dynamics, lgi
 from hybridlg.cli import _fmt, _Writer, main
 from hybridlg.model import ModelParams
 from hybridlg.spectrum import build_liouvillian
@@ -278,20 +278,29 @@ def test_evolve_extinction_flushes_and_exits_2(tmp_path, capsys):
         [float(value) for value in row] for row in rows]
 
 
-def test_evolve_rk4_builds_its_step_operator_once(tmp_path, monkeypatch):
-    calls = {"build_liouvillian": 0, "bloch_generator": 0, "_rk4_step_delta": 0}
+@pytest.mark.parametrize("command, rows", [
+    # 201 samples with the default --t-max 20 --dt 1e-3
+    (["evolve"], 201),
+    # both branches at t and 2t: two 1300-step intervals, one operator
+    (["k3", "--t", "1.3"], 1),
+], ids=["evolve", "k3"])
+def test_evolve_rk4_builds_its_step_operator_once(tmp_path, monkeypatch,
+                                                  command, rows):
+    calls = {"build_liouvillian": 0, "bloch_generator": 0, "_rk4_step_delta": 0,
+             "_rk4_bloch": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(dynamics, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(dynamics, name, counted)
-    assert main(["evolve", "--gamma", "0.8", "--q", "0.4", "--engine", "rk4",
+        if name == "_rk4_bloch":  # lgi calls it under its own name
+            monkeypatch.setattr(lgi, name, counted)
+    assert main([*command, "--gamma", "0.8", "--q", "0.4", "--engine", "rk4",
                  "--out", str(tmp_path / "rk4.csv")]) == 0
-    # 201 samples with the default --t-max 20 --dt 1e-3, in one set-up
-    assert len(read_csv(tmp_path / "rk4.csv")[2]) == 201
-    # RK4 runs on the real B; the complex G is not built
+    assert len(read_csv(tmp_path / "rk4.csv")[2]) == rows
+    # one RK4 run on the real B, in one set-up; the complex G is not built
     assert calls == {"build_liouvillian": 0, "bloch_generator": 1,
-                     "_rk4_step_delta": 1}
+                     "_rk4_step_delta": 1, "_rk4_bloch": 1}
 
 
 @pytest.mark.parametrize("samples, step", [

@@ -26,8 +26,12 @@ from hybridlg.dynamics import (
 )
 from hybridlg.errors import IntegrationDivergedError
 from hybridlg.model import (
+    IDENTITY,
     ModelParams,
     PROJECTOR_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     bloch_decompose,
     hamiltonian,
 )
@@ -35,7 +39,6 @@ from hybridlg.spectrum import (
     bloch_generators,
     build_liouvillian,
     ep_radius,
-    vectorize,
 )
 
 
@@ -362,21 +365,25 @@ _EXPM_CELLS = [(1.0, 0.0), (2.0, 1.0), (0.5, 0.3), (0.0, 0.5), (3.7, 0.01),
 @pytest.mark.parametrize("cell", _EXPM_CELLS,
                          ids=lambda cell: "-".join(map(str, cell)))
 def test_propagator_matches_a_50_digit_expm(cell):
-    # every cell takes the Newton form, on the locus as elsewhere: it stays
-    # within 1e-13 of the trace of a 50-digit expm (the bound of the K3
-    # engine's fallback readouts), and t = 0 gives rho0 exactly
+    # every cell takes the Newton form on B, on the locus as elsewhere: it
+    # stays within 1e-13 of the trace of a 50-digit expm(B t) (the bound of
+    # the K3 engine's fallback readouts), every state is exactly Hermitian,
+    # and t = 0 gives rho0 exactly
     params = ModelParams(**dict(zip(("gamma", "q", "theta"), cell)))
     prop = Propagator(params)
     times = np.linspace(0.0, 20.0, 201)
     states = prop.states(PROJECTOR_PLUS, times)
     assert np.array_equal(states[0], PROJECTOR_PLUS)
+    assert np.array_equal(states, states.conj().swapaxes(-1, -2))
     generator = mpmath.matrix(prop.generator.tolist())
-    rho0 = mpmath.matrix(vectorize(PROJECTOR_PLUS).tolist())
+    r, sx, sy, sz = bloch_decompose(PROJECTOR_PLUS)
+    pauli0 = mpmath.matrix([sx, sy, sz, r])
     for t, state in zip(times[::10], states[::10]):
         with mpmath.workdps(50):
-            exact = mpmath.expm(generator * float(t)) * rho0
-        exact = np.array([complex(x) for x in exact]).reshape(2, 2)
-        assert np.abs(state - exact).max() <= 1e-13 * np.trace(exact).real, t
+            exact = mpmath.expm(generator * float(t)) * pauli0
+        sx, sy, sz, r = (float(x) for x in exact)
+        exact = 0.5 * (r * IDENTITY + sx * SIGMA_X + sy * SIGMA_Y + sz * SIGMA_Z)
+        assert np.abs(state - exact).max() <= 1e-13 * r, t
 
 
 @pytest.mark.parametrize("basis", ["bloch", "vectorized"])
@@ -415,15 +422,27 @@ def test_propagator_fallback_rejects_negative_times():
             prop.states(PROJECTOR_PLUS, [0.5, -0.1])
 
 
+def test_states_reject_times_that_are_not_1d():
+    # a scalar time used to raise an untyped TypeError or IndexError, or to
+    # give 4 copies of one state
+    params = ModelParams(gamma=0.5, q=0.3)
+    for times in (1.0, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="1-D"):
+            Propagator(params).states(PROJECTOR_PLUS, times)
+        with pytest.raises(ValueError, match="1-D"):
+            rk4_states(PROJECTOR_PLUS, params, times)
+
+
 @pytest.mark.parametrize("gamma, q", [(0.5, 0.3), (0.0, 0.5), (2.0, 1.0)])
 def test_propagator_never_reaches_the_eigenbasis(monkeypatch, gamma, q):
     # a generic, a unitary and a defective cell: none of them calls decompose
-    # or its Schur form
+    # or its Schur form, nor builds the complex vectorized G
     def refuse(*args, **kwargs):
-        raise AssertionError("Propagator reached the eigenbasis")
+        raise AssertionError("Propagator reached the eigenbasis or G")
 
     monkeypatch.setattr(dynamics, "decompose", refuse)
     monkeypatch.setattr(dynamics, "schur", refuse)
+    monkeypatch.setattr(dynamics, "build_liouvillian", refuse)
     states = Propagator(ModelParams(gamma=gamma, q=q)).states(PROJECTOR_PLUS,
                                                               [0.0, 1.5])
     assert np.array_equal(states[0], PROJECTOR_PLUS)

@@ -29,7 +29,7 @@ from hybridlg.lgi import (
 )
 from hybridlg.macrorealism import nsit_grid
 from hybridlg.model import ModelParams
-from hybridlg.spectrum import ep_radius, vectorize
+from hybridlg.spectrum import ep_radius
 
 
 def test_unitary_limit_closed_form():
@@ -488,7 +488,7 @@ def test_overdamped_late_readouts_keep_the_trace_last_accuracy():
 
 def test_readout_and_branch_vectors_are_the_pauli_coordinates():
     # (sx, sy, sz, r) of bloch_decompose's (r, sx, sy, sz); the readout rows
-    # read the same numbers as on the vectorized rho of --engine rk4
+    # read Tr[rho] and Tr[sigma_y rho]
     def coordinates(rho):
         r, sx, sy, sz = model.bloch_decompose(rho)
         return np.array([sx, sy, sz, r])
@@ -500,7 +500,8 @@ def test_readout_and_branch_vectors_are_the_pauli_coordinates():
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = a @ a.conj().T
         assert np.allclose(lgi._READOUT @ coordinates(rho),
-                           (lgi._VECTORIZED_READOUT @ vectorize(rho)).real,
+                           [np.trace(rho).real,
+                            np.trace(model.SIGMA_Y @ rho).real],
                            rtol=1e-15, atol=0)
 
 

@@ -6,6 +6,7 @@ from hybridlg.model import (
     IDENTITY,
     INITIAL_STATE,
     ModelParams,
+    PROJECTOR_MINUS,
     PROJECTOR_PLUS,
     SIGMA_PLUS,
     SIGMA_X,
@@ -50,6 +51,12 @@ def test_initial_state_decomposes_to_plus_y():
 
 def test_decompose_projectors_and_mixed_state():
     assert bloch_decompose(PROJECTOR_PLUS) == BlochState(1.0, 0.0, 1.0, 0.0)
+    # (I +- sigma_y) / 2 are the literal projectors bit for bit, signed
+    # zeros included
+    for projector, literal in ((PROJECTOR_PLUS, [[1.0, -1.0j], [1.0j, 1.0]]),
+                               (PROJECTOR_MINUS, [[1.0, 1.0j], [-1.0j, 1.0]])):
+        expected = 0.5 * np.array(literal, dtype=complex)
+        assert projector.view(float).tobytes() == expected.view(float).tobytes()
     assert bloch_decompose(IDENTITY / 2) == BlochState(1.0, 0.0, 0.0, 0.0)
 
 

@@ -1,6 +1,7 @@
 """Surface guards: every public top-level name of ``src/hybridlg`` has a
-user, importing the package does not import scipy, and one function holds
-the trace floor.
+user, importing the package does not import scipy, one function holds
+the trace floor, and the complex vectorized generator G serves the oracles
+only.
 
 A public function, class or constant is in use when another part of
 ``src/`` references it, when ``tests/test_acceptance.py`` names it, or when
@@ -9,7 +10,10 @@ that only tests use belong in ``tests/``.  ``scipy.linalg`` is imported on
 first use, by ``numerics.expm`` and ``numerics.schur`` only.  A trace is
 compared with ``eps_trace`` in ``lgi._branch_sy`` only, the one extinction
 rule, and in the row cut of ``cli._cmd_evolve``, which writes rows up to an
-extinguished state.
+extinguished state.  The engines run on the real Pauli-basis generator B;
+G and its state maps (``spectrum.build_liouvillian``, ``vectorize``,
+``devectorize``) are read only by the oracles ``dynamics.evolve_exact``,
+``dynamics.evolve_kraus`` and ``spectrum.spectrum_report``.
 """
 
 import ast
@@ -108,24 +112,35 @@ def test_import_guard_skips_function_bodies_only():
     assert module_level_imports(tree) == {"a", "c", "g", "h"}
 
 
-def trace_floor_comparisons(tree):
-    """Innermost enclosing function (None at module level) of every
-    comparison that reads a name or attribute ``eps_trace``."""
+def _name(node):
+    """The identifier of a name or attribute node, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _places(tree, hit):
+    """Innermost enclosing function (None at module level) of every node
+    for which ``hit(node)`` holds."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Compare) and any(
-                getattr(sub, "id", getattr(sub, "attr", None)) == "eps_trace"
-                for operand in (node.left, *node.comparators)
-                for sub in ast.walk(operand)):
+        if hit(node):
             found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, None)
     return found
+
+
+def trace_floor_comparisons(tree):
+    """Innermost enclosing function (None at module level) of every
+    comparison that reads a name or attribute ``eps_trace``."""
+    return _places(tree, lambda node: isinstance(node, ast.Compare) and any(
+        _name(sub) == "eps_trace"
+        for operand in (node.left, *node.comparators)
+        for sub in ast.walk(operand)))
 
 
 def test_one_function_compares_with_the_trace_floor():
@@ -142,3 +157,36 @@ def test_trace_floor_guard_sees_every_comparison():
         "def uses(eps_trace):\n    return sy / eps_trace\n"
         "FLOOR = 1 if 0 < eps_trace else 2\n")
     assert trace_floor_comparisons(tree) == {"rule", "cut", "nested", None}
+
+
+#: the complex vectorized generator G and its state maps
+G_NAMES = {"build_liouvillian", "vectorize", "devectorize"}
+
+
+def g_readers(tree):
+    """Innermost enclosing function (None at module level) of every read of
+    a name or attribute in :data:`G_NAMES`; neither an import nor a store
+    is a read."""
+    return _places(tree, lambda node: isinstance(
+        getattr(node, "ctx", None), ast.Load) and _name(node) in G_NAMES)
+
+
+def test_g_only_in_the_oracles():
+    places = {(path.stem, where) for path in SOURCES
+              for where in g_readers(ast.parse(path.read_text()))}
+    own_definitions = {("spectrum", name) for name in G_NAMES}
+    assert places - own_definitions == {("dynamics", "evolve_exact"),
+                                        ("dynamics", "evolve_kraus"),
+                                        ("spectrum", "spectrum_report")}
+
+
+def test_g_guard_sees_every_read():
+    tree = ast.parse(
+        "from .spectrum import build_liouvillian, vectorize\n"
+        "def oracle(p, rho):\n    return devectorize(vectorize(rho))\n"
+        "def engine(p):\n    return spectrum.build_liouvillian(p)\n"
+        "def clean(p):\n    vectorize = None\n    return bloch_generator(p)\n"
+        "class Prop:\n    def __init__(self, p):\n"
+        "        self.generator = build_liouvillian(p)\n"
+        "READOUT = vectorize(IDENTITY)\n")
+    assert g_readers(tree) == {"oracle", "engine", "__init__", None}

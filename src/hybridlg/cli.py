@@ -11,7 +11,8 @@ cell whose every scanned time point is extinguished), 64 usage error
 (including an --in/--out path that cannot be opened, ``--workers`` below 1,
 an ``--engine rk4`` step count t/dt that is not finite or exceeds 2**53,
 and a parameter regime the command does not support, such as
-``bloch-traj`` off theta = pi/2), 70 internal numeric failure.
+``bloch-traj`` off theta = pi/2), 70 internal numeric failure or a
+``--workers`` pool that lost a process mid-map (the message names the pool).
 """
 
 import argparse
@@ -156,8 +157,8 @@ def _parse_grid(spec_text, name):
     if count < 1:
         raise UsageError(f"--{name}: need at least one point")
     if spacing == "log":
-        if lo <= 0:
-            raise UsageError(f"--{name}: log spacing requires min > 0")
+        if lo <= 0 or hi <= 0:
+            raise UsageError(f"--{name}: log spacing requires min and max > 0")
         return np.logspace(math.log10(lo), math.log10(hi), count)
     if spacing in ("lin", "linear"):
         return np.linspace(lo, hi, count)

@@ -62,3 +62,7 @@ class OutOfDomainError(HybridLGError):
 
 class EigensolverError(HybridLGError):
     """Raised when the dense eigensolver failed to converge."""
+
+
+class WorkerPoolError(HybridLGError):
+    """Raised when a grid map's worker pool lost a process mid-map."""

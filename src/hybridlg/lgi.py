@@ -35,7 +35,7 @@ from . import model
 from .dynamics import EvolveConfig, NewtonForm, _rk4_bloch, decompose
 # perfbench's tracer wraps lgi.evolve_rk4, so the name stays bound here
 from .dynamics import evolve_rk4  # noqa: F401
-from .errors import TrajectoryExtinguishedError
+from .errors import TrajectoryExtinguishedError, WorkerPoolError
 from .spectrum import bloch_generators
 
 #: trace floor used by optimize/sweep; guards float underflow only, so that
@@ -526,30 +526,31 @@ def _chunk_task(task):
     return work(_Cells(gammas, qs, params), *args)
 
 
-#: the grid map's process pool as (workers, pid, pool), or None
+#: the grid map's process pool as (workers, pid, executor), or None
 _pool_slot = None
 
 
 @atexit.register
 def _close_pool():
-    """Terminate and join the grid-map pool if this process built it; a
-    forked child drops its parent's pool without touching it."""
+    """Shut down the grid-map pool if this process built it; a forked child
+    drops its parent's pool without touching it."""
     global _pool_slot
     if _pool_slot is not None and _pool_slot[1] == os.getpid():
-        _pool_slot[2].terminate()
-        _pool_slot[2].join()
+        _pool_slot[2].shutdown()
     _pool_slot = None
 
 
 def _worker_pool(workers):
-    """This process's pool of ``workers`` processes: built on first use,
-    reused while the count and the process match, replaced otherwise."""
+    """This process's pool of ``workers`` forked processes: built on first
+    use, reused while the count and the process match, replaced otherwise."""
     global _pool_slot
     if _pool_slot is None or _pool_slot[:2] != (workers, os.getpid()):
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         _close_pool()
-        _pool_slot = (workers, os.getpid(), multiprocessing.Pool(workers))
+        _pool_slot = (workers, os.getpid(), ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")))
     return _pool_slot[2]
 
 
@@ -563,6 +564,8 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
     its chunk; ``workers`` then only decides which process runs a chunk.
     With ``workers`` > 1 the chunks go to the process's one pool, which
     later maps with the same count reuse and which is shut down at exit.
+    A worker that dies mid-map raises :class:`WorkerPoolError`, and the
+    next map builds a new pool.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -583,7 +586,13 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
         for k in range(0, len(gammas), _SWEEP_CHUNK_CELLS)
     ]
     if workers > 1:
-        chunks = _worker_pool(workers).map(_chunk_task, tasks)
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            chunks = list(_worker_pool(workers).map(_chunk_task, tasks))
+        except BrokenProcessPool as exc:  # the next map builds a new pool
+            _close_pool()
+            raise WorkerPoolError(f"worker pool broken: {exc}") from exc
     else:
         chunks = map(_chunk_task, tasks)
     return [result for chunk in chunks for result in chunk]

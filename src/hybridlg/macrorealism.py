@@ -30,7 +30,8 @@ OUTCOMES = (+1, -1)
 
 @dataclass(frozen=True)
 class JointProbTable:
-    """All single, pair and triple outcome distributions at interval t."""
+    """All single, pair and triple outcome distributions at interval t:
+    floats, or arrays with one entry per cell of a chunk."""
 
     t: float
     singles: dict    # {time index: {outcome: prob}}
@@ -104,30 +105,44 @@ class AotReport:
 
     two_time: dict   # {(i, j): {qi: defect}} for P(qi) vs sum_qj P(qi, qj)
     three_time: dict  # {(q0, q1): defect} for P(q0,q1) vs sum_q2 P(q0,q1,q2)
-    max_defect: float
+    max_defect: float  # an array on an array table
+
+
+def _first_max(values):
+    """Python's ``max(values)``, elementwise on arrays: a later value
+    replaces the running maximum only when it compares greater, so a NaN
+    wins only in first place, on a per-point table and on a whole chunk."""
+    best = values[0]
+    for value in values[1:]:
+        best = np.where(value > best, value, best)
+    return best
+
+
+def _defect(whole, first, second):
+    """|whole - (first + second)|: how far a distribution lies from the sum
+    over the two outcomes of a measurement that it leaves out."""
+    return abs(whole - (first + second))
 
 
 def check_aot(table: JointProbTable) -> AotReport:
     """Evaluate every arrow-of-time identity; defects are absolute values."""
-    two_time = {}
-    for (i, j), dist in table.pairs.items():
-        two_time[(i, j)] = {
-            qi: abs(table.singles[i][qi] - sum(dist[(qi, qj)] for qj in OUTCOMES))
-            for qi in OUTCOMES
-        }
+    singles, pairs, triples = table.singles, table.pairs, table.triples
+    two_time = {
+        (i, j): {qi: _defect(singles[i][qi], dist[(qi, +1)], dist[(qi, -1)])
+                 for qi in OUTCOMES}
+        for (i, j), dist in pairs.items()
+    }
     three_time = {
-        (q0, q1): abs(
-            table.pairs[(0, 1)][(q0, q1)]
-            - sum(table.triples[(q0, q1, q2)] for q2 in OUTCOMES)
-        )
+        (q0, q1): _defect(pairs[(0, 1)][(q0, q1)], triples[(q0, q1, +1)],
+                          triples[(q0, q1, -1)])
         for q0, q1 in itertools.product(OUTCOMES, repeat=2)
     }
-    worst = max(
-        max(d for per in two_time.values() for d in per.values()),
-        max(three_time.values()),
-    )
+    worst = _first_max([
+        _first_max([d for per in two_time.values() for d in per.values()]),
+        _first_max(list(three_time.values())),
+    ])
     return AotReport(two_time=two_time, three_time=three_time,
-                     max_defect=float(worst))
+                     max_defect=worst if np.ndim(worst) else float(worst))
 
 
 @dataclass(frozen=True)
@@ -160,24 +175,20 @@ class MacrorealismReport:
 
 def check_nsit(table: JointProbTable) -> MacrorealismReport:
     """Quantify every no-signaling-in-time violation of the table."""
-    delta_two_time = {}
-    for (i, j), dist in table.pairs.items():
-        delta_two_time[(i, j)] = {
-            qj: abs(table.singles[j][qj] - sum(dist[(qi, qj)] for qi in OUTCOMES))
-            for qj in OUTCOMES
-        }
+    singles, pairs, triples = table.singles, table.pairs, table.triples
+    delta_two_time = {
+        (i, j): {qj: _defect(singles[j][qj], dist[(+1, qj)], dist[(-1, qj)])
+                 for qj in OUTCOMES}
+        for (i, j), dist in pairs.items()
+    }
     delta_marginal_middle = {
-        (q0, q2): abs(
-            table.pairs[(0, 2)][(q0, q2)]
-            - sum(table.triples[(q0, q1, q2)] for q1 in OUTCOMES)
-        )
+        (q0, q2): _defect(pairs[(0, 2)][(q0, q2)], triples[(q0, +1, q2)],
+                          triples[(q0, -1, q2)])
         for q0, q2 in itertools.product(OUTCOMES, repeat=2)
     }
     delta_marginal_first = {
-        (q1, q2): abs(
-            table.pairs[(1, 2)][(q1, q2)]
-            - sum(table.triples[(q0, q1, q2)] for q0 in OUTCOMES)
-        )
+        (q1, q2): _defect(pairs[(1, 2)][(q1, q2)], triples[(+1, q1, q2)],
+                          triples[(-1, q1, q2)])
         for q1, q2 in itertools.product(OUTCOMES, repeat=2)
     }
     return MacrorealismReport(
@@ -188,47 +199,11 @@ def check_nsit(table: JointProbTable) -> MacrorealismReport:
     )
 
 
-def _first_max(values):
-    """Python's ``max(values)``, elementwise: a later value replaces the
-    running maximum only when it compares greater."""
-    best = values[0]
-    for value in values[1:]:
-        best = np.where(value > best, value, best)
-    return best
-
-
-def _defect_columns(ratios, q0, q2):
-    """(delta_01_2, delta_12, delta_02, aot_defect) of the ``nsit`` rows from
-    arrays of the ratios of :func:`_normalized`, one per cell.
-
-    Each column equals, bit for bit, what :func:`check_nsit` and
-    :func:`check_aot` give on the cell's own table, which is the same
-    :func:`_distributions`: each defect runs their operations in their order,
-    down to ``sum``'s start from int 0 and ``max``'s NaN handling.  A cell
-    with a branch below the floor has no table; its column is not read.
-    """
-    singles, pairs, triples = _distributions(ratios)
-
-    def defect(whole, first, second):  # abs(whole - sum((first, second)))
-        return abs(whole - ((0 + first) + second))
-
-    two_time = [defect(singles[i][qi], dist[(qi, +1)], dist[(qi, -1)])
-                for (i, _), dist in pairs.items() for qi in OUTCOMES]
-    three_time = [defect(pairs[(0, 1)][(a, b)], triples[(a, b, +1)],
-                         triples[(a, b, -1)])
-                  for a, b in itertools.product(OUTCOMES, repeat=2)]
-    return (
-        defect(pairs[(0, 2)][(q0, q2)], triples[(q0, +1, q2)],
-               triples[(q0, -1, q2)]),
-        defect(singles[2][q2], pairs[(1, 2)][(+1, q2)], pairs[(1, 2)][(-1, q2)]),
-        defect(singles[2][q2], pairs[(0, 2)][(+1, q2)], pairs[(0, 2)][(-1, q2)]),
-        _first_max([_first_max(two_time), _first_max(three_time)]),
-    )
-
-
 def _nsit_rows(cells, t, config, eps_trace, q0, q2):
-    """The :func:`nsit_grid` rows of one ``lgi._Cells`` chunk, its defects
-    computed on whole-chunk arrays (:func:`_defect_columns`)."""
+    """The :func:`nsit_grid` rows of one ``lgi._Cells`` chunk: one
+    :func:`check_nsit` on the chunk's array table gives every defect.  A
+    cell with a branch below the floor has no table; its entries are not
+    read."""
     if t is None:  # a masked optimum has t* = NaN
         times = np.array([best.t_star for best
                           in lgi._optimize_cells(cells, config)])
@@ -238,7 +213,10 @@ def _nsit_rows(cells, t, config, eps_trace, q0, q2):
     at_t, at_2t = cells.readouts(live, times[live], both_at_2t=True)
     traces, ratios, first = _normalized(at_t.T, at_2t.T, eps_trace)
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = _defect_columns(ratios, q0, q2)
+        report = check_nsit(JointProbTable(times[live], *_distributions(ratios)))
+    columns = (report.delta_marginal_middle[(q0, q2)],
+               report.delta_two_time[(1, 2)][q2],
+               report.delta_two_time[(0, 2)][q2], report.aot.max_defect)
     rows = [(t_at, np.nan, np.nan, np.nan, np.nan, lgi.MASKED_MESSAGE)
             for t_at in times.tolist()]
     for k, (cell, branch, *defects) in enumerate(zip(

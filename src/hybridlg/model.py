@@ -50,10 +50,12 @@ class ModelParams:
     theta: float = math.pi / 2
 
     def __post_init__(self):
-        if not self.J >= 0:
-            raise ValueError(f"J must be >= 0, got {self.J}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        for name in ("J", "gamma"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
         if not 0.0 <= self.theta < 2 * math.pi:
@@ -100,7 +102,12 @@ def bloch_decompose(rho) -> BlochState:
                       r10.imag - r01.imag, r00.real - r11.real)
 
 
-def check_density_matrix(rho, hermiticity_tol=1e-10, positivity_tol=1e-9):
+#: the Hermiticity (also of the trace) and positivity tolerances of rho
+HERMITICITY_TOL = 1e-10
+POSITIVITY_TOL = 1e-9
+
+
+def check_density_matrix(rho):
     """Validate Hermiticity, realness of the trace and positivity of rho.
 
     Raises ValueError on violation; the trace itself is unconstrained
@@ -110,11 +117,11 @@ def check_density_matrix(rho, hermiticity_tol=1e-10, positivity_tol=1e-9):
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_defect > hermiticity_tol:
+    if herm_defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    if abs(np.trace(rho).imag) > hermiticity_tol:
+    if abs(np.trace(rho).imag) > HERMITICITY_TOL:
         raise ValueError(f"trace is not real: {np.trace(rho)!r}")
     eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if eigs.min() < -positivity_tol:
+    if eigs.min() < -POSITIVITY_TOL:
         raise ValueError(f"matrix is not positive (min eigenvalue {eigs.min():.3e})")
     return rho

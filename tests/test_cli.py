@@ -95,6 +95,8 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
     (("bloch-traj", "--gamma", "0", "--q", "0.5"), 70, "singular"),
     (("bloch-traj", "--gamma", "0.5", "--q", "0.5", "--theta", "1.0"), 64,
      "theta = pi/2"),
+    (("sweep", "--grid-gamma", "0.5:1:2", "--grid-q", "1e-6:0:3:log"), 64,
+     "--grid-q: log spacing requires min and max > 0"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_command_writes_no_output(tmp_path, capsys, argv, code,
@@ -138,6 +140,51 @@ def _fresh_python(*argv):
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                           check=True, timeout=120).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("k3", "--gamma", "inf", "--q", "0.5", "--t", "1"),
+    ("evolve", "--gamma", "inf", "--q", "0.5"),
+    ("k3", "--gamma", "0.5", "--q", "0.5", "--J", "inf", "--t", "1"),
+])
+def test_infinite_rate_or_scale_is_one_usage_line(argv):
+    # a fresh interpreter, so that any warning would reach its stderr
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, hybridlg.cli; "
+         "sys.exit(hybridlg.cli.main(sys.argv[1:]))", *argv],
+        env={**os.environ, "PYTHONPATH": str(_SRC)}, capture_output=True,
+        timeout=120)
+    assert done.returncode == 64
+    name = "J" if "--J" in argv else "gamma"
+    assert done.stderr == f"usage error: {name} must be finite, got inf\n".encode()
+    assert done.stdout == b""
+
+
+def test_killed_pool_worker_exits_70_and_the_next_run_succeeds():
+    script = """
+import contextlib, io, os, signal, sys
+import hybridlg.cli
+from hybridlg import macrorealism
+
+def killed(cells, *args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+argv = ["nsit", "--t", "1", "--workers", "2"]
+rows = macrorealism._nsit_rows
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    macrorealism._nsit_rows = killed
+    codes.append(hybridlg.cli.main(argv))
+    macrorealism._nsit_rows = rows
+    codes.append(hybridlg.cli.main(argv))
+print(codes)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(_SRC)},
+                          check=True, timeout=60)
+    assert done.stdout == b"[70, 0]\n"
+    [line] = done.stderr.decode().splitlines()
+    assert line.startswith("numeric failure: worker pool broken: ")
 
 
 def test_import_and_a_plain_sweep_leave_scipy_unloaded():

@@ -335,6 +335,40 @@ print(sum(lgi._map_grid(count, *grid, ModelParams(1.0, 1.0), (), 2)))
     ]
 
 
+def test_killed_worker_breaks_the_map_and_the_next_map_builds_a_new_pool():
+    # a fresh interpreter, so that a map that hangs fails on the timeout
+    script = """
+import os, signal
+import numpy as np
+from hybridlg import lgi
+from hybridlg.errors import WorkerPoolError
+from hybridlg.model import ModelParams
+
+def pids(cells):
+    return [os.getpid()] * len(cells.eigs)
+
+def killed(cells):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+grid = (np.linspace(0.5, 1.5, 4), np.linspace(0.1, 1.0, 128))
+first = set(lgi._map_grid(pids, *grid, ModelParams(1.0, 1.0), (), 2))
+try:
+    lgi._map_grid(killed, *grid, ModelParams(1.0, 1.0), (), 2)
+except WorkerPoolError as error:
+    print(type(error.__cause__).__name__, error)
+second = set(lgi._map_grid(pids, *grid, ModelParams(1.0, 1.0), (), 2))
+print(len(first), len(second), first.isdisjoint(second))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          check=True, timeout=60)
+    broken, pools = done.stdout.decode().splitlines()
+    assert broken.startswith("BrokenProcessPool worker pool broken: ")
+    assert pools == "2 2 True"  # two new workers, none of the old ones
+    assert done.stderr == b""
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_grid_maps_reject_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):

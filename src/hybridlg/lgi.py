@@ -24,7 +24,9 @@ double-precision underflow limit.  Point evaluations via
 """
 
 import atexit
+import copy
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -41,8 +43,6 @@ from .spectrum import bloch_generators
 #: trace floor used by optimize/sweep; guards float underflow only, so that
 #: strongly conditioned ensembles (q -> 0 at long times) remain scannable.
 SWEEP_TRACE_FLOOR = 1e-250
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: error text of a grid cell whose every scanned time point is extinguished
 MASKED_MESSAGE = "all time points extinguished"
@@ -69,6 +69,24 @@ def _correlator_terms(sy_plus, sy_minus, sy_plus_2t):
     c12 = sy_plus * p_plus - sy_minus * p_minus
     return (sy_plus, c12, sy_plus_2t, sy_plus + c12 - sy_plus_2t,
             p_plus, p_minus)
+
+
+def _k3_slope(at_t, at_2t):
+    """dK3/dt from the readouts (tr+, tr-, sy+, sy-) at t and (tr+, sy+) at
+    2t along the last axis, each block followed by the time derivatives of
+    its columns.  A branch ratio s = sy / tr moves as
+    s' = (sy' tr - sy tr') / tr^2, evaluated as (sy' - s tr') / tr so that
+    no trace is squared; the ratio read at 2t enters with the chain factor
+    2."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = at_t[..., 2:4] / at_t[..., 0:2]
+        slope = (at_t[..., 6:8] - ratio * at_t[..., 4:6]) / at_t[..., 0:2]
+        ratio_2t = at_2t[..., 1] / at_2t[..., 0]
+        slope_2t = (at_2t[..., 3] - ratio_2t * at_2t[..., 2]) / at_2t[..., 0]
+        sy_plus, sy_minus = ratio[..., 0], ratio[..., 1]
+        # d/dt of sy+ + sy+ p+ - sy- p- - sy+(2t), with p+- = (1 +- sy+) / 2
+        return (slope[..., 0] * (1.5 + sy_plus + 0.5 * sy_minus)
+                - 0.5 * slope[..., 1] * (1.0 - sy_plus) - 2.0 * slope_2t)
 
 
 def _branch_sy(traces, sy, eps_trace):
@@ -152,6 +170,10 @@ class OptimizeConfig:
     eps_trace: float = SWEEP_TRACE_FLOOR
 
     def __post_init__(self):
+        if (isinstance(self.resolution, bool)
+                or not isinstance(self.resolution, numbers.Integral)):
+            raise ValueError(
+                f"resolution must be an integer, got {self.resolution!r}")
         if not self.resolution >= 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if self.t_max is not None:
@@ -174,8 +196,16 @@ _PEAK_WINDOW = 1e-3
 #: refined values closer than this count as a tie (broken toward smaller t)
 _TIE_TOL = 1e-9
 
-#: width in t to which golden section refines each peak bracket
+#: how far below a cell's first grid point its first peak bracket reaches,
+#: toward the open t -> 0+ boundary
 _REFINE_TOL = 1e-6
+
+#: the peak search ends a bracket once it is no wider than this, relative
+#: to its best point
+_ROOT_RTOL = 1e-10
+
+#: the peak search makes at most this many rounds
+_ROOT_ROUNDS = 10
 
 #: (cell, time) points per coarse-scan block, 4 cells at resolution 2000: its
 #: largest array is about 260 KB.  Once malloc has settled, a 125-cell sweep
@@ -242,6 +272,11 @@ class _Cells:
     diagonalize take the :class:`dynamics.NewtonForm` instead, built once
     here: c_k = f_t[l_0..l_k], evaluated at t and at 2t, and
     w_k = e_obs^T P_k v0.
+
+    B commutes with exp(tB), so the time derivative of a readout
+    e_obs^T exp(tB) v0 is the readout of B v0: the same factors c_k times
+    the slope weights ``slopes``, lambda_k w_k on the spectral path and
+    e_obs^T P_k B v0 on the Newton form, which the peak search reads.
     """
 
     def __init__(self, gammas, qs, params: model.ModelParams):
@@ -255,11 +290,14 @@ class _Cells:
                    * amplitudes[..., :, None, :]).reshape(-1, 4, 4)
         self.eigs = np.where(self.spectral[:, None], eigs, 0.0)
         self.weights = np.where(self.spectral[:, None, None], weights, 0.0)
+        self.slopes = self.eigs[:, :, None] * self.weights
         self.newton = {}
         for n in np.flatnonzero(~self.spectral).tolist():
             form = NewtonForm(self.generators[n], eigs[n], np.asarray(gammas)[n])
             self.newton[n] = form
             self.weights[n] = (_READOUT @ form.products @ _BRANCHES).reshape(4, 4)
+            self.slopes[n] = (_READOUT @ form.products
+                              @ (self.generators[n] @ _BRANCHES)).reshape(4, 4)
 
     def readouts(self, cells, times, both_at_2t=False):
         """(tr+, tr-, sy+, sy-) at t and at 2t, at (cells[i], times[i]),
@@ -303,16 +341,30 @@ class _Cells:
 class _Evaluator:
     """:meth:`_Cells.readouts` and :meth:`_Cells.value` of fixed cells
     ``index``, at any times broadcast against them.  The cells' eigenvalues,
-    weights and Newton forms are gathered here, once for a caller that reads
-    the same cells step after step (the golden section)."""
+    weights, slope weights and Newton forms are gathered here, once for a
+    caller that reads the same cells step after step (the peak search)."""
 
     def __init__(self, cells: _Cells, index):
         index = np.asarray(index)
-        self.eigs, self.weights = cells.eigs[index], cells.weights[index]
+        self.eigs = cells.eigs[index]
+        # columns (tr+, tr-, sy+, sy-), then their time derivatives
+        self.weights = np.concatenate((cells.weights[index],
+                                       cells.slopes[index]), axis=-1)
         self.newton = [(cells.newton[n], index == n) for n in
                        np.unique(index[~cells.spectral[index]]).tolist()]
 
-    def readouts(self, times, both_at_2t=False):
+    def rows(self, rows):
+        """This evaluator on the cells ``index[rows]`` of a 1-D ``index``."""
+        part = copy.copy(self)
+        part.eigs, part.weights = self.eigs[rows], self.weights[rows]
+        part.newton = [(form, at[rows]) for form, at in self.newton
+                       if at[rows].any()]
+        return part
+
+    def readouts(self, times, both_at_2t=False, slope=False):
+        """As :meth:`_Cells.readouts`; with ``slope`` each block is followed
+        by the time derivatives of its columns, d/dt at t and d/d(2t) at
+        2t."""
         times = np.asarray(times, dtype=float)
         factors = np.exp(times[..., None] * self.eigs)
         factors_2t = factors * factors
@@ -321,7 +373,7 @@ class _Evaluator:
             t = np.broadcast_to(times, at.shape)[at]
             both = form.coefficients(np.concatenate((t, 2.0 * t)))
             factors[at], factors_2t[at] = both[:len(t)], both[len(t):]
-        weights = self.weights
+        weights = self.weights if slope else self.weights[..., :4]
         at_t = _contract(factors[..., None, :], weights)[..., 0, :].real
         at_2t = _contract(factors_2t[..., None, :],
                           weights if both_at_2t else weights[..., 0::2]
@@ -330,6 +382,13 @@ class _Evaluator:
 
     def value(self, times, eps_trace):
         return _ranked_k3(*self.readouts(times), eps_trace)
+
+    def value_and_slope(self, times, eps_trace):
+        """K3 as :meth:`value` and dK3/dt, NaN where K3 is -inf, from one
+        exponential and one contraction."""
+        at_t, at_2t = self.readouts(times, slope=True)
+        value = _ranked_k3(at_t, at_2t, eps_trace)
+        return value, np.where(value > -np.inf, _k3_slope(at_t, at_2t), np.nan)
 
 
 def _run_leaders(owner, values):
@@ -396,28 +455,73 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     return owner, index, high == -np.inf, flat
 
 
-def _golden_section(evaluate: _Evaluator, a, b, tol, eps_trace):
-    """Maximize over every bracket [a, b] at once, each to its own width tol.
+def _peak_search(evaluate: _Evaluator, a, b, ends, eps_trace):
+    """The crest of every bracket [a, b] at once, as (t, K3) per bracket;
+    ``ends`` holds the K3 values and the slopes
+    (:meth:`_Evaluator.value_and_slope`) at a and at b, shape
+    (2, 2, len(a)).
 
-    Each iteration keeps one interior point of the previous one and
-    evaluates one new point per bracket; a bracket no wider than ``tol``
-    keeps its ends from then on.  Returns the final brackets.
+    A bracket whose slope turns from + at a to - at b is searched for the
+    root of g = (dK3/dt) / t by Brent's zero finder (Brent 1973, ch. 4):
+    inverse quadratic or secant steps, and bisection when they make too
+    little progress.  g has the roots and signs of dK3/dt on t > 0, and
+    stays finite as t -> 0+, where dK3/dt vanishes since both branch
+    ratios start at +-1; so the first bracket, which reaches down to
+    ``_REFINE_TOL``, interpolates as well as any other.  One call per round
+    evaluates the brackets still live.  A bracket ends once it is no wider
+    than ``_ROOT_RTOL`` t, on a zero or NaN slope, or after
+    ``_ROOT_ROUNDS`` rounds; it reports Brent's best iterate, the one of
+    smallest |g|, and the K3 value found there.  Any other bracket reports
+    its higher-valued end, the smaller t on a tie.
     """
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = evaluate.value(c, eps_trace), evaluate.value(d, eps_trace)
-    live = b - a > tol
-    while live.any():
-        left = fc > fd  # the maximum lies in [a, d]
-        low, high = np.where(left, a, c), np.where(left, d, b)
-        c, d = (np.where(left, high - GOLDEN * (high - low), d),
-                np.where(left, c, low + GOLDEN * (high - low)))
-        a, b = np.where(live, low, a), np.where(live, high, b)
-        live &= b - a > tol
-        kept = np.where(left, fc, fd)
-        fresh = evaluate.value(np.where(left, c, d), eps_trace)
-        fc, fd = np.where(left, fresh, kept), np.where(left, kept, fresh)
-    return a, b
+    (fa, fb), (da, db) = ends
+    t, value = np.where(fb > fa, b, a), np.maximum(fa, fb)
+    live = np.flatnonzero((da > 0) & (db < 0) & (b - a > _ROOT_RTOL * b))
+    # rows (t, g, K3) of the best iterate x, of the contrapoint c, across
+    # the root from x, and of the previous best p
+    x = np.stack((a, da / a, fa))[:, live]
+    p = c = np.stack((b, db / b, fb))[:, live]
+    step = before = x[0] - c[0]
+    for round_ in range(_ROOT_ROUNDS + 1):
+        swap = np.abs(c[1]) < np.abs(x[1])
+        p, x, c = (np.where(swap, x, p), np.where(swap, c, x),
+                   np.where(swap, x, c))
+        t[live], value[live] = x[0], x[2]
+        tol = 0.5 * _ROOT_RTOL * x[0]
+        half = 0.5 * (c[0] - x[0])
+        keep = (np.abs(half) > tol) & (x[1] != 0) & ~np.isnan(x[1])
+        if round_ == _ROOT_ROUNDS or not keep.any():
+            break
+        live, x, c, p, step, before, tol, half = (
+            part[..., keep]
+            for part in (live, x, c, p, step, before, tol, half))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, q, r = x[1] / p[1], p[1] / c[1], x[1] / c[1]
+            secant = p[0] == c[0]
+            num = np.where(secant, 2.0 * half * s, s * (
+                2.0 * half * q * (q - r) - (x[0] - p[0]) * (r - 1.0)))
+            den = np.where(secant, 1.0 - s, (q - 1.0) * (r - 1.0) * (s - 1.0))
+            den = np.where(num > 0, -den, den)
+            num = np.abs(num)
+            # interpolate only while the steps shrink fast enough, else bisect
+            fits = ((np.abs(before) >= tol) & (np.abs(p[1]) > np.abs(x[1]))
+                    & (2.0 * num < np.minimum(
+                        3.0 * half * den - np.abs(tol * den),
+                        np.abs(before * den))))
+            before, step = (np.where(fits, step, half),
+                            np.where(fits, num / den, half))
+        p = x
+        new_t = x[0] + np.where(np.abs(step) > tol, step,
+                                np.copysign(tol, half))
+        new_k3, slope = evaluate.rows(live).value_and_slope(new_t, eps_trace)
+        x = np.stack((new_t, slope / new_t, new_k3))
+        # on the side of c, the new iterate moves c to p: the root lies
+        # between them
+        side = np.sign(x[1]) == np.sign(c[1])
+        c = np.where(side, p, c)
+        step, before = (np.where(side, new_t - p[0], part)
+                        for part in (step, before))
+    return t, value
 
 
 def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
@@ -425,8 +529,10 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
 
     The engine behind :func:`optimize_k3` (one cell; the method is described
     there), :func:`sweep` and ``nsit --maximize-over-t``.  The 4x re-scan
-    guards against aliasing of the oscillatory landscape.  All candidates of
-    all cells are refined together, and a cell's result never depends on
+    guards against aliasing of the oscillatory landscape; it reads K3 and
+    dK3/dt, so each candidate's bracket is the rescan interval on the
+    uphill side of its best rescan point, and :func:`_peak_search` refines
+    every bracket of every cell together.  A cell's result never depends on
     the other cells of the batch.
     """
     horizon = config.horizon(cells.params)
@@ -445,24 +551,27 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     lo = np.where(pinned & (index >= 1), grid[index], lo)
     hi = np.where(pinned, grid[index], grid[np.minimum(index + 1, n - 1)])
     rescan_ts = np.linspace(lo, hi, 9, axis=-1)
-    rescan = cells.value(owner[:, None], rescan_ts, config.eps_trace)
+    evaluate = _Evaluator(cells, owner)
+    rescan, slope = (part.T for part in evaluate.value_and_slope(
+        rescan_ts.T, config.eps_trace))
     # a flat cell reports its grid point, unrefined, unless its curve spans
     # more than a tie between t -> 0+ and that point: then it is refined from
     # its best rescan point like any other
     pinned &= rescan.max(axis=1) - rescan.min(axis=1) <= _TIE_TOL
     j = np.where(pinned, 8, np.argmax(rescan, axis=1))
     rows = np.arange(len(owner))
-    a = rescan_ts[rows, np.where(pinned, 8, np.maximum(j - 1, 0))]
-    b = rescan_ts[rows, np.minimum(j + 1, 8)]
-    evaluate = _Evaluator(cells, owner)
-    a, b = _golden_section(evaluate, a, b, _REFINE_TOL, config.eps_trace)
-    refined = 0.5 * (a + b)
-    refined_value = evaluate.value(refined, config.eps_trace)
+    # the bracket is the rescan interval on the uphill side of the best point
+    rising = slope[rows, j]
+    ends = np.stack((np.where(pinned | (rising > 0), j, np.maximum(j - 1, 0)),
+                     np.where(pinned | (rising < 0), j, np.minimum(j + 1, 8))))
+    peak_t, peak_value = _peak_search(
+        evaluate, *rescan_ts[rows, ends],
+        np.stack((rescan[rows, ends], slope[rows, ends])), config.eps_trace)
     scan_t, scan_value = rescan_ts[rows, j], rescan[rows, j]
-    take = (refined_value > scan_value) | (
-        (refined_value == scan_value) & (refined < scan_t))
-    peak_t = np.where(take, refined, scan_t).tolist()
-    peak_value = np.where(take, refined_value, scan_value).tolist()
+    take = (peak_value > scan_value) | (
+        (peak_value == scan_value) & (peak_t < scan_t))
+    peak_t = np.where(take, peak_t, scan_t).tolist()
+    peak_value = np.where(take, peak_value, scan_value).tolist()
 
     best = [(math.inf, -math.inf)] * len(masked)
     for cell, t_at, value in zip(owner.tolist(), peak_t, peak_value):
@@ -484,7 +593,10 @@ def optimize_k3(params: model.ModelParams, config: OptimizeConfig = OptimizeConf
 
     Candidate peaks are every local maximum of a uniform scan within a small
     window of the global grid maximum; each is re-scanned at 4x the grid
-    density and refined by golden section to 1e-6 in t.  Refined values
+    density and refined by a root search on the analytic dK3/dt (Brent's
+    method, to 1e-10 relative in t), which also gives the reported value; a
+    refined point replaces the best rescan point only if its K3 is higher.
+    The first bracket of a cell reaches down to t = 1e-6.  Refined values
     within 1e-9 are ties and resolve toward the smallest t; a curve whose
     finite grid values all lie within 1e-9 is flat and reports its earliest
     finite grid point, unrefined, unless it spans more than 1e-9 between

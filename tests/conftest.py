@@ -129,34 +129,6 @@ def dense_coarse_peaks(cells, grid, eps_trace, block_points=4096):
     return owner, index, high == -np.inf, flat
 
 
-def golden_section_by_index(cells, owner, a, b, tol, eps_trace):
-    """``lgi._golden_section`` as index bookkeeping: each step evaluates
-    ``cells.value`` on the brackets still wider than ``tol`` only.  The
-    oracle of the section that updates every bracket with ``np.where``."""
-    a, b = a.copy(), b.copy()
-    c = b - lgi.GOLDEN * (b - a)
-    d = a + lgi.GOLDEN * (b - a)
-    live = np.flatnonzero(b - a > tol)
-    fc = np.full(a.shape, -np.inf)
-    fd = np.full(a.shape, -np.inf)
-    fc[live] = cells.value(owner[live], c[live], eps_trace)
-    fd[live] = cells.value(owner[live], d[live], eps_trace)
-    while live.size:
-        left = fc[live] > fd[live]  # the maximum lies in [a, d]
-        keep_a, keep_b = live[left], live[~left]
-        b[keep_a], d[keep_a], fd[keep_a] = d[keep_a], c[keep_a], fc[keep_a]
-        c[keep_a] = b[keep_a] - lgi.GOLDEN * (b[keep_a] - a[keep_a])
-        a[keep_b], c[keep_b], fc[keep_b] = c[keep_b], d[keep_b], fd[keep_b]
-        d[keep_b] = a[keep_b] + lgi.GOLDEN * (b[keep_b] - a[keep_b])
-        still = b[live] - a[live] > tol
-        live, left = live[still], left[still]
-        fresh = cells.value(owner[live], np.where(left, c[live], d[live]),
-                            eps_trace)
-        fc[live] = np.where(left, fresh, fc[live])
-        fd[live] = np.where(left, fd[live], fresh)
-    return a, b
-
-
 def assert_same_complex_sets(actual, expected, atol):
     """Match two unordered collections of complex values pairwise."""
     remaining = list(expected)
@@ -240,20 +212,24 @@ def expm_pair_probabilities(params, t):
     }
 
 
-def mp_readouts(generator, t, both_at_2t=False):
+def mp_readouts(generator, t, both_at_2t=False, slope=False):
     """(tr+, tr-, sy+, sy-) at t and (tr+, sy+) at 2t (all four with
     ``both_at_2t``) of one generator, from mpmath's expm(G t) at 50 digits
     and its square: exact for the double-precision generator far below the
-    double rounding.
+    double rounding.  With ``slope``, their derivatives in time instead,
+    read as ``_READOUT G expm(G tau) _BRANCHES`` at tau = t and 2t.
 
-    The oracle of ``lgi._Cells.readouts`` on the cells that
-    ``dynamics.decompose`` cannot diagonalize.
+    The oracle of ``lgi._Cells.readouts`` and, with ``slope``, of
+    ``lgi._Evaluator.readouts(..., slope=True)``.
     """
     from hybridlg.lgi import _BRANCHES, _READOUT
 
     with mpmath.workdps(50):
-        step = mpmath.expm(mpmath.matrix(generator.tolist()) * float(t))
+        generator = mpmath.matrix(generator.tolist())
+        step = mpmath.expm(generator * float(t))
         readout = mpmath.matrix(_READOUT.tolist())
+        if slope:
+            readout = readout * generator
         branches = mpmath.matrix(_BRANCHES.tolist())
         at_t = readout * step * branches
         at_2t = readout * step * step * branches
@@ -262,6 +238,27 @@ def mp_readouts(generator, t, both_at_2t=False):
                       for i in range(2) for j in range(2)]),
             np.array([float(mpmath.re(at_2t[i, j]))
                       for i in range(2) for j in columns]))
+
+
+def mp_k3(generator):
+    """K3(t) of one generator as a function of an mpmath t, at the working
+    precision: the branch readouts of mpmath's expm(G t) and its square, on
+    the textbook formula.  The oracle of the peak search, through
+    ``mpmath.diff`` and ``mpmath.findroot``."""
+    from hybridlg.lgi import _BRANCHES, _READOUT
+
+    generator = mpmath.matrix(generator.tolist())
+    readout = mpmath.matrix(_READOUT.tolist())
+    branches = mpmath.matrix(_BRANCHES.tolist())
+
+    def k3(t):
+        step = mpmath.expm(generator * t)
+        at_t = readout * step * branches
+        at_2t = readout * step * step * branches
+        plus, minus = at_t[1, 0] / at_t[0, 0], at_t[1, 1] / at_t[0, 1]
+        plus_2t = at_2t[1, 0] / at_2t[0, 0]
+        return plus + plus * (1 + plus) / 2 - minus * (1 - plus) / 2 - plus_2t
+    return k3
 
 
 def rk4_sample_loop(rho0, params, times, cfg):

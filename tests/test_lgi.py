@@ -4,16 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     dense_coarse_peaks,
-    golden_section_by_index,
     expm_correlators,
     expm_pair_probabilities,
     k3_curve,
+    mp_k3,
     mp_readouts,
     no_jump_state,
 )
@@ -187,6 +188,22 @@ def test_optimize_unitary_limit():
     best = optimize_k3(ModelParams(gamma=0.0, q=1.0))
     assert best.k3_max == pytest.approx(1.5, abs=1e-6)
     assert best.t_star == pytest.approx(np.pi / 3, abs=1e-4)
+
+
+@pytest.mark.parametrize("J", [1.0, 2.0])
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+def test_unitary_optimum_meets_the_closed_form(q, J):
+    # K3 = 2 cos(J t) - cos(2 J t) at gamma = 0 peaks at 3/2 at t = pi/(3 J)
+    best = optimize_k3(ModelParams(gamma=0.0, q=q, J=J))
+    assert abs(best.k3_max - 1.5) <= 1e-15
+    assert abs(best.t_star - np.pi / (3 * J)) <= 1e-12
+
+
+@pytest.mark.parametrize("resolution", [2000.0, True, "2000", None])
+def test_resolution_must_be_an_integer(resolution):
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        OptimizeConfig(resolution=resolution)
+    assert OptimizeConfig(resolution=np.int64(7)).resolution == 7
 
 
 def test_optimize_respects_luders_bound_at_unit_efficiency():
@@ -520,6 +537,101 @@ def test_overdamped_late_readouts_keep_the_trace_last_accuracy():
     assert np.median(errors) <= 0.1 * SPECTRAL_TOL
 
 
+def _assert_slopes_near_oracle(gamma, q, t, params=ModelParams(1.0, 1.0)):
+    """The slope readouts of one cell at t and at 2t against
+    ``mp_readouts(slope=True)``, within ``SPECTRAL_TOL`` of the trace of
+    their branch (the engine's own trace; ``FALLBACK_TOL_2T`` at 2t in
+    (20, 40] on a fallback cell)."""
+    cells = lgi._Cells([gamma], [q], params)
+    got = lgi._Evaluator(cells, 0).readouts(t, both_at_2t=True, slope=True)
+    want = mp_readouts(cells.generators[0], t, both_at_2t=True, slope=True)
+    for tau, readouts, oracle in zip((t, 2.0 * t), got, want):
+        bound = (FALLBACK_TOL_2T if tau > 20.0 and not cells.spectral[0]
+                 else SPECTRAL_TOL)
+        traces = np.abs(readouts[[0, 1, 0, 1]])
+        assert np.all(np.abs(readouts[4:] - oracle) <= bound * traces), tau
+
+
+# The slope readouts, measured against the 50-digit oracle, relative to the
+# branch trace, at t / at 2t: generic cells 2.1e-15 / 1.7e-15 (40 points),
+# theta = 1 2.1e-15 / 1.8e-15, gamma = 0 3.5e-15 / 6.5e-15, locus cells at
+# |delta| in [1e-4, 1e-2] 3.1e-14 / 3.6e-14, (1, 0) 3.6e-14 / 2.9e-13 and
+# (2, 1) 2.8e-17 / 1.7e-18.  Not asserted for |delta| below 1e-4, where
+# the value readouts themselves are off on the spectral path (ROADMAP
+# item 11): at delta = 0 the slopes are 4.2e-10 off, the values 1.7e-9.
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.05, 5.0), q=st.floats(1e-3, 1.0),
+       t=st.floats(1e-6, 20.0))
+def test_generic_slope_readouts_meet_the_50_digit_oracle(gamma, q, t):
+    _assert_slopes_near_oracle(gamma, q, t)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(q=st.floats(0.0, 1.0), t=st.floats(1e-6, 20.0))
+def test_unitary_slope_readouts_meet_the_50_digit_oracle(q, t):
+    _assert_slopes_near_oracle(0.0, q, t)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(q=st.floats(0.05, 1.0), delta=st.floats(1e-4, 1e-2),
+       sign=st.sampled_from([-1.0, 1.0]), t=st.floats(1e-6, 20.0))
+def test_locus_slope_readouts_meet_the_50_digit_oracle(q, delta, sign, t):
+    _assert_slopes_near_oracle(ep_radius(q).r_ep * (1.0 + sign * delta), q, t)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(t=st.floats(1e-6, 20.0))
+@pytest.mark.parametrize("gamma, q", [(1.0, 0.0), (2.0, 1.0)])
+def test_fallback_slope_readouts_meet_the_50_digit_oracle(gamma, q, t):
+    assert not lgi._Cells([gamma], [q], ModelParams(1.0, 1.0)).spectral[0]
+    _assert_slopes_near_oracle(gamma, q, t)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.0, 20.0), q=st.floats(0.0, 1.0),
+       t=st.floats(1e-6, 20.0))
+def test_theta_one_slope_readouts_meet_the_50_digit_oracle(gamma, q, t):
+    _assert_slopes_near_oracle(gamma, q, t, ModelParams(1.0, 1.0, theta=1.0))
+
+
+#: |dK3/dt - mpmath.diff of the 50-digit K3|, and the same for K3: measured
+#: at most 1.3e-15 and 2.2e-15 on the cells below (gamma = 0 at t = 2 and
+#: (1, 0) at t = 3)
+K3_SLOPE_TOL = 1e-14
+
+
+@pytest.mark.parametrize("gamma, q, t", [
+    (0.5, 0.3, 0.56), (3.0, 0.05, 7.9), (0.0, 0.5, 2.0), (1.0, 0.0, 3.0),
+    (2.0, 1.0, 0.7), (ep_radius(0.1).r_ep * 0.99, 0.1, 0.03)])
+def test_k3_slope_meets_the_derivative_of_the_50_digit_k3(gamma, q, t):
+    cells = lgi._Cells([gamma], [q], ModelParams(1.0, 1.0))
+    value, slope = lgi._Evaluator(cells, [0]).value_and_slope(
+        [t], SWEEP_TRACE_FLOOR)
+    k3 = mp_k3(cells.generators[0])
+    with mpmath.workdps(50):
+        want = mpmath.diff(k3, mpmath.mpf(t))
+        assert abs(value[0] - float(k3(mpmath.mpf(t)))) <= K3_SLOPE_TOL
+    assert abs(slope[0] - float(want)) <= K3_SLOPE_TOL
+
+
+@pytest.mark.parametrize("gamma, q", [
+    (0.5, 0.3), (0.0, 0.5), (ep_radius(0.1).r_ep * 0.99, 0.1)])
+def test_peak_time_is_the_50_digit_root_of_the_slope(gamma, q):
+    # generic, gamma = 0 and a locus cell at delta = -1e-2 with its crest at
+    # t = 0.031: t* lies within the search's stopping width of the root of
+    # the derivative of the K3 oracle (measured 1.6e-12, 1.7e-14, 3.4e-14),
+    # here at 25 digits, which the root of a double generator's K3 needs
+    # with room to spare
+    best = optimize_k3(ModelParams(gamma, q))
+    k3 = mp_k3(lgi._Cells([gamma], [q], ModelParams(1.0, 1.0)).generators[0])
+    with mpmath.workdps(25):
+        start = mpmath.mpf(best.t_star)
+        root = mpmath.findroot(lambda t: mpmath.diff(k3, t),
+                               (start, start * (1 + 1e-9)), tol=1e-20)
+    assert abs(best.t_star - float(root)) <= lgi._ROOT_RTOL * best.t_star
+
+
 def test_readout_and_branch_vectors_are_the_pauli_coordinates():
     # (sx, sy, sz, r) of bloch_decompose's (r, sx, sy, sz); the readout rows
     # read Tr[rho] and Tr[sigma_y rho]
@@ -607,27 +719,64 @@ _SECTION_CELLS = lgi._Cells([0.5, 1.0, 2.0, 0.0, 3.0], [0.3, 0.0, 1.0, 0.5, 0.0]
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(brackets=st.lists(
     st.tuples(st.integers(0, 4), st.floats(1e-7, 30.0),
-              st.sampled_from([0.0, 5e-7, 1e-6, 2e-6, 1e-3, 0.05, 2.0])),
+              st.sampled_from([0.0, 5e-7, 1e-6, 2e-6, 1e-3, 0.05, 2.0]),
+              st.sampled_from([None, 0, 1])),
     min_size=1, max_size=12),
     eps_trace=st.sampled_from([SWEEP_TRACE_FLOOR, 0.5]))
-def test_golden_section_ends_on_the_brackets_of_index_bookkeeping(
+def test_peak_search_reports_a_finite_end_of_a_broken_bracket(
         brackets, eps_trace):
-    owner, a, width = (np.array(column) for column in zip(*brackets))
-    b = a + width
-    tol = lgi._REFINE_TOL
-    want = golden_section_by_index(_SECTION_CELLS, owner, a, b, tol, eps_trace)
-    got = lgi._golden_section(lgi._Evaluator(_SECTION_CELLS, owner), a, b,
-                              tol, eps_trace)
-    assert np.array_equal(got, want)
-
-
-def test_golden_section_oracle_meets_extinguished_points():
-    # the brackets of the test above reach -inf values at a floor of 0.5
+    # at a floor of 0.5 the brackets reach -inf values, with NaN slopes;
+    # a bracket may also have a NaN slope planted on a finite end
     times = np.linspace(1e-7, 32.0, 400)
     value = _SECTION_CELLS.value(np.arange(5)[:, None], times, 0.5)
     assert (value == -np.inf).any(axis=1).tolist() == [
         True, True, False, False, True]
     assert np.isfinite(value[:, 0]).all()
+
+    owner, a, width, planted = zip(*brackets)
+    owner, a = np.array(owner), np.array(a)
+    b = a + np.array(width)
+    evaluate = lgi._Evaluator(_SECTION_CELLS, owner)
+    ends = np.stack(evaluate.value_and_slope(np.stack((a, b)), eps_trace))
+    for k, end in enumerate(planted):
+        if end is not None:
+            ends[1, end, k] = np.nan
+    t, value = lgi._peak_search(evaluate, a, b, ends, eps_trace)
+    assert not np.isnan(value).any()
+    (fa, fb), (da, db) = ends
+    assert np.isfinite(value[(fa > -np.inf) | (fb > -np.inf)]).all()
+    broken = (fa == -np.inf) | (fb == -np.inf) | np.isnan(da) | np.isnan(db)
+    assert np.array_equal(t[broken], np.where(fb > fa, b, a)[broken])
+    assert np.array_equal(value[broken], np.maximum(fa, fb)[broken])
+    assert np.all((a <= t) & (t <= b))
+    # a bracket searched alone gives what it gives in the batch
+    for k in range(len(a)):
+        one = slice(k, k + 1)
+        alone = lgi._peak_search(lgi._Evaluator(_SECTION_CELLS, owner[one]),
+                                 a[one], b[one], ends[..., one], eps_trace)
+        assert (alone[0][0], alone[1][0]) == (t[k], value[k])
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-4, 1e-2])
+def test_plateau_next_to_t0_reports_the_first_bracket_reach(q, monkeypatch):
+    # at gamma = J, K3 falls from its t -> 0+ limit of 1 so slowly that it
+    # reads 1 to the last bits next to t -> 0+ (up to t = 4.5e-4 at
+    # q = 1e-6), and dK3/dt is below its rounding there (-7e-18 at t = 1e-6
+    # against about 7e-16); t* is the reach of the first bracket, whatever
+    # the last bits of the scan
+    params = ModelParams(gamma=1.0, q=q)
+    best = optimize_k3(params)
+    assert best.t_star == lgi._REFINE_TOL
+    scan = lgi._Cells.scan
+    for seed in range(4):
+        signs = np.random.default_rng(seed).choice([-np.inf, np.inf], 2000)
+
+        def nudged(self, cells, grid, eps_trace, signs=signs):
+            return np.nextafter(scan(self, cells, grid, eps_trace),
+                                signs[:len(grid)])
+
+        monkeypatch.setattr(lgi._Cells, "scan", nudged)
+        assert optimize_k3(params) == best
 
 
 def _peaks_at(positions, heights):
@@ -776,22 +925,23 @@ _BUDGET_CELLS = {
     "fourfold (1, 0)": [(1.0, 0.0)],
 }
 
-#: K3 points per cell beyond the 2000-point coarse scan: measured 29-30 on
-#: generic, locus and most q <= 1e-6 cells, 150 and 180 on two q <= 1e-6
-#: cells, 210 at gamma = 0 (three crests in the window; the golden section
-#: evaluates every bracket until the last one is done); 300 leaves about
-#: 1.4x headroom.  Every cell took 22-23 batched calls; 30 allows a few
-#: more golden-section steps but no per-candidate or per-point loop.
-_REFINE_POINT_BUDGET = 300
-_VALUE_CALL_BUDGET = 30
+#: K3 points per cell beyond the 2000-point coarse scan, measured at most:
+#: generic 13, locus 9, q <= 1e-6 75, gamma = 0 85 (seven crests in the
+#: window, each rescanned at 9 points), fourfold 9; 150 leaves about 1.8x
+#: headroom.  Batched calls per cell, the scan's included, measured at most:
+#: generic 6, locus 2, q <= 1e-6 6, gamma = 0 6, fourfold 2; 15 leaves room
+#: for the scan, the rescan and the peak search's cap of ``_ROOT_ROUNDS``
+#: rounds, but for no per-candidate or per-point loop.
+_REFINE_POINT_BUDGET = 150
+_VALUE_CALL_BUDGET = 15
 
 
 @pytest.mark.parametrize("region", sorted(_BUDGET_CELLS))
 def test_optimize_work_budget_per_region(region, monkeypatch):
     # (method, points) of every outermost K3 call: the scan of a cell off the
     # spectral path reads ``value`` inside, and that is still the scan; every
-    # direct evaluation, the golden section's included, is an
-    # ``_Evaluator.value`` call
+    # direct evaluation, the rescan and the peak search included, is an
+    # ``_Evaluator.value`` or ``_Evaluator.value_and_slope`` call
     calls, depth = [], [0]
 
     def counting(owner, name, points):
@@ -807,18 +957,20 @@ def test_optimize_work_budget_per_region(region, monkeypatch):
                 depth[0] -= 1
         monkeypatch.setattr(owner, name, counted)
 
+    def direct(self, times, eps_trace):
+        return np.broadcast(self.eigs[..., 0], times).size
+
     counting(lgi._Cells, "scan",
              lambda self, cells, grid, eps_trace: len(cells) * len(grid))
-    counting(lgi._Evaluator, "value",
-             lambda self, times, eps_trace: np.broadcast(
-                 self.eigs[..., 0], times).size)
+    counting(lgi._Evaluator, "value", direct)
+    counting(lgi._Evaluator, "value_and_slope", direct)
     config = OptimizeConfig()
     for gamma, q in _BUDGET_CELLS[region]:
         calls.clear()
         assert not optimize_k3(ModelParams(gamma=gamma, q=q), config).masked
         # the coarse scan comes first, then only direct evaluations
         assert calls[0] == ("scan", config.resolution)
-        assert {name for name, _ in calls[1:]} == {"value"}
+        assert {name for name, _ in calls[1:]} <= {"value", "value_and_slope"}
         refine = sum(points for _, points in calls[1:])
         assert refine <= _REFINE_POINT_BUDGET, (gamma, q, refine)
         assert len(calls) <= _VALUE_CALL_BUDGET, (gamma, q, len(calls))

@@ -416,13 +416,14 @@ def _read_sweep_csv(path):
 def _cmd_fit_check(args):
     rows = _read_sweep_csv(args.input)
     if args.log_base == "auto":
-        base, medians = fit.select_log_base(rows)
+        base, medians, report = fit.select_log_base(rows)
     else:
-        base, medians = args.log_base, None
-    report = fit.residual_report(
-        rows, fit.FitCoefficients.published(base),
-        allow_extrapolation=args.allow_extrapolation,
-    )
+        base, medians, report = args.log_base, None, None
+    if report is None or args.allow_extrapolation:
+        report = fit.residual_report(
+            rows, fit.FitCoefficients.published(base),
+            allow_extrapolation=args.allow_extrapolation,
+        )
     meta = _metadata(args, {"region_thresholds": list(fit.REGION_THRESHOLDS)})
     meta["log_base"] = base
     if medians is not None:

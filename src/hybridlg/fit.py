@@ -213,18 +213,21 @@ def select_log_base(rows):
 
     ``rows`` are sweep rows as for :func:`residual_report`, in a sequence
     that can be read once per base.  Returns (winning base, {base: median
-    residual}).  This is the experiment behind the package default of the
-    natural logarithm.  Bases are compared on the gamma < 1 rows: past
-    gamma ~ 2 both bases drown in the quantization noise of the published
-    coefficients and the comparison carries no signal.  Rows without a
-    low-branch cell fall back to every included cell.
+    residual}, the winner's :func:`residual_report` on the published
+    coefficients of its base, without extrapolation).  This is the
+    experiment behind the package default of the natural logarithm.  Bases
+    are compared on the gamma < 1 rows: past gamma ~ 2 both bases drown in
+    the quantization noise of the published coefficients and the comparison
+    carries no signal.  Rows without a low-branch cell fall back to every
+    included cell.
     """
-    medians = {}
+    medians, reports = {}, {}
     for base in ("e", "10"):
-        report = residual_report(rows, FitCoefficients.published(base))
+        reports[base] = report = residual_report(
+            rows, FitCoefficients.published(base))
         low = tuple(r for r in report.included() if r.gamma < DOMAIN_LOW[1])
         if low:
             report = ResidualReport(rows=low, log_base=base)
         medians[base] = report.median_residual
     winner = min(medians, key=lambda base: medians[base])
-    return winner, medians
+    return winner, medians, reports[winner]

@@ -214,8 +214,12 @@ _ROOT_ROUNDS = 10
 #: (64.5 MB with 4096 points).
 _SCAN_BLOCK_POINTS = 8192
 
-#: cells per sweep task; ``workers`` only decides which process runs a task
-_SWEEP_CHUNK_CELLS = 128
+#: most cells in one grid-map task.  A grid of up to ``workers`` times this
+#: many cells takes one task per worker, each paying its set-up once; the cap
+#: bounds a task's memory on huge grids.  At 1024 cells its :class:`_Cells`
+#: arrays take 0.7 MB, and its allocations peak at 1.9 MB in ``nsit`` and
+#: 5.9 MB in ``sweep`` (tracemalloc; 1.7 MB for a 128-cell ``sweep`` task).
+_MAX_TASK_CELLS = 1024
 
 #: rows: the readouts Tr[rho] = r and Tr[sigma_y rho] = sy of a state in
 #: the Pauli coordinates (sx, sy, sz, r) of ``spectrum.bloch_generators``
@@ -666,18 +670,31 @@ def _worker_pool(workers):
     return _pool_slot[2]
 
 
+def _task_bounds(cells, workers):
+    """(start, stop) of each grid-map task over ``cells`` cells in row order:
+    a multiple of ``workers`` contiguous tasks (one per cell if there are
+    fewer cells), as few as keep each within ``_MAX_TASK_CELLS``, whose
+    sizes differ by at most one."""
+    tasks = min(cells, workers * -(-cells // (workers * _MAX_TASK_CELLS)))
+    return [(k * cells // tasks, (k + 1) * cells // tasks)
+            for k in range(tasks)]
+
+
 def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
               workers=1) -> list:
     """Per-cell results of ``work(cells, *args)`` over a (gamma, q) grid.
 
     Cells sharing the J and theta of ``params`` are validated up front and
-    go to ``work`` as :class:`_Cells` chunks of ``_SWEEP_CHUNK_CELLS``, in row
-    order (gamma outer).  ``work`` must not let a cell's result depend on
-    its chunk; ``workers`` then only decides which process runs a chunk.
-    With ``workers`` > 1 the chunks go to the process's one pool, which
-    later maps with the same count reuse and which is shut down at exit.
-    A worker that dies mid-map raises :class:`WorkerPoolError`, and the
-    next map builds a new pool.
+    go to ``work`` as :class:`_Cells` tasks in row order (gamma outer), split
+    by :func:`_task_bounds`: with one worker a grid of up to
+    ``_MAX_TASK_CELLS`` cells is one task, with two a 1000-cell grid is two
+    of 500.  ``work`` must not let a cell's result depend on its task;
+    ``workers`` then only decides how the cells are split and which process
+    runs a task.  With one worker or one task the map runs in this process;
+    otherwise the tasks go to the process's one pool of ``min(workers,
+    tasks)`` processes, which later maps with the same count reuse and which
+    is shut down at exit.  A worker that dies mid-map raises
+    :class:`WorkerPoolError`, and the next map builds a new pool.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -692,16 +709,14 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
     first_column = zip(gammas[::width].tolist(), qs[::width].tolist())
     for gamma, q in (*first_row, *first_column):
         replace(params, gamma=gamma, q=q)
-    tasks = [
-        (work, gammas[k:k + _SWEEP_CHUNK_CELLS], qs[k:k + _SWEEP_CHUNK_CELLS],
-         params, args)
-        for k in range(0, len(gammas), _SWEEP_CHUNK_CELLS)
-    ]
-    if workers > 1:
+    tasks = [(work, gammas[start:stop], qs[start:stop], params, args)
+             for start, stop in _task_bounds(len(gammas), workers)]
+    processes = min(workers, len(tasks))
+    if processes > 1:
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            chunks = list(_worker_pool(workers).map(_chunk_task, tasks))
+            chunks = list(_worker_pool(processes).map(_chunk_task, tasks))
         except BrokenProcessPool as exc:  # the next map builds a new pool
             _close_pool()
             raise WorkerPoolError(f"worker pool broken: {exc}") from exc
@@ -714,10 +729,11 @@ def sweep(gamma_grid, q_grid, base_params: model.ModelParams | None = None,
           config: OptimizeConfig = OptimizeConfig(), workers=1) -> SweepResult:
     """Maximize K3 on every cell of a (gamma, q) grid.
 
-    Cells go to the engine through :func:`_map_grid`, so output is identical
-    for any worker count; ``workers`` > 1 runs them on the process's one
-    pool, which later calls with the same count reuse.  Cells whose every
-    time point is extinguished are masked instead of aborting the sweep.
+    Cells go to the engine through :func:`_map_grid`, one task per worker
+    (of at most ``_MAX_TASK_CELLS`` cells), so output is identical for any
+    worker count; ``workers`` > 1 runs the tasks on the process's one pool,
+    which later calls with the same count reuse.  Cells whose every time
+    point is extinguished are masked instead of aborting the sweep.
     """
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)

@@ -200,8 +200,8 @@ def check_nsit(table: JointProbTable) -> MacrorealismReport:
 
 
 def _nsit_rows(cells, t, config, eps_trace, q0, q2):
-    """The :func:`nsit_grid` rows of one ``lgi._Cells`` chunk: one
-    :func:`check_nsit` on the chunk's array table gives every defect.  A
+    """The :func:`nsit_grid` rows of one ``lgi._Cells`` task: one
+    :func:`check_nsit` on the task's array table gives every defect.  A
     cell with a branch below the floor has no table; its entries are not
     read."""
     if t is None:  # a masked optimum has t* = NaN
@@ -237,8 +237,10 @@ def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
     gamma outer, at interval ``t`` or, with ``t`` None, at each cell's K3
     optimum under ``config``; (q0, q2) = ``outcomes``.  Extinguished and
     masked cells get NaN defects and the error text.  Cells run through the
-    grid map of :func:`lgi.sweep`, on its one reused pool when ``workers``
-    > 1, so ``workers`` never changes a row."""
+    grid map of :func:`lgi.sweep`, one task per worker (of at most
+    ``lgi._MAX_TASK_CELLS`` cells), on its one reused pool when ``workers``
+    > 1 and there is more than one task, so ``workers`` never changes a
+    row."""
     if t is not None:
         lgi._check_interval("t", t)
     return lgi._map_grid(_nsit_rows, gamma_grid, q_grid, base_params,

@@ -246,7 +246,7 @@ def test_criterion_10_fit_validation():
     result = lgi.sweep(np.concatenate([gammas_low, gammas_high]), qs)
     # base selection internally probes the gamma < 1 branch, the only part
     # of the domain where the published precision can be evaluated at all
-    base, medians = select_log_base(result.rows())
+    base, medians, _ = select_log_base(result.rows())
     report = residual_report(result.rows(), FitCoefficients.published(base))
 
     low_rows = [r for r in report.included() if r.gamma < 1.0]

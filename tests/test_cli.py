@@ -646,6 +646,12 @@ def test_fit_check_pipeline(tmp_path):
     records = as_dicts(header, rows)
     assert all(r["region"] in ("1", "2", "3") for r in records)
     assert all(float(r["residual"]) <= 0.2 for r in records)
+    # auto reuses the report it chose the base on: the rows of an explicit
+    # run with that base
+    explicit = tmp_path / "explicit.csv"
+    assert main(["fit-check", "--in", str(sweep_csv), "--log-base", "e",
+                 "--out", str(explicit)]) == 0
+    assert read_csv(explicit)[1:] == (header, rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -693,6 +699,13 @@ def test_fit_check_allow_extrapolation(tmp_path):
         _, header, rows = read_csv(forced)
         assert all(r["region"] in ("1", "2", "3")
                    for r in as_dicts(header, rows))
+        # auto chooses its base without extrapolation, then evaluates the
+        # winner's fit with it
+        auto = tmp_path / "auto.csv"
+        main(["fit-check", "--in", str(sweep_csv), "--allow-extrapolation",
+              "--log-base", "auto", "--out", str(auto)])
+        metadata, *table = read_csv(auto)
+        assert metadata["log_base"] == "e" and table == [header, rows]
 
 
 def test_fit_check_rows_follow_the_sweep_rows(tmp_path):

@@ -207,9 +207,12 @@ def test_excluded_band_is_marked():
 
 def test_natural_log_base_dominates():
     result = small_sweep()
-    winner, medians = select_log_base(result.rows())
+    winner, medians, report = select_log_base(result.rows())
     assert winner == "e" == DEFAULT_LOG_BASE
     assert medians["e"] < medians["10"]
+    # the winner's own report, as residual_report builds it
+    assert repr(report) == repr(residual_report(
+        result.rows(), FitCoefficients.published(winner)))
 
 
 def test_log_base_selection_ignores_quantization_noise_region():
@@ -217,7 +220,7 @@ def test_log_base_selection_ignores_quantization_noise_region():
     # published table has signal (gamma < 1), not in the gamma > 2 noise
     result = small_sweep(gammas=np.asarray([0.3, 0.7, 2.5, 4.0]),
                          qs=np.logspace(-4, 0, 5))
-    winner, medians = select_log_base(result.rows())
+    winner, medians, _ = select_log_base(result.rows())
     assert winner == "e"
     assert medians["e"] < 0.05 < medians["10"] < 1.0
 

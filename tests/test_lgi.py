@@ -285,7 +285,7 @@ def _failing_cells(cells):
     raise _ChunkFailure(f"a chunk of {len(cells.eigs)} cells")
 
 
-#: four chunks of lgi._SWEEP_CHUNK_CELLS cells
+#: 512 cells: one task of 256 cells per worker on 2 workers
 _POOL_GRID = (np.linspace(0.5, 1.5, 4), np.linspace(0.1, 1.0, 128))
 
 
@@ -313,7 +313,7 @@ def test_grid_maps_reuse_one_pool_per_worker_count():
 def test_failing_chunk_reaches_the_caller_and_the_pool_goes_on():
     _map_pids(2)
     pool = _children()
-    with pytest.raises(_ChunkFailure, match="a chunk of 128 cells"):
+    with pytest.raises(_ChunkFailure, match="a chunk of 256 cells"):
         _map_pids(2, _failing_cells)
     assert _map_pids(2) <= pool
     assert _children() == pool
@@ -346,9 +346,9 @@ print(sum(lgi._map_grid(count, *grid, ModelParams(1.0, 1.0), (), 2)))
                           env={**os.environ, "PYTHONPATH": str(src)},
                           check=True, timeout=60)
     assert done.stdout.decode().splitlines() == [
-        "TrajectoryExtinguishedError 1e-300 128 cells trajectory extinguished "
-        "(128 cells): trace 1.000000e-300 below floor",
-        "65536",
+        "TrajectoryExtinguishedError 1e-300 256 cells trajectory extinguished "
+        "(256 cells): trace 1.000000e-300 below floor",
+        "131072",
     ]
 
 
@@ -384,6 +384,55 @@ print(len(first), len(second), first.isdisjoint(second))
     assert broken.startswith("BrokenProcessPool worker pool broken: ")
     assert pools == "2 2 True"  # two new workers, none of the old ones
     assert done.stderr == b""
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cells=st.integers(1, 200_000), workers=st.integers(1, 70))
+def test_grid_map_tasks_cover_the_rows_once_one_set_per_worker(cells, workers):
+    bounds = lgi._task_bounds(cells, workers)
+    sizes = [stop - start for start, stop in bounds]
+    if cells < workers:
+        assert sizes == [1] * cells
+    else:
+        assert len(bounds) % workers == 0
+    # contiguous, in row order, every cell once
+    assert [start for start, _ in bounds] == [0] + [stop for _, stop
+                                                    in bounds[:-1]]
+    assert bounds[-1][1] == cells
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= lgi._MAX_TASK_CELLS
+    # as few tasks as the cap allows
+    assert len(bounds) < workers + cells / lgi._MAX_TASK_CELLS
+
+
+def test_grid_map_tasks_of_the_benchmarked_grids():
+    assert lgi._task_bounds(125, 1) == [(0, 125)]
+    assert lgi._task_bounds(1000, 1) == [(0, 1000)]
+    assert lgi._task_bounds(1000, 2) == [(0, 500), (500, 1000)]
+    assert lgi._task_bounds(3000, 2) == [(0, 750), (750, 1500), (1500, 2250),
+                                         (2250, 3000)]
+
+
+class _PoolRequested(Exception):
+    pass
+
+
+def test_grid_map_starts_no_more_processes_than_tasks(monkeypatch):
+    # the stub raises before any process starts, whatever the count
+    asked = []
+
+    def no_pool(processes):
+        asked.append(processes)
+        raise _PoolRequested
+
+    monkeypatch.setattr(lgi, "_worker_pool", no_pool)
+    one_cell = ([0.5], [0.3], ModelParams(gamma=1.0, q=1.0), (), 10_000)
+    assert lgi._map_grid(_cell_pids, *one_cell) == [os.getpid()]
+    assert asked == []
+    with pytest.raises(_PoolRequested):
+        lgi._map_grid(_cell_pids, [0.5, 0.7, 0.9], [0.3],
+                      ModelParams(gamma=1.0, q=1.0), (), 10_000)
+    assert asked == [3]
 
 
 @pytest.mark.parametrize("workers", [0, -3])

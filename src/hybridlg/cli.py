@@ -74,6 +74,29 @@ def _metadata(args, tolerances=None):
     }
 
 
+@functools.cache
+def _csv_template(kinds):
+    """The %-template of one CSV row whose values have the types ``kinds``:
+    the bytes of :func:`_fmt` for each value."""
+    return ",".join("%.17g" if issubclass(kind, float) else "%s"
+                    for kind in kinds) + "\n"
+
+
+def _format_rows(fmt, rows):
+    """``rows`` in the output form of ``fmt``: one text block for CSV, or
+    JSON-ready rows with NaN as null (strict JSON has no NaN)."""
+    if fmt != "csv":
+        return [[None if isinstance(v, float) and math.isnan(v) else v
+                 for v in row] for row in rows]
+    # one template per run of rows of one type, filled in one call
+    blocks = []
+    for kinds, run in itertools.groupby(rows, lambda row: tuple(map(type, row))):
+        run = list(run)
+        blocks.append(_csv_template(kinds) * len(run)
+                      % tuple(value for row in run for value in row))
+    return "".join(blocks)
+
+
 class _Writer:
     """Streams rows to CSV (metadata as '# ' JSON comment) or buffers JSON;
     the JSON body is written only when no exception is propagating."""
@@ -85,7 +108,6 @@ class _Writer:
         self.metadata = metadata
         self._rows = []
         self._handle = None
-        self._templates = {}  # CSV row template per tuple of value types
 
     def __enter__(self):
         self._handle = (
@@ -98,25 +120,14 @@ class _Writer:
         return self
 
     def write_rows(self, rows):
+        self.write_formatted(_format_rows(self.fmt, rows))
+
+    def write_formatted(self, out):
+        """Write rows already in the output form of :func:`_format_rows`."""
         if self.fmt == "csv":
-            # one %-template per row type, repeated over each run of rows of
-            # that type: the bytes of _fmt in one call per run
-            for kinds, run in itertools.groupby(
-                    rows, lambda row: tuple(map(type, row))):
-                run = list(run)
-                template = self._templates.get(kinds)
-                if template is None:
-                    template = self._templates[kinds] = ",".join(
-                        "%.17g" if issubclass(kind, float) else "%s"
-                        for kind in kinds) + "\n"
-                self._handle.write(template * len(run) % tuple(
-                    value for row in run for value in row))
+            self._handle.write(out)
         else:
-            # strict JSON has no NaN; masked cells become null
-            self._rows.extend([
-                None if isinstance(v, float) and math.isnan(v) else v
-                for v in row
-            ] for row in rows)
+            self._rows.extend(out)
 
     def __exit__(self, exc_type, exc, tb):
         try:
@@ -366,16 +377,19 @@ def _cmd_nsit(args):
     base = model.ModelParams(gamma=1.0, q=1.0, J=args.J, theta=args.theta)
     config = (lgi.OptimizeConfig(t_max=args.t_max, resolution=args.resolution)
               if args.maximize_over_t else None)
-    rows = macrorealism.nsit_grid(
+    # each task formats its own rows, on the pool's workers
+    parts = macrorealism.nsit_grid(
         gammas, qs, base, t=args.t, config=config, eps_trace=args.eps_trace,
         outcomes=(args.q0, args.q2), workers=args.workers,
+        format_rows=functools.partial(_format_rows, args.format),
     )
     meta = _metadata(args, {"eps_trace": args.eps_trace})
     columns = ["gamma", "q", "t", "delta_01_2", "delta_12", "delta_02",
                "aot_defect", "error"]
-    cells = ((float(g), float(q)) for g in gammas for q in qs)
-    return _write(args, columns, meta,
-                  ([*cell, *row] for cell, row in zip(cells, rows)))
+    with _Writer(args.out, args.format, columns, meta) as writer:
+        for part in parts:
+            writer.write_formatted(part)
+    return EXIT_OK
 
 
 def _read_sweep_csv(path):

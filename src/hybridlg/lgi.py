@@ -275,7 +275,8 @@ class _Cells:
     directly (:meth:`value`).  Cells that :func:`decompose` cannot
     diagonalize take the :class:`dynamics.NewtonForm` instead, built once
     here: c_k = f_t[l_0..l_k], evaluated at t and at 2t, and
-    w_k = e_obs^T P_k v0.
+    w_k = e_obs^T P_k v0.  ``gammas`` and ``qs`` keep the cells' coordinates
+    as given.
 
     B commutes with exp(tB), so the time derivative of a readout
     e_obs^T exp(tB) v0 is the readout of B v0: the same factors c_k times
@@ -285,6 +286,7 @@ class _Cells:
 
     def __init__(self, gammas, qs, params: model.ModelParams):
         self.params = params
+        self.gammas, self.qs = np.asarray(gammas), np.asarray(qs)
         self.generators = bloch_generators(params, gammas, qs)
         eigs, modes, inv_modes, self.spectral = decompose(self.generators)
         readout = _contract(_READOUT, modes)           # (N, 2, 4)
@@ -297,7 +299,7 @@ class _Cells:
         self.slopes = self.eigs[:, :, None] * self.weights
         self.newton = {}
         for n in np.flatnonzero(~self.spectral).tolist():
-            form = NewtonForm(self.generators[n], eigs[n], np.asarray(gammas)[n])
+            form = NewtonForm(self.generators[n], eigs[n], self.gammas[n])
             self.newton[n] = form
             self.weights[n] = (_READOUT @ form.products @ _BRANCHES).reshape(4, 4)
             self.slopes[n] = (_READOUT @ form.products

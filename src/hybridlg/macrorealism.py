@@ -230,9 +230,20 @@ def _nsit_rows(cells, t, config, eps_trace, q0, q2):
     return rows
 
 
+def _nsit_task(cells, format_rows, *args):
+    """The grid-map work of :func:`nsit_grid`: the task's rows, or
+    ``format_rows`` of them, each behind its cell's (gamma, q), as the
+    task's one result."""
+    rows = _nsit_rows(cells, *args)
+    if format_rows is None:
+        return rows
+    return [format_rows([(gamma, q, *row) for gamma, q, row in zip(
+        cells.gammas.tolist(), cells.qs.tolist(), rows)])]
+
+
 def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
-              config=None, eps_trace=1e-12, outcomes=(+1, +1), workers=1
-              ) -> list:
+              config=None, eps_trace=1e-12, outcomes=(+1, +1), workers=1,
+              format_rows=None) -> list:
     """(t, delta_01_2, delta_12, delta_02, aot_defect, error) per grid cell,
     gamma outer, at interval ``t`` or, with ``t`` None, at each cell's K3
     optimum under ``config``; (q0, q2) = ``outcomes``.  Extinguished and
@@ -240,9 +251,11 @@ def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
     grid map of :func:`lgi.sweep`, one task per worker (of at most
     ``lgi._MAX_TASK_CELLS`` cells), on its one reused pool when ``workers``
     > 1 and there is more than one task, so ``workers`` never changes a
-    row."""
+    row.  With ``format_rows`` (picklable), each task passes its rows, each
+    with (gamma, q) in front, through ``format_rows`` in its own process,
+    and the grid gives one result per task, in row order."""
     if t is not None:
         lgi._check_interval("t", t)
-    return lgi._map_grid(_nsit_rows, gamma_grid, q_grid, base_params,
-                         (t, config, eps_trace, *outcomes), workers)
-
+    return lgi._map_grid(_nsit_task, gamma_grid, q_grid, base_params,
+                         (format_rows, t, config, eps_trace, *outcomes),
+                         workers)

@@ -39,6 +39,8 @@ REQUESTS = {
                      "--grid-q", "1e-6:1:7:log"],
     "nsit_t1": ["nsit", "--t", "1"],
     "nsit_t40_minus": ["nsit", "--t", "40", "--q0", "-1", "--q2", "-1"],
+    "nsit_t40_minus_workers2": ["nsit", "--t", "40", "--q0", "-1", "--q2", "-1",
+                                "--workers", "2"],
     "nsit_maximize": ["nsit", "--maximize-over-t", "--grid-gamma", "0:3:13",
                       "--grid-q", "1e-6:1:10:log"],
     "k3_optimize_fourfold": ["k3", "--optimize", "--gamma", "1", "--q", "0"],
@@ -100,9 +102,12 @@ def run_requests(workdir):
 
 
 def load():
-    """name -> arrays of the stored corpus."""
+    """name -> arrays of the stored corpus; a request with no stored file is
+    left out, so :func:`drift` lists its arrays as added."""
     stored = {}
     for name in REQUESTS:
+        if not (HERE / f"{name}.npz").exists():
+            continue
         with np.load(HERE / f"{name}.npz", allow_pickle=False) as data:
             stored[name] = {key: data[key] for key in data.files}
     return stored
@@ -118,7 +123,7 @@ def drift(stored, fresh):
     """One line per request and array that differs, as a markdown table row:
     how many entries moved, and the largest absolute and ulp drift."""
     lines = []
-    for name in REQUESTS:
+    for name in fresh:
         old, new = stored.get(name, {}), fresh[name]
         for key in sorted(set(old) | set(new)):
             if key not in old or key not in new:
@@ -153,13 +158,16 @@ def format_table(lines):
 
 
 def main():
+    """Print the drift table, then rewrite the ``.npz`` of each request that
+    is new or moved; an unchanged request keeps its file."""
     with tempfile.TemporaryDirectory() as workdir:
         fresh = run_requests(workdir)
-    if all((HERE / f"{name}.npz").exists() for name in REQUESTS):
-        print(format_table(drift(load(), fresh)))
-    for name, arrays in fresh.items():
-        np.savez_compressed(HERE / f"{name}.npz", **arrays)
-    print(f"wrote {len(fresh)} requests to {HERE}")
+    stored = load()
+    print(format_table(drift(stored, fresh)))
+    moved = [name for name in REQUESTS if drift(stored, {name: fresh[name]})]
+    for name in moved:
+        np.savez_compressed(HERE / f"{name}.npz", **fresh[name])
+    print(f"wrote {len(moved)} of {len(fresh)} requests to {HERE}")
     return 0
 
 

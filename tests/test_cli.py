@@ -1,5 +1,7 @@
+import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_complex_sets
 from hybridlg import dynamics, lgi
-from hybridlg.cli import _fmt, _Writer, main
+from hybridlg.cli import _fmt, _format_rows, _Writer, main
 from hybridlg.model import ModelParams
 from hybridlg.spectrum import build_liouvillian
 
@@ -160,8 +162,9 @@ def test_infinite_rate_or_scale_is_one_usage_line(argv):
     assert done.stdout == b""
 
 
-def test_killed_pool_worker_exits_70_and_the_next_run_succeeds():
-    script = """
+def test_killed_pool_worker_exits_70_and_the_next_run_succeeds(tmp_path):
+    out = tmp_path / "nsit.csv"
+    script = f"""
 import contextlib, io, os, signal, sys
 import hybridlg.cli
 from hybridlg import macrorealism
@@ -169,12 +172,13 @@ from hybridlg import macrorealism
 def killed(cells, *args):
     os.kill(os.getpid(), signal.SIGKILL)
 
-argv = ["nsit", "--t", "1", "--workers", "2"]
+argv = ["nsit", "--t", "1", "--workers", "2", "--out", {str(out)!r}]
 rows = macrorealism._nsit_rows
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     macrorealism._nsit_rows = killed
     codes.append(hybridlg.cli.main(argv))
+    codes.append(os.path.exists(argv[-1]))
     macrorealism._nsit_rows = rows
     codes.append(hybridlg.cli.main(argv))
 print(codes)
@@ -182,7 +186,9 @@ print(codes)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env={**os.environ, "PYTHONPATH": str(_SRC)},
                           check=True, timeout=60)
-    assert done.stdout == b"[70, 0]\n"
+    # the failed map leaves no file; the next run writes every row
+    assert done.stdout == b"[70, False, 0]\n"
+    assert len(read_csv(out)[2]) == 400
     [line] = done.stderr.decode().splitlines()
     assert line.startswith("numeric failure: worker pool broken: ")
 
@@ -819,6 +825,35 @@ def test_nsit_workers_value_identical(tmp_path):
         assert errors == extinguished
 
 
+def test_nsit_json_workers_value_identical(tmp_path):
+    # the defective grid of test_nsit_workers_value_identical: gamma = 0
+    # takes the Schur route, (1, 0) and (2, 1) the Newton form, and (1, 0)
+    # is extinguished at t = 40
+    argv = ["nsit", "--grid-gamma", "0:2:3", "--grid-q", "0:1:2", "--t", "40",
+            "--format", "json"]
+    payloads = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.json"
+        assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    one, two = payloads
+    assert one["rows"] == two["rows"]
+    assert one["columns"] == two["columns"]
+    # the rows are the CSV rows, with null for NaN
+    csv_out = tmp_path / "w1.csv"
+    assert main(argv[:-2] + ["--out", str(csv_out)]) == 0
+    _, header, rows = read_csv(csv_out)
+    assert header == one["columns"]
+    assert [[_fmt(v) if v is not None else "nan" for v in row]
+            for row in one["rows"]] == rows
+    record = dict(zip(header, one["rows"][2]))
+    assert (record["gamma"], record["q"]) == (1.0, 0.0)
+    assert [record[name] for name in
+            ("delta_01_2", "delta_12", "delta_02", "aot_defect")] == [None] * 4
+    assert "extinguished" in record["error"]
+    assert [row[-1] for row in one["rows"]].count("") == 5
+
+
 def test_json_format(tmp_path):
     out = tmp_path / "ep.json"
     assert main(["ep-locus", "--grid-q", "0:1:3", "--format", "json",
@@ -857,9 +892,46 @@ _CELLS = st.one_of(
     st.tuples(st.floats(allow_nan=True, allow_infinity=True), st.floats()),
 ), min_size=1, max_size=8), split=st.integers(0, 8))
 def test_csv_row_templates_write_the_bytes_of_fmt(rows, split):
+    expected = "".join(",".join(_fmt(value) for value in row) + "\n"
+                       for row in rows)
+    assert _format_rows("csv", rows) == expected
     writer = _Writer(None, "csv", [], {})
     writer._handle = io.StringIO()
     writer.write_rows(rows[:split])
     writer.write_rows([list(row) for row in rows[split:]])
-    assert writer._handle.getvalue() == "".join(
-        ",".join(_fmt(value) for value in row) + "\n" for row in rows)
+    assert writer._handle.getvalue() == expected
+
+
+#: nsit rows with every type a row formatter must keep apart
+_PLANTED_ROWS = [
+    (1.5, math.nan, -0.0, 0.0, math.inf, -math.inf, ""),
+    (2.0, 0.1, 7, True, False, -3, "an error, with a comma"),
+    (0.25, math.nan, math.nan, math.nan, math.nan, "all time points extinguished"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_nsit_task_returns_what_the_writer_writes(monkeypatch, fmt, planted):
+    # a task of the defective t = 40 grid: Schur, Newton and one
+    # extinguished cell; or that task with rows of every type planted
+    from hybridlg import macrorealism
+
+    if planted:
+        monkeypatch.setattr(macrorealism, "_nsit_rows",
+                            lambda cells, *args: _PLANTED_ROWS)
+    gammas, qs = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0])
+    cells = lgi._Cells(gammas, qs, ModelParams(gamma=1.0, q=1.0))
+    args = (40.0, None, 1e-12, 1, 1)
+    rows = [(g, q, *row) for g, q, row in zip(
+        gammas.tolist(), qs.tolist(), macrorealism._nsit_rows(cells, *args))]
+    writer = _Writer(None, fmt, [], {})
+    writer._handle = io.StringIO()
+    writer.write_rows(rows)
+    [task] = macrorealism._nsit_task(
+        cells, functools.partial(_format_rows, fmt), *args)
+    if fmt == "csv":
+        assert task == writer._handle.getvalue()
+    else:
+        assert repr(task) == repr(writer._rows)
+    assert "extinguished" in repr(task)

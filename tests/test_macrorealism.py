@@ -247,3 +247,19 @@ def test_trace_floor_not_above_zero_is_a_value_error():
         for call in calls:
             with pytest.raises(ValueError, match="eps_trace must be > 0"):
                 call()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_formatted_grid_gives_one_result_per_task_with_the_cells_in_front(
+        workers):
+    # 6 cells on 2 workers are 2 tasks of 3; ``list`` stands in for a
+    # formatter and passes each task's rows through whole
+    gammas, qs = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0])
+    base = ModelParams(gamma=1.0, q=1.0)
+    rows = nsit_grid(gammas, qs, base, t=40.0)
+    parts = nsit_grid(gammas, qs, base, t=40.0, workers=workers,
+                      format_rows=list)
+    assert len(parts) == len(lgi._task_bounds(6, workers))
+    cells = [(g, q) for g in gammas.tolist() for q in qs.tolist()]
+    assert repr([row for part in parts for row in part]) == repr(
+        [(*cell, *row) for cell, row in zip(cells, rows)])

@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -394,6 +395,7 @@ def _cmd_nsit(args):
 
 def _read_sweep_csv(path):
     """Sweep rows (gamma, q, k3_max, t_star, error) of a sweep CSV, in order."""
+    names = ("gamma", "q", "k3_max", "t_star")
     rows = []
     with _open(path, "r", "--in") as handle:
         header = None
@@ -403,23 +405,23 @@ def _read_sweep_csv(path):
                 continue
             if header is None:
                 header = line.split(",")
-                for needed in ("gamma", "q", "k3_max", "t_star"):
-                    if needed not in header:
+                # a repeated column reads its last occurrence
+                column = {name: k for k, name in enumerate(header)}
+                for needed in names:
+                    if needed not in column:
                         raise UsageError(
                             f"{path}: missing column {needed!r} in sweep CSV"
                         )
+                numbers = operator.itemgetter(*map(column.get, names))
+                error = column.get("error")
                 continue
             values = line.split(",")
             if len(values) != len(header):
                 raise UsageError(f"{path}:{number}: {len(values)} fields, "
                                  f"header has {len(header)}")
-            fields = dict(zip(header, values))
             try:
-                rows.append((
-                    float(fields["gamma"]), float(fields["q"]),
-                    float(fields["k3_max"]), float(fields["t_star"]),
-                    fields.get("error", ""),
-                ))
+                rows.append((*map(float, numbers(values)),
+                             "" if error is None else values[error]))
             except ValueError as exc:
                 raise UsageError(f"{path}:{number}: {exc}") from None
     if not rows:

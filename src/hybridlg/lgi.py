@@ -25,6 +25,7 @@ double-precision underflow limit.  Point evaluations via
 
 import atexit
 import copy
+import itertools
 import math
 import numbers
 import os
@@ -61,14 +62,20 @@ class CorrelatorRecord:
     p_minus: float
 
 
-def _correlator_terms(sy_plus, sy_minus, sy_plus_2t):
+def _correlator_terms(sy_plus, sy_minus, sy_plus_2t, out=(None,) * 4):
     """(c01, c12, c02, k3, p+, p-) from Tr[sigma_y rho~] of the + and - branch
-    at t and the + branch at 2t, with p+- = (1 +- sy+)/2; floats or arrays."""
-    p_plus = 0.5 * (1.0 + sy_plus)
-    p_minus = 0.5 * (1.0 - sy_plus)
-    c12 = sy_plus * p_plus - sy_minus * p_minus
-    return (sy_plus, c12, sy_plus_2t, sy_plus + c12 - sy_plus_2t,
-            p_plus, p_minus)
+    at t and the + branch at 2t, with p+- = (1 +- sy+)/2; floats or arrays.
+    ``out`` holds the arrays that receive p+, p-, c12 and k3, or None for a
+    new one; the IEEE operations are the same either way."""
+    p_plus, p_minus, c12, k3 = out
+    p_plus = np.multiply(0.5, np.add(1.0, sy_plus, out=p_plus), out=p_plus)
+    p_minus = np.multiply(0.5, np.subtract(1.0, sy_plus, out=p_minus),
+                          out=p_minus)
+    # k3 holds sy- p- until the sum
+    c12 = np.subtract(np.multiply(sy_plus, p_plus, out=c12),
+                      np.multiply(sy_minus, p_minus, out=k3), out=c12)
+    k3 = np.subtract(np.add(sy_plus, c12, out=k3), sy_plus_2t, out=k3)
+    return sy_plus, c12, sy_plus_2t, k3, p_plus, p_minus
 
 
 def _k3_slope(at_t, at_2t):
@@ -89,17 +96,21 @@ def _k3_slope(at_t, at_2t):
                 - 0.5 * slope[..., 1] * (1.0 - sy_plus) - 2.0 * slope_2t)
 
 
-def _branch_sy(traces, sy, eps_trace):
+def _branch_sy(traces, sy, eps_trace, out=None):
     """The one extinction rule: the ratios sy / trace of branch readouts
     given in protocol order, and per point the index of the first branch
-    whose trace is below ``eps_trace`` (a NaN trace is not), or -1."""
+    whose trace is below ``eps_trace`` (a NaN trace is not), or -1.  The
+    ratios go to the arrays ``out`` if given."""
     if not eps_trace > 0:
         raise ValueError(f"eps_trace must be > 0, got {eps_trace}")
+    if out is None:
+        out = [None] * len(traces)
     first = np.full(np.shape(traces[0]), -1, dtype=np.int8)
     for k in reversed(range(len(traces))):
         first[np.less(traces[k], eps_trace)] = k
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return [np.divide(s, trace) for s, trace in zip(sy, traces)], first
+        return [np.divide(s, trace, out=ratio)
+                for s, trace, ratio in zip(sy, traces, out)], first
 
 
 def _extinguished(names, traces, first):
@@ -143,9 +154,10 @@ def correlators(params: model.ModelParams, t, engine="exact",
     if first >= 0:
         raise _extinguished(("branch + at t", "branch + at 2t",
                              "branch - at t"), traces, first)
-    sy_plus, sy_plus_2t, sy_minus = map(float, ratios)
-    return CorrelatorRecord(float(t), *_correlator_terms(
-        sy_plus, sy_minus, sy_plus_2t))
+    sy_plus, sy_plus_2t, sy_minus = ratios
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _correlator_terms(sy_plus, sy_minus, sy_plus_2t)
+    return CorrelatorRecord(float(t), *map(float, terms))
 
 
 def k3(params: model.ModelParams, t, engine="exact", eps_trace=1e-12) -> float:
@@ -207,18 +219,19 @@ _ROOT_RTOL = 1e-10
 #: the peak search makes at most this many rounds
 _ROOT_ROUNDS = 10
 
-#: (cell, time) points per coarse-scan block, 4 cells at resolution 2000: its
-#: largest array is about 260 KB.  Once malloc has settled, a 125-cell sweep
-#: takes about 270 page faults (4096 points: 0, 16384: 430) and runs about
-#: 10 % faster than with 4096.  ``landscape`` benchmark peak RSS: 64.7 MB
-#: (64.5 MB with 4096 points).
-_SCAN_BLOCK_POINTS = 8192
+#: (cell, time) points per coarse-scan block, 8 cells at resolution 2000.
+#: The blocks of a batch run in one :class:`_ScanSpace` (1.8 MB at 8 cells),
+#: so a warm 125-cell sweep takes no minor page faults, where blocks that
+#: allocated their arrays took about 250 at 4 cells.  A 128-cell sweep task's
+#: allocations peak at 2.3 MB (tracemalloc; 1.9 MB with those blocks);
+#: ``landscape`` benchmark peak RSS: 66.3 MB (64.9 MB with them).
+_SCAN_BLOCK_POINTS = 16384
 
 #: most cells in one grid-map task.  A grid of up to ``workers`` times this
 #: many cells takes one task per worker, each paying its set-up once; the cap
 #: bounds a task's memory on huge grids.  At 1024 cells its :class:`_Cells`
-#: arrays take 0.7 MB, and its allocations peak at 1.9 MB in ``nsit`` and
-#: 5.9 MB in ``sweep`` (tracemalloc; 1.7 MB for a 128-cell ``sweep`` task).
+#: arrays take 0.7 MB, and its allocations peak at 2.0 MB in ``nsit`` and
+#: 6.5 MB in ``sweep`` (tracemalloc; 2.3 MB for a 128-cell ``sweep`` task).
 _MAX_TASK_CELLS = 1024
 
 #: rows: the readouts Tr[rho] = r and Tr[sigma_y rho] = sy of a state in
@@ -242,22 +255,68 @@ def _contract(a, b):
     return total
 
 
-def _real_product(a, b):
-    """Re(a @ b) over the last two axes, as one real product per matrix."""
-    return (np.concatenate((a.real, -a.imag), axis=-1)
-            @ np.concatenate((b.real, b.imag), axis=-2))
+def _real_product(a, b, left, right, out):
+    """Re(a @ b) over the last two axes into ``out``, as one real product per
+    matrix, [Re a, -Im a] @ [Re b; Im b], whose operands are written into
+    ``left`` and ``right``."""
+    k = a.shape[-1]
+    left[..., :k] = a.real
+    np.negative(a.imag, out=left[..., k:])
+    right[..., :k, :] = b.real
+    right[..., k:, :] = b.imag
+    return np.matmul(left, right, out=out)
 
 
-def _ranked_k3(at_t, at_2t, eps_trace):
+def _ranked_k3(at_t, at_2t, eps_trace, work=None):
     """K3 for the maximizer from the readouts (tr+, tr-, sy+, sy-) at t and
     (tr+, sy+) at 2t along the last axis: -inf where a branch is
-    extinguished or K3 is not finite."""
+    extinguished or K3 is not finite.  ``work``, six float arrays of the
+    points' shape, receives the three branch ratios and p+, p- and c12; the
+    K3 array returned is new either way."""
+    ratios, terms = (None, (None,) * 3) if work is None else (work[:3], work[3:])
     (sy_plus, sy_plus_2t, sy_minus), first = _branch_sy(
         (at_t[..., 0], at_2t[..., 0], at_t[..., 1]),
-        (at_t[..., 2], at_2t[..., 1], at_t[..., 3]), eps_trace)
+        (at_t[..., 2], at_2t[..., 1], at_t[..., 3]), eps_trace, ratios)
+    out = np.empty(at_t.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _correlator_terms(sy_plus, sy_minus, sy_plus_2t)[3]
-    return np.where((first < 0) & np.isfinite(out), out, -np.inf)
+        _correlator_terms(sy_plus, sy_minus, sy_plus_2t, (*terms, out))
+    out[(first >= 0) | ~np.isfinite(out)] = -np.inf
+    return out
+
+
+class _ScanSpace:
+    """The arrays one :meth:`_Cells.scan` block runs in, for up to ``size``
+    cells on an ``n``-point grid cut into ``rows`` x ``width`` points: the
+    near and far phases, the weighted far phases and the real left and
+    right operands of a product (the product at 2t runs in their leading
+    part), the products at t (tr+, tr-, sy+, sy-) and at 2t (tr+, sy+),
+    and the six ``work`` arrays of :func:`_ranked_k3`.  A block of fewer
+    cells runs in the leading part of each.
+
+    The arrays are cut from one allocation.  Allocated one by one, the same
+    arrays cost 367 minor page faults per warm 125-cell coarse scan (430
+    per sweep), against 0 as one: malloc gives the larger separate arrays
+    back to the system when the workspace is freed after a sweep, and the
+    next sweep faults their pages in again."""
+
+    def __init__(self, size, n):
+        self.size, self.n = size, n
+        self.width = width = math.isqrt(n - 1) + 1
+        self.rows = rows = -(-n // width)
+        # the complex arrays first, so that every array starts at a
+        # multiple of its itemsize
+        layout = [((size, 4, width), complex), ((size, 1, rows, 4), complex),
+                  ((size, 4, rows, 4), complex), ((size, 4 * rows, 8), float),
+                  ((size, 8, width), float), ((size, 4 * rows, width), float),
+                  ((size, 2 * rows, width), float), ((6, size, n), float)]
+        sizes = [math.prod(shape) * np.dtype(kind).itemsize
+                 for shape, kind in layout]
+        memory = np.empty(sum(sizes), np.uint8)
+        offsets = itertools.accumulate(sizes, initial=0)
+        (self.near, self.far, self.weighted, self.left, self.right, self.at_t,
+         self.at_2t, self.work) = (
+            np.ndarray(shape, kind, memory, offset)
+            for (shape, kind), offset in zip(layout, offsets))
 
 
 class _Cells:
@@ -304,6 +363,7 @@ class _Cells:
             self.weights[n] = (_READOUT @ form.products @ _BRANCHES).reshape(4, 4)
             self.slopes[n] = (_READOUT @ form.products
                               @ (self.generators[n] @ _BRANCHES)).reshape(4, 4)
+        self._space = None
 
     def readouts(self, cells, times, both_at_2t=False):
         """(tr+, tr-, sy+, sy-) at t and at 2t, at (cells[i], times[i]),
@@ -324,24 +384,48 @@ class _Cells:
         grid) and squared at 2t.  The far factor joins the weights: one real
         product per cell, time last, of a shape independent of the rest of
         ``cells``.  Cells off the spectral path take their rows from ``value``.
+
+        A block runs in this object's one :class:`_ScanSpace`, built by the
+        first scan for its cells and grid, reused by every later block of no
+        more cells on a grid of the same length and rebuilt for any other:
+        at 8 cells of 2000 points it holds about 1.8 MB.  It belongs to this
+        object and lives until :meth:`drop_workspace`.  The K3 array returned
+        is not part of it, so it stays valid after later scans.
         """
         n, count = len(grid), len(cells)
-        width = math.isqrt(n - 1) + 1
+        space = self._space
+        if space is None or space.n != n or space.size < count:
+            space = self._space = _ScanSpace(count, n)
+        width, rows = space.width, space.rows
         step = (grid[-1] - grid[0]) / max(n - 1, 1)
-        near = np.exp(self.eigs[cells][..., None] * grid[:width])
-        far = np.exp(self.eigs[cells][:, None, None, :]
-                     * (width * step * np.arange(-(-n // width)))[:, None])
+        near, far, weighted, left, right, at_t, at_2t = (
+            part[:count] for part in (space.near, space.far, space.weighted,
+                                      space.left, space.right, space.at_t,
+                                      space.at_2t))
+        eigs = self.eigs[cells]
+        np.exp(np.multiply(eigs[..., None], grid[:width], out=near), out=near)
+        np.exp(np.multiply(eigs[:, None, None, :],
+                           (width * step * np.arange(rows))[:, None], out=far),
+               out=far)
         weights = self.weights[cells].swapaxes(-1, -2)[:, :, None, :]
-        at_t = _real_product((weights * far).reshape(count, -1, 4), near)
-        at_2t = _real_product(
-            (weights[:, 0::2] * (far * far)).reshape(count, -1, 4), near * near)
-        out = _ranked_k3(at_t.reshape(count, 4, -1).transpose(0, 2, 1),
-                         at_2t.reshape(count, 2, -1).transpose(0, 2, 1),
-                         eps_trace)[:, :n]
+        _real_product(np.multiply(weights, far, out=weighted).reshape(
+            count, -1, 4), near, left, right, at_t)
+        np.multiply(far, far, out=far)
+        _real_product(np.multiply(weights[:, 0::2], far, out=weighted[:, :2])
+                      .reshape(count, -1, 4), np.multiply(near, near, out=near),
+                      left[:, :2 * rows], right, at_2t)
+        out = _ranked_k3(
+            at_t.reshape(count, 4, -1)[..., :n].transpose(0, 2, 1),
+            at_2t.reshape(count, 2, -1)[..., :n].transpose(0, 2, 1),
+            eps_trace, space.work[:, :count])
         fallback = ~self.spectral[cells]
         if fallback.any():
             out[fallback] = self.value(cells[fallback, None], grid, eps_trace)
         return out
+
+    def drop_workspace(self):
+        """Free the workspace of :meth:`scan`; a later scan builds a new one."""
+        self._space = None
 
 
 class _Evaluator:
@@ -423,7 +507,8 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     finite grid values all lie within ``_TIE_TOL`` is flat: its maxima are
     rounding noise, and its one candidate (one tied run) moves to its
     earliest finite point.  :meth:`_Cells.scan` reads the grid in blocks of
-    whole cells, ``_SCAN_BLOCK_POINTS`` or so each.
+    whole cells, ``_SCAN_BLOCK_POINTS`` or so each, in one workspace that
+    is dropped after the last block.
     """
     count, n = len(cells.generators), len(grid)
     step = max(1, _SCAN_BLOCK_POINTS // n)
@@ -451,6 +536,8 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
                                      -np.inf)))
         rows, index, value = rows[peak], index[peak], value[peak]
         peaks.append((block[rows], index, value))
+    # the refinement that follows reuses the scan workspace's memory
+    cells.drop_workspace()
     owner, index, value = (np.concatenate(column) for column in zip(*peaks))
     leaders = _run_leaders(owner, value)
     owner, index = owner[leaders], index[leaders]
@@ -630,13 +717,12 @@ class SweepResult:
     def rows(self) -> list:
         """(gamma, q, k3_max, t_star, error) in fixed order, gamma outer;
         ``error`` is :data:`MASKED_MESSAGE` on masked cells, else ""."""
-        return [
-            (float(g), float(q), float(self.k3_max[i, j]),
-             float(self.t_star[i, j]),
-             MASKED_MESSAGE if self.masked[i, j] else "")
-            for i, g in enumerate(self.gamma_grid)
-            for j, q in enumerate(self.q_grid)
-        ]
+        gammas = np.repeat(self.gamma_grid, len(self.q_grid)).tolist()
+        qs = np.tile(self.q_grid, len(self.gamma_grid)).tolist()
+        errors = [MASKED_MESSAGE if gone else ""
+                  for gone in self.masked.ravel().tolist()]
+        return list(zip(gammas, qs, self.k3_max.ravel().tolist(),
+                        self.t_star.ravel().tolist(), errors))
 
 
 def _chunk_task(task):

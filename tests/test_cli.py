@@ -744,6 +744,32 @@ def test_fit_check_malformed_row_exits_64_naming_path_and_line(
     assert f"{sweep_csv}:4: {complaint}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# m\ngamma,q,t_star,error\n0.3,0.5,0.2,\n",
+     "{path}: missing column 'k3_max' in sweep CSV"),
+    ("# m\n\ngamma,q,k3_max,t_star,error\n0.3,0.5,1.1,0.2,\n0.3,0.5\n",
+     "{path}:5: 2 fields, header has 5"),
+])
+def test_sweep_csv_reader_error_texts(tmp_path, text, message):
+    from hybridlg.cli import UsageError, _read_sweep_csv
+
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    with pytest.raises(UsageError) as exc:
+        _read_sweep_csv(path)
+    assert str(exc.value) == message.format(path=path)
+
+
+def test_sweep_csv_reader_finds_columns_by_name(tmp_path):
+    from hybridlg.cli import _read_sweep_csv
+
+    # any column order, no error column, and a repeated column reads its
+    # last occurrence
+    path = tmp_path / "sweep.csv"
+    path.write_text("t_star,k3_max,x,q,gamma,q\n0.2,1.1,a,9,0.3,0.5\n")
+    assert _read_sweep_csv(path) == [(0.3, 0.5, 1.1, 0.2, "")]
+
+
 def test_evolve_reaches_generator_stationary_state(tmp_path):
     from hybridlg.model import ModelParams, SIGMA_Y
     from hybridlg.spectrum import build_liouvillian

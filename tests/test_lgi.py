@@ -164,7 +164,7 @@ def test_planted_traces_rank_minus_inf_and_leave_every_other_point(
     assert np.isfinite(clean).all()
     ranked, hits = lgi._ranked_k3, []
 
-    def planting(at_t, at_2t, eps_trace):
+    def planting(at_t, at_2t, eps_trace, work=None):
         at_t, at_2t = at_t.copy(), at_2t.copy()
         rng = np.random.default_rng(11)
         hit = np.zeros(at_t.shape[:-1], dtype=bool)
@@ -174,7 +174,7 @@ def test_planted_traces_rank_minus_inf_and_leave_every_other_point(
             slot[mask] = trace
             hit |= mask
         hits.append(hit[:, :len(grid)])
-        return ranked(at_t, at_2t, eps_trace)
+        return ranked(at_t, at_2t, eps_trace, work)
 
     monkeypatch.setattr(lgi, "_ranked_k3", planting)
     out = run()
@@ -730,6 +730,9 @@ class _StubCurves:
     def scan(self, cells, grid, eps_trace):
         return self.generators[cells]
 
+    def drop_workspace(self):
+        pass
+
 
 #: grid values that make plateaus, ties at the window edge below a row
 #: maximum of 1 and extinguished points
@@ -1072,6 +1075,94 @@ def test_scan_rows_do_not_depend_on_the_block(resolution):
             assert np.all(np.abs(block[cell] - direct)[finite] <= 1e-12)
         else:
             assert np.array_equal(block[cell], direct)
+
+
+#: four cells that keep every trace above 0.5, then partly extinguished
+#: ones, the Newton cells (1, 0) and (2, 1), gamma = 0 cells (Schur), a cell
+#: whose tr- readout is NaN and one whose tr- alone is below the floor
+#: (:func:`_leak_cells`); 13 cells leave a short last block at 4 and at 8
+#: cells per block
+_LEAK_CELLS = [(0.5, 1.0), (3.0, 1.0), (0.0, 0.5), (0.0, 1.0),
+               (0.5, 0.3), (3.0, 0.5), (1.0, 0.0), (0.7, 0.4),
+               (0.9905, 1e-6), (2.5, 0.7), (0.2, 0.05), (0.0, 0.3),
+               (2.0, 1.0)]
+
+
+def _leak_cells():
+    cells = lgi._Cells(*zip(*_LEAK_CELLS), ModelParams(gamma=1.0, q=1.0))
+    cells.weights[7, :, 1] = np.nan  # a NaN trace at every point of (0.7, 0.4)
+    cells.weights[9, :, 1] *= 1e-260  # tr- of (2.5, 0.7) below 1e-250
+    return cells
+
+
+@pytest.mark.parametrize("eps_trace", [SWEEP_TRACE_FLOOR, 0.5])
+def test_scan_workspace_does_not_leak_between_blocks(eps_trace, monkeypatch):
+    # the same candidates at 1, 4 and 8 cells per block, in one _Cells whose
+    # workspace has run every earlier block and in a fresh one; at a floor
+    # of 0.5 the extinguished block (4..7) follows a clean one (0..3)
+    grid = np.linspace(0.01, 20.0, 2000)
+    cells = _leak_cells()
+    assert cells.spectral.tolist() == [True] * 6 + [False] + [True] * 5 + [False]
+    curves = cells.scan(np.arange(len(_LEAK_CELLS)), grid, eps_trace)
+    extinguished = (curves == -np.inf).any(axis=1)
+    assert (curves[[7, 9]] == -np.inf).all()
+    if eps_trace == 0.5:
+        assert extinguished.tolist()[:8] == [False] * 4 + [True] * 4
+    default = lgi._SCAN_BLOCK_POINTS // len(grid)
+    assert default == 8
+    runs = []
+    for block_cells in (1, 4, default):
+        monkeypatch.setattr(lgi, "_SCAN_BLOCK_POINTS", block_cells * len(grid))
+        runs += [lgi._coarse_peaks(scanned, grid, eps_trace)
+                 for scanned in (cells, _leak_cells())]
+    masked = runs[0][2]
+    assert np.flatnonzero(masked).tolist() == [7, 9]
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+
+
+def test_scan_curve_outlives_later_scans():
+    grid = np.linspace(0.01, 20.0, 2000)
+    cells = _leak_cells()
+    first = cells.scan(np.arange(4), grid, 0.5)
+    kept = first.copy()
+    space = cells._space
+    assert space.size == 4
+    # extinguished, NaN and Newton cells, then a short block
+    cells.scan(np.arange(4, 8), grid, 0.5)
+    cells.scan(np.arange(12, 13), grid, SWEEP_TRACE_FLOOR)
+    assert cells._space is space
+    assert np.array_equal(first, kept)
+    assert np.array_equal(cells.scan(np.arange(4), grid, 0.5), kept)
+    # more cells, or another grid length, build a new workspace
+    wider = cells.scan(np.arange(8), grid, 0.5)
+    assert cells._space.size == 8 and np.array_equal(wider[:4], kept)
+    short = grid[:-1]
+    shorter = cells.scan(np.arange(4), short, 0.5)
+    assert (cells._space.size, cells._space.n) == (4, len(short))
+    direct = cells.value(np.arange(4)[:, None], short, 0.5)
+    assert np.array_equal(shorter == -np.inf, direct == -np.inf)
+    assert np.abs(shorter - direct)[np.isfinite(direct)].max() <= 1e-12
+    lgi._coarse_peaks(cells, grid, 0.5)
+    assert cells._space is None  # dropped after the last block
+
+
+def test_scan_workspace_fits_the_cells_scanned(monkeypatch):
+    built = []
+
+    class Recorded(lgi._ScanSpace):
+        def __init__(self, size, n):
+            built.append((size, n))
+            super().__init__(size, n)
+
+    monkeypatch.setattr(lgi, "_ScanSpace", Recorded)
+    optimize_k3(ModelParams(gamma=0.5, q=0.3))
+    assert built == [(1, 2000)]
+    # 125 cells: 16 blocks of at most 8 cells share one workspace
+    built.clear()
+    lgi.sweep(np.linspace(0.5, 2.5, 5), np.logspace(-6, 0, 25))
+    assert built == [(8, 2000)]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -123,8 +123,7 @@ def _times_1d(times) -> np.ndarray:
     return np.asarray(times, dtype=float)
 
 
-def _rk4_bloch(v0, params: model.ModelParams, times, cfg: EvolveConfig,
-               diagnostics=None) -> np.ndarray:
+def _rk4_bloch(v0, params: model.ModelParams, times, cfg: EvolveConfig) -> np.ndarray:
     """RK4 Pauli vectors (sx, sy, sz, r) under the real B of
     ``spectrum.bloch_generator``, from v0 at t = 0 to each of the
     non-decreasing 1-D ``times >= 0``; v0 is (4,) or a block (4, m) of
@@ -161,15 +160,13 @@ def _rk4_bloch(v0, params: model.ModelParams, times, cfg: EvolveConfig,
             ops[n_full, remainder] = op
         for k, split in enumerate(splits):
             states[k] = v = ops[split] @ v
-    steps = [n + (h > 0) for n, h in splits]
     finite = np.isfinite(states.reshape(len(splits), v0.size)).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
+        steps = [n + (h > 0) for n, h in splits[:k + 1]]
         done = sum(steps[:k])
         _apply_levels(levels, splits[k][0], states[k - 1] if k else v0, done)
         raise IntegrationDivergedError(done + steps[k], f"state={states[k]!r}")
-    if diagnostics is not None and times.size:
-        diagnostics["steps"] = sum(steps)
     return states
 
 
@@ -185,26 +182,24 @@ def _density(pauli) -> np.ndarray:
     return rho
 
 
-def rk4_states(rho0, params: model.ModelParams, times, cfg: EvolveConfig = EvolveConfig(),
-               diagnostics=None) -> np.ndarray:
+def rk4_states(rho0, params: model.ModelParams, times,
+               cfg: EvolveConfig = EvolveConfig()) -> np.ndarray:
     """Classical fixed-step RK4 at each of the non-decreasing 1-D
     ``times >= 0``; shape (len(times), 2, 2).
 
     RK4 runs on the Pauli vector of rho0 (:func:`_rk4_bloch`), so every
     returned rho is exactly Hermitian.  Global error is O(dt^4); S is a
     polynomial in B, so this stays an independent check of the Pade-based
-    expm of G.  ``diagnostics`` gets the ``steps`` from t = 0.  A NaN/Inf
-    state raises :class:`IntegrationDivergedError` with its step bound,
-    counted from t = 0.
+    expm of G.  A NaN/Inf state raises :class:`IntegrationDivergedError`
+    with its step bound, counted from t = 0.
     """
     pauli0 = np.roll(model.bloch_decompose(rho0), -1)   # (sx, sy, sz, r)
-    return _density(_rk4_bloch(pauli0, params, times, cfg, diagnostics))
+    return _density(_rk4_bloch(pauli0, params, times, cfg))
 
 
-def evolve_rk4(rho0, params: model.ModelParams, t, cfg: EvolveConfig = EvolveConfig(),
-               diagnostics=None):
+def evolve_rk4(rho0, params: model.ModelParams, t, cfg: EvolveConfig = EvolveConfig()):
     """RK4 state at one time t >= 0: the one-sample call of :func:`rk4_states`."""
-    return rk4_states(rho0, params, [t], cfg, diagnostics)[0]
+    return rk4_states(rho0, params, [t], cfg)[0]
 
 
 def evolve_exact(rho0, params: model.ModelParams, t) -> np.ndarray:

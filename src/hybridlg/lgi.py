@@ -24,7 +24,6 @@ double-precision underflow limit.  Point evaluations via
 """
 
 import atexit
-import copy
 import itertools
 import math
 import numbers
@@ -220,7 +219,8 @@ _ROOT_RTOL = 1e-10
 _ROOT_ROUNDS = 10
 
 #: (cell, time) points per coarse-scan block, 8 cells at resolution 2000.
-#: The blocks of a batch run in one :class:`_ScanSpace` (1.8 MB at 8 cells),
+#: The blocks of one :func:`_coarse_peaks` call run in one
+#: :class:`_ScanSpace` (1.8 MB at 8 cells), freed when that call returns,
 #: so a warm 125-cell sweep takes no minor page faults, where blocks that
 #: allocated their arrays took about 250 at 4 cells.  A 128-cell sweep task's
 #: allocations peak at 2.3 MB (tracemalloc; 1.9 MB with those blocks);
@@ -300,7 +300,6 @@ class _ScanSpace:
     next sweep faults their pages in again."""
 
     def __init__(self, size, n):
-        self.size, self.n = size, n
         self.width = width = math.isqrt(n - 1) + 1
         self.rows = rows = -(-n // width)
         # the complex arrays first, so that every array starts at a
@@ -320,7 +319,9 @@ class _ScanSpace:
 
 
 class _Cells:
-    """Branch readouts for a batch of (gamma, q) cells sharing J and theta.
+    """Branch readouts and K3 for a batch of (gamma, q) cells sharing J and
+    theta.  Nothing changes after ``__init__``; every method reads the
+    cells of the index ``cells`` it is given.
 
     Every readout of a cell is Re(sum_k c_k(t) w_k) for the four columns
     (tr+, tr-, sy+, sy-): four time factors c_k times fixed weights w_k.
@@ -330,17 +331,19 @@ class _Cells:
     eigendecomposition of B gives, per cell, c_k = exp(t lambda_k) and
     w_k = (e_obs^T V)(V^-1 v0) for obs in {trace, sigma_y} and v0 in
     {P+, P-}; the 2t readouts use the squares of the factors.  The coarse
-    scan (:meth:`scan`) builds them from blocked factors, the refinement
-    directly (:meth:`value`).  Cells that :func:`decompose` cannot
-    diagonalize take the :class:`dynamics.NewtonForm` instead, built once
-    here: c_k = f_t[l_0..l_k], evaluated at t and at 2t, and
-    w_k = e_obs^T P_k v0.  ``gammas`` and ``qs`` keep the cells' coordinates
-    as given.
+    scan (:meth:`scan`) builds them from blocked factors, the other methods
+    directly.  Cells that :func:`decompose` cannot diagonalize take the
+    :class:`dynamics.NewtonForm` instead, built once here and listed in
+    ``newton`` as (cell, form): c_k = f_t[l_0..l_k], evaluated at t and at
+    2t, and w_k = e_obs^T P_k v0.  ``gammas`` and ``qs`` keep the cells'
+    coordinates as given.
 
     B commutes with exp(tB), so the time derivative of a readout
     e_obs^T exp(tB) v0 is the readout of B v0: the same factors c_k times
-    the slope weights ``slopes``, lambda_k w_k on the spectral path and
-    e_obs^T P_k B v0 on the Newton form, which the peak search reads.
+    slope weights, lambda_k w_k on the spectral path and e_obs^T P_k B v0
+    on the Newton form, which the peak search reads.  ``weights`` holds
+    both, shape (N, 4, 8): the columns (tr+, tr-, sy+, sy-), then their
+    time derivatives.
     """
 
     def __init__(self, gammas, qs, params: model.ModelParams):
@@ -354,28 +357,54 @@ class _Cells:
         weights = (readout.swapaxes(-1, -2)[..., :, :, None]
                    * amplitudes[..., :, None, :]).reshape(-1, 4, 4)
         self.eigs = np.where(self.spectral[:, None], eigs, 0.0)
-        self.weights = np.where(self.spectral[:, None, None], weights, 0.0)
-        self.slopes = self.eigs[:, :, None] * self.weights
-        self.newton = {}
+        weights = np.where(self.spectral[:, None, None], weights, 0.0)
+        self.weights = np.concatenate(
+            (weights, self.eigs[:, :, None] * weights), axis=-1)
+        self.newton = []
         for n in np.flatnonzero(~self.spectral).tolist():
             form = NewtonForm(self.generators[n], eigs[n], self.gammas[n])
-            self.newton[n] = form
-            self.weights[n] = (_READOUT @ form.products @ _BRANCHES).reshape(4, 4)
-            self.slopes[n] = (_READOUT @ form.products
-                              @ (self.generators[n] @ _BRANCHES)).reshape(4, 4)
-        self._space = None
+            self.newton.append((n, form))
+            self.weights[n, :, :4] = (
+                _READOUT @ form.products @ _BRANCHES).reshape(4, 4)
+            self.weights[n, :, 4:] = (
+                _READOUT @ form.products
+                @ (self.generators[n] @ _BRANCHES)).reshape(4, 4)
 
-    def readouts(self, cells, times, both_at_2t=False):
+    def readouts(self, cells, times, both_at_2t=False, slope=False):
         """(tr+, tr-, sy+, sy-) at t and at 2t, at (cells[i], times[i]),
         broadcast; at 2t only (tr+, sy+) unless ``both_at_2t``, since the K3
-        scan needs no more."""
-        return _Evaluator(self, cells).readouts(times, both_at_2t)
+        scan needs no more.  With ``slope`` each block is followed by the
+        time derivatives of its columns, d/dt at t and d/d(2t) at 2t."""
+        cells = np.asarray(cells)
+        times = np.asarray(times, dtype=float)
+        factors = np.exp(times[..., None] * self.eigs[cells])
+        factors_2t = factors * factors
+        for n, form in self.newton:
+            at = np.broadcast_to(cells == n, factors.shape[:-1])
+            if not at.any():
+                continue
+            t = np.broadcast_to(times, at.shape)[at]
+            both = form.coefficients(np.concatenate((t, 2.0 * t)))
+            factors[at], factors_2t[at] = both[:len(t)], both[len(t):]
+        weights = self.weights[cells] if slope else self.weights[cells, ..., :4]
+        at_t = _contract(factors[..., None, :], weights)[..., 0, :].real
+        at_2t = _contract(factors_2t[..., None, :],
+                          weights if both_at_2t else weights[..., 0::2]
+                          )[..., 0, :].real
+        return at_t, at_2t
 
     def value(self, cells, times, eps_trace):
         """K3 at (cells[i], times[i]), broadcast; extinguished points: -inf."""
-        return _Evaluator(self, cells).value(times, eps_trace)
+        return _ranked_k3(*self.readouts(cells, times), eps_trace)
 
-    def scan(self, cells, grid, eps_trace):
+    def value_and_slope(self, cells, times, eps_trace):
+        """K3 as :meth:`value` and dK3/dt, NaN where K3 is -inf, from one
+        exponential and one contraction."""
+        at_t, at_2t = self.readouts(cells, times, slope=True)
+        value = _ranked_k3(at_t, at_2t, eps_trace)
+        return value, np.where(value > -np.inf, _k3_slope(at_t, at_2t), np.nan)
+
+    def scan(self, cells, grid, eps_trace, space):
         """``value(cells[:, None], grid, eps_trace)`` on a uniform ``grid``.
 
         With n points, M = ceil(sqrt(n)) and step s, the phase at k = m M + j
@@ -385,17 +414,12 @@ class _Cells:
         product per cell, time last, of a shape independent of the rest of
         ``cells``.  Cells off the spectral path take their rows from ``value``.
 
-        A block runs in this object's one :class:`_ScanSpace`, built by the
-        first scan for its cells and grid, reused by every later block of no
-        more cells on a grid of the same length and rebuilt for any other:
-        at 8 cells of 2000 points it holds about 1.8 MB.  It belongs to this
-        object and lives until :meth:`drop_workspace`.  The K3 array returned
-        is not part of it, so it stays valid after later scans.
+        The block runs in ``space``, a :class:`_ScanSpace` for at least
+        ``len(cells)`` cells on a grid of ``len(grid)`` points, which it
+        overwrites; the caller decides how long that lives.  The K3 array
+        returned is not part of it, so it stays valid after later scans.
         """
         n, count = len(grid), len(cells)
-        space = self._space
-        if space is None or space.n != n or space.size < count:
-            space = self._space = _ScanSpace(count, n)
         width, rows = space.width, space.rows
         step = (grid[-1] - grid[0]) / max(n - 1, 1)
         near, far, weighted, left, right, at_t, at_2t = (
@@ -407,7 +431,7 @@ class _Cells:
         np.exp(np.multiply(eigs[:, None, None, :],
                            (width * step * np.arange(rows))[:, None], out=far),
                out=far)
-        weights = self.weights[cells].swapaxes(-1, -2)[:, :, None, :]
+        weights = self.weights[cells, :, :4].swapaxes(-1, -2)[:, :, None, :]
         _real_product(np.multiply(weights, far, out=weighted).reshape(
             count, -1, 4), near, left, right, at_t)
         np.multiply(far, far, out=far)
@@ -422,63 +446,6 @@ class _Cells:
         if fallback.any():
             out[fallback] = self.value(cells[fallback, None], grid, eps_trace)
         return out
-
-    def drop_workspace(self):
-        """Free the workspace of :meth:`scan`; a later scan builds a new one."""
-        self._space = None
-
-
-class _Evaluator:
-    """:meth:`_Cells.readouts` and :meth:`_Cells.value` of fixed cells
-    ``index``, at any times broadcast against them.  The cells' eigenvalues,
-    weights, slope weights and Newton forms are gathered here, once for a
-    caller that reads the same cells step after step (the peak search)."""
-
-    def __init__(self, cells: _Cells, index):
-        index = np.asarray(index)
-        self.eigs = cells.eigs[index]
-        # columns (tr+, tr-, sy+, sy-), then their time derivatives
-        self.weights = np.concatenate((cells.weights[index],
-                                       cells.slopes[index]), axis=-1)
-        self.newton = [(cells.newton[n], index == n) for n in
-                       np.unique(index[~cells.spectral[index]]).tolist()]
-
-    def rows(self, rows):
-        """This evaluator on the cells ``index[rows]`` of a 1-D ``index``."""
-        part = copy.copy(self)
-        part.eigs, part.weights = self.eigs[rows], self.weights[rows]
-        part.newton = [(form, at[rows]) for form, at in self.newton
-                       if at[rows].any()]
-        return part
-
-    def readouts(self, times, both_at_2t=False, slope=False):
-        """As :meth:`_Cells.readouts`; with ``slope`` each block is followed
-        by the time derivatives of its columns, d/dt at t and d/d(2t) at
-        2t."""
-        times = np.asarray(times, dtype=float)
-        factors = np.exp(times[..., None] * self.eigs)
-        factors_2t = factors * factors
-        for form, at in self.newton:
-            at = np.broadcast_to(at, factors.shape[:-1])
-            t = np.broadcast_to(times, at.shape)[at]
-            both = form.coefficients(np.concatenate((t, 2.0 * t)))
-            factors[at], factors_2t[at] = both[:len(t)], both[len(t):]
-        weights = self.weights if slope else self.weights[..., :4]
-        at_t = _contract(factors[..., None, :], weights)[..., 0, :].real
-        at_2t = _contract(factors_2t[..., None, :],
-                          weights if both_at_2t else weights[..., 0::2]
-                          )[..., 0, :].real
-        return at_t, at_2t
-
-    def value(self, times, eps_trace):
-        return _ranked_k3(*self.readouts(times), eps_trace)
-
-    def value_and_slope(self, times, eps_trace):
-        """K3 as :meth:`value` and dK3/dt, NaN where K3 is -inf, from one
-        exponential and one contraction."""
-        at_t, at_2t = self.readouts(times, slope=True)
-        value = _ranked_k3(at_t, at_2t, eps_trace)
-        return value, np.where(value > -np.inf, _k3_slope(at_t, at_2t), np.nan)
 
 
 def _run_leaders(owner, values):
@@ -507,16 +474,18 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     finite grid values all lie within ``_TIE_TOL`` is flat: its maxima are
     rounding noise, and its one candidate (one tied run) moves to its
     earliest finite point.  :meth:`_Cells.scan` reads the grid in blocks of
-    whole cells, ``_SCAN_BLOCK_POINTS`` or so each, in one workspace that
-    is dropped after the last block.
+    whole cells, ``_SCAN_BLOCK_POINTS`` or so each, in one workspace built
+    here for the largest block, so it is freed on return, before the
+    refinement.
     """
     count, n = len(cells.generators), len(grid)
     step = max(1, _SCAN_BLOCK_POINTS // n)
+    space = _ScanSpace(min(step, count), n)
     peaks, high, low = [], np.empty(count), np.empty(count)
     earliest = np.zeros(count, dtype=int)
     for first in range(0, count, step):
         block = np.arange(first, min(first + step, count))
-        curve = cells.scan(block, grid, eps_trace)
+        curve = cells.scan(block, grid, eps_trace, space)
         high[block] = vmax = curve.max(axis=1)
         low[block] = vmin = curve.min(axis=1)
         if (vmin == -np.inf).any():
@@ -536,8 +505,6 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
                                      -np.inf)))
         rows, index, value = rows[peak], index[peak], value[peak]
         peaks.append((block[rows], index, value))
-    # the refinement that follows reuses the scan workspace's memory
-    cells.drop_workspace()
     owner, index, value = (np.concatenate(column) for column in zip(*peaks))
     leaders = _run_leaders(owner, value)
     owner, index = owner[leaders], index[leaders]
@@ -548,11 +515,11 @@ def _coarse_peaks(cells: _Cells, grid, eps_trace):
     return owner, index, high == -np.inf, flat
 
 
-def _peak_search(evaluate: _Evaluator, a, b, ends, eps_trace):
-    """The crest of every bracket [a, b] at once, as (t, K3) per bracket;
-    ``ends`` holds the K3 values and the slopes
-    (:meth:`_Evaluator.value_and_slope`) at a and at b, shape
-    (2, 2, len(a)).
+def _peak_search(cells: _Cells, owner, a, b, ends, eps_trace):
+    """The crest of every bracket [a, b] at once, as (t, K3) per bracket,
+    bracket k on the cell ``owner[k]`` of ``cells``; ``ends`` holds the K3
+    values and the slopes (:meth:`_Cells.value_and_slope`) at a and at b,
+    shape (2, 2, len(a)).
 
     A bracket whose slope turns from + at a to - at b is searched for the
     root of g = (dK3/dt) / t by Brent's zero finder (Brent 1973, ch. 4):
@@ -560,12 +527,13 @@ def _peak_search(evaluate: _Evaluator, a, b, ends, eps_trace):
     little progress.  g has the roots and signs of dK3/dt on t > 0, and
     stays finite as t -> 0+, where dK3/dt vanishes since both branch
     ratios start at +-1; so the first bracket, which reaches down to
-    ``_REFINE_TOL``, interpolates as well as any other.  One call per round
-    evaluates the brackets still live.  A bracket ends once it is no wider
-    than ``_ROOT_RTOL`` t, on a zero or NaN slope, or after
-    ``_ROOT_ROUNDS`` rounds; it reports Brent's best iterate, the one of
-    smallest |g|, and the K3 value found there.  Any other bracket reports
-    its higher-valued end, the smaller t on a tie.
+    ``_REFINE_TOL``, interpolates as well as any other.  One
+    :meth:`_Cells.value_and_slope` call per round evaluates the brackets
+    still live.  A bracket ends once it is no wider than ``_ROOT_RTOL`` t,
+    on a zero or NaN slope, or after ``_ROOT_ROUNDS`` rounds; it reports
+    Brent's best iterate, the one of smallest |g|, and the K3 value found
+    there.  Any other bracket reports its higher-valued end, the smaller t
+    on a tie.
     """
     (fa, fb), (da, db) = ends
     t, value = np.where(fb > fa, b, a), np.maximum(fa, fb)
@@ -606,7 +574,7 @@ def _peak_search(evaluate: _Evaluator, a, b, ends, eps_trace):
         p = x
         new_t = x[0] + np.where(np.abs(step) > tol, step,
                                 np.copysign(tol, half))
-        new_k3, slope = evaluate.rows(live).value_and_slope(new_t, eps_trace)
+        new_k3, slope = cells.value_and_slope(owner[live], new_t, eps_trace)
         x = np.stack((new_t, slope / new_t, new_k3))
         # on the side of c, the new iterate moves c to p: the root lies
         # between them
@@ -644,9 +612,8 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     lo = np.where(pinned & (index >= 1), grid[index], lo)
     hi = np.where(pinned, grid[index], grid[np.minimum(index + 1, n - 1)])
     rescan_ts = np.linspace(lo, hi, 9, axis=-1)
-    evaluate = _Evaluator(cells, owner)
-    rescan, slope = (part.T for part in evaluate.value_and_slope(
-        rescan_ts.T, config.eps_trace))
+    rescan, slope = (part.T for part in cells.value_and_slope(
+        owner, rescan_ts.T, config.eps_trace))
     # a flat cell reports its grid point, unrefined, unless its curve spans
     # more than a tie between t -> 0+ and that point: then it is refined from
     # its best rescan point like any other
@@ -658,7 +625,7 @@ def _optimize_cells(cells: _Cells, config: OptimizeConfig) -> list:
     ends = np.stack((np.where(pinned | (rising > 0), j, np.maximum(j - 1, 0)),
                      np.where(pinned | (rising < 0), j, np.minimum(j + 1, 8))))
     peak_t, peak_value = _peak_search(
-        evaluate, *rescan_ts[rows, ends],
+        cells, owner, *rescan_ts[rows, ends],
         np.stack((rescan[rows, ends], slope[rows, ends])), config.eps_trace)
     scan_t, scan_value = rescan_ts[rows, j], rescan[rows, j]
     take = (peak_value > scan_value) | (

@@ -104,11 +104,12 @@ def dense_coarse_peaks(cells, grid, eps_trace, block_points=4096):
     the sparse rule, which tests only the points within the window."""
     count = len(cells.generators)
     step = max(1, block_points // len(grid))
+    space = lgi._ScanSpace(min(step, count), len(grid))
     peaks, high, low = [], np.empty(count), np.empty(count)
     earliest = np.zeros(count, dtype=int)
     for first in range(0, count, step):
         block = np.arange(first, min(first + step, count))
-        curve = cells.scan(block, grid, eps_trace)
+        curve = cells.scan(block, grid, eps_trace, space)
         high[block] = vmax = curve.max(axis=1)
         finite = curve > -np.inf
         low[block] = np.where(finite, curve, np.inf).min(axis=1)
@@ -219,8 +220,8 @@ def mp_readouts(generator, t, both_at_2t=False, slope=False):
     double rounding.  With ``slope``, their derivatives in time instead,
     read as ``_READOUT G expm(G tau) _BRANCHES`` at tau = t and 2t.
 
-    The oracle of ``lgi._Cells.readouts`` and, with ``slope``, of
-    ``lgi._Evaluator.readouts(..., slope=True)``.
+    The oracle of ``lgi._Cells.readouts``, with ``slope`` of
+    ``lgi._Cells.readouts(..., slope=True)``.
     """
     from hybridlg.lgi import _BRANCHES, _READOUT
 
@@ -282,10 +283,9 @@ def rk4_sample_loop(rho0, params, times, cfg):
     return np.array(states).reshape(len(states), 4)
 
 
-def rk4_loop(rho0, params, t, dt, diagnostics=None):
+def rk4_loop(rho0, params, t, dt):
     """Classical RK4 stepped one dt at a time, with a Hermitian projection
-    after every step and the final step shortened to land on t; the number
-    of steps goes to ``diagnostics["steps"]``.
+    after every step and the final step shortened to land on t.
 
     The per-step oracle of ``evolve_rk4``'s step-matrix powering: the same
     scheme, evaluated stage by stage.
@@ -310,6 +310,4 @@ def rk4_loop(rho0, params, t, dt, diagnostics=None):
         v[2] = coh.conjugate()
         v[0] = v[0].real
         v[3] = v[3].real
-    if diagnostics is not None:
-        diagnostics["steps"] = len(steps)
     return devectorize(v)

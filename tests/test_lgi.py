@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -146,6 +147,12 @@ def test_planted_sub_floor_trace_names_its_correlator_branch(
     assert type(exc.value.trace) is float
 
 
+def _own_scan(cells, block, grid, eps_trace):
+    """``cells.scan`` of ``block`` in a workspace of its own."""
+    space = lgi._ScanSpace(len(block), len(grid))
+    return cells.scan(block, grid, eps_trace, space)
+
+
 @pytest.mark.parametrize("trace", [1e-300, np.nan])
 @pytest.mark.parametrize("method", ["value", "scan"])
 def test_planted_traces_rank_minus_inf_and_leave_every_other_point(
@@ -157,7 +164,7 @@ def test_planted_traces_rank_minus_inf_and_leave_every_other_point(
 
     def run():
         if method == "scan":
-            return cells.scan(np.arange(3), grid, SWEEP_TRACE_FLOOR)
+            return _own_scan(cells, np.arange(3), grid, SWEEP_TRACE_FLOOR)
         return cells.value(np.arange(3)[:, None], grid, SWEEP_TRACE_FLOOR)
 
     clean = run()
@@ -488,29 +495,41 @@ def _assert_near_oracle(readouts, oracle, times):
     assert np.all(np.abs(readouts - oracle) <= bound * np.abs(traces)), times
 
 
-def test_stacked_expm_fallback_matches_per_point_oracle():
+def test_stacked_expm_fallback_matches_per_point_oracle(monkeypatch):
     # (2, 1) and (1, 0) are defective and take the Newton form, within the
     # 50-digit bound; the generic cell stays spectral and must not be
-    # disturbed by the fallback rows of the same call
+    # disturbed by the fallback rows of the same call.  Every cell of a
+    # repeated or 2-D index reads as it does alone, bit for bit, and a call
+    # whose index holds no Newton cell evaluates no Newton form
     cells = lgi._Cells([2.0, 0.7, 1.0], [1.0, 0.3, 0.0], ModelParams(1.0, 1.0))
     assert cells.spectral.tolist() == [False, True, False]
+    coefficients, calls = dynamics.NewtonForm.coefficients, []
+
+    def counted(self, times):
+        calls.append(len(times))
+        return coefficients(self, times)
+
+    monkeypatch.setattr(dynamics.NewtonForm, "coefficients", counted)
     rng = np.random.default_rng(7)
-    shapes = [(np.int64(0), 0.37), (np.int64(1), 0.37),
+    shapes = [(np.int64(0), 0.37), (np.int64(1), 0.37), (1, [0.37, 2.0]),
               (np.array([0, 1, 2, 2, 0]), rng.uniform(1e-6, 20.0, 5)),
               (np.array([[0], [1], [2]]), rng.uniform(1e-3, 20.0, 4))]
     for both_at_2t in (False, True):
         for owner, times in shapes:
+            calls.clear()
             at_t, at_2t = cells.readouts(owner, times, both_at_2t)
             owner, times = np.broadcast_arrays(owner, times)
+            # one call per Newton cell of the index, of all its points
+            assert sorted(calls) == sorted(
+                2 * int(np.sum(owner == n)) for n in (0, 2) if n in owner)
             assert at_t.shape == owner.shape + (4,)
             assert at_2t.shape == owner.shape + ((4,) if both_at_2t else (2,))
             for index in np.ndindex(owner.shape):
                 cell, t = int(owner[index]), float(times[index])
-                if cells.spectral[cell]:
-                    expected = cells.readouts(cell, t, both_at_2t)
-                    assert np.array_equal(at_t[index], expected[0])
-                    assert np.array_equal(at_2t[index], expected[1])
-                else:
+                expected = cells.readouts(cell, t, both_at_2t)
+                assert np.array_equal(at_t[index], expected[0])
+                assert np.array_equal(at_2t[index], expected[1])
+                if not cells.spectral[cell]:
                     expected = mp_readouts(cells.generators[cell], t,
                                            both_at_2t)
                     _assert_near_oracle(at_t[index], expected[0], t)
@@ -592,7 +611,7 @@ def _assert_slopes_near_oracle(gamma, q, t, params=ModelParams(1.0, 1.0)):
     their branch (the engine's own trace; ``FALLBACK_TOL_2T`` at 2t in
     (20, 40] on a fallback cell)."""
     cells = lgi._Cells([gamma], [q], params)
-    got = lgi._Evaluator(cells, 0).readouts(t, both_at_2t=True, slope=True)
+    got = cells.readouts(0, t, both_at_2t=True, slope=True)
     want = mp_readouts(cells.generators[0], t, both_at_2t=True, slope=True)
     for tau, readouts, oracle in zip((t, 2.0 * t), got, want):
         bound = (FALLBACK_TOL_2T if tau > 20.0 and not cells.spectral[0]
@@ -655,8 +674,7 @@ K3_SLOPE_TOL = 1e-14
     (2.0, 1.0, 0.7), (ep_radius(0.1).r_ep * 0.99, 0.1, 0.03)])
 def test_k3_slope_meets_the_derivative_of_the_50_digit_k3(gamma, q, t):
     cells = lgi._Cells([gamma], [q], ModelParams(1.0, 1.0))
-    value, slope = lgi._Evaluator(cells, [0]).value_and_slope(
-        [t], SWEEP_TRACE_FLOOR)
+    value, slope = cells.value_and_slope([0], [t], SWEEP_TRACE_FLOOR)
     k3 = mp_k3(cells.generators[0])
     with mpmath.workdps(50):
         want = mpmath.diff(k3, mpmath.mpf(t))
@@ -716,8 +734,8 @@ def test_a_cell_does_not_depend_on_the_realness_of_its_stack():
                              mixed.readouts(0, grid, both_at_2t)):
             assert np.array_equal(got, want)
     assert np.array_equal(
-        overdamped.scan(np.array([0]), grid, SWEEP_TRACE_FLOOR),
-        mixed.scan(np.array([0]), grid, SWEEP_TRACE_FLOOR))
+        _own_scan(overdamped, np.array([0]), grid, SWEEP_TRACE_FLOOR),
+        _own_scan(mixed, np.array([0]), grid, SWEEP_TRACE_FLOOR))
 
 
 class _StubCurves:
@@ -727,11 +745,8 @@ class _StubCurves:
     def __init__(self, curves):
         self.generators = np.asarray(curves, dtype=float)
 
-    def scan(self, cells, grid, eps_trace):
+    def scan(self, cells, grid, eps_trace, space):
         return self.generators[cells]
-
-    def drop_workspace(self):
-        pass
 
 
 #: grid values that make plateaus, ties at the window edge below a row
@@ -788,12 +803,12 @@ def test_peak_search_reports_a_finite_end_of_a_broken_bracket(
     owner, a, width, planted = zip(*brackets)
     owner, a = np.array(owner), np.array(a)
     b = a + np.array(width)
-    evaluate = lgi._Evaluator(_SECTION_CELLS, owner)
-    ends = np.stack(evaluate.value_and_slope(np.stack((a, b)), eps_trace))
+    ends = np.stack(_SECTION_CELLS.value_and_slope(owner, np.stack((a, b)),
+                                                   eps_trace))
     for k, end in enumerate(planted):
         if end is not None:
             ends[1, end, k] = np.nan
-    t, value = lgi._peak_search(evaluate, a, b, ends, eps_trace)
+    t, value = lgi._peak_search(_SECTION_CELLS, owner, a, b, ends, eps_trace)
     assert not np.isnan(value).any()
     (fa, fb), (da, db) = ends
     assert np.isfinite(value[(fa > -np.inf) | (fb > -np.inf)]).all()
@@ -804,8 +819,8 @@ def test_peak_search_reports_a_finite_end_of_a_broken_bracket(
     # a bracket searched alone gives what it gives in the batch
     for k in range(len(a)):
         one = slice(k, k + 1)
-        alone = lgi._peak_search(lgi._Evaluator(_SECTION_CELLS, owner[one]),
-                                 a[one], b[one], ends[..., one], eps_trace)
+        alone = lgi._peak_search(_SECTION_CELLS, owner[one], a[one], b[one],
+                                 ends[..., one], eps_trace)
         assert (alone[0][0], alone[1][0]) == (t[k], value[k])
 
 
@@ -823,8 +838,8 @@ def test_plateau_next_to_t0_reports_the_first_bracket_reach(q, monkeypatch):
     for seed in range(4):
         signs = np.random.default_rng(seed).choice([-np.inf, np.inf], 2000)
 
-        def nudged(self, cells, grid, eps_trace, signs=signs):
-            return np.nextafter(scan(self, cells, grid, eps_trace),
+        def nudged(self, cells, grid, eps_trace, space, signs=signs):
+            return np.nextafter(scan(self, cells, grid, eps_trace, space),
                                 signs[:len(grid)])
 
         monkeypatch.setattr(lgi._Cells, "scan", nudged)
@@ -913,8 +928,8 @@ def test_flat_curve_reports_its_earliest_grid_point(monkeypatch):
     for seed in range(4):
         signs = np.random.default_rng(seed).choice([-np.inf, np.inf], 2000)
 
-        def nudged(self, cells, grid, eps_trace, signs=signs):
-            return np.nextafter(scan(self, cells, grid, eps_trace),
+        def nudged(self, cells, grid, eps_trace, space, signs=signs):
+            return np.nextafter(scan(self, cells, grid, eps_trace, space),
                                 signs[:len(grid)])
 
         monkeypatch.setattr(lgi._Cells, "scan", nudged)
@@ -993,7 +1008,7 @@ def test_optimize_work_budget_per_region(region, monkeypatch):
     # (method, points) of every outermost K3 call: the scan of a cell off the
     # spectral path reads ``value`` inside, and that is still the scan; every
     # direct evaluation, the rescan and the peak search included, is an
-    # ``_Evaluator.value`` or ``_Evaluator.value_and_slope`` call
+    # ``_Cells.value`` or ``_Cells.value_and_slope`` call
     calls, depth = [], [0]
 
     def counting(owner, name, points):
@@ -1009,13 +1024,13 @@ def test_optimize_work_budget_per_region(region, monkeypatch):
                 depth[0] -= 1
         monkeypatch.setattr(owner, name, counted)
 
-    def direct(self, times, eps_trace):
-        return np.broadcast(self.eigs[..., 0], times).size
+    def direct(self, cells, times, eps_trace):
+        return np.broadcast(cells, times).size
 
     counting(lgi._Cells, "scan",
-             lambda self, cells, grid, eps_trace: len(cells) * len(grid))
-    counting(lgi._Evaluator, "value", direct)
-    counting(lgi._Evaluator, "value_and_slope", direct)
+             lambda self, cells, grid, eps_trace, space: len(cells) * len(grid))
+    counting(lgi._Cells, "value", direct)
+    counting(lgi._Cells, "value_and_slope", direct)
     config = OptimizeConfig()
     for gamma, q in _BUDGET_CELLS[region]:
         calls.clear()
@@ -1038,7 +1053,7 @@ def _direct_scan(cells, grid):
 def test_scan_gives_the_candidates_of_a_direct_scan():
     cells, grid = _default_grid_cells()
     direct = _direct_scan(cells, grid)
-    scan = cells.scan(np.arange(len(direct)), grid, SWEEP_TRACE_FLOOR)
+    scan = _own_scan(cells, np.arange(len(direct)), grid, SWEEP_TRACE_FLOOR)
     finite = np.isfinite(direct)
     assert np.array_equal(np.isfinite(scan), finite)
     assert np.abs(scan[finite] - direct[finite]).max() <= 1e-12  # 1.3e-13
@@ -1063,10 +1078,10 @@ def test_scan_rows_do_not_depend_on_the_block(resolution):
     assert cells.spectral.tolist() == [True, False, True, False, True]
     grid = np.linspace(20.0 / resolution, 20.0, resolution)
     every = np.arange(5)
-    block = cells.scan(every, grid, SWEEP_TRACE_FLOOR)
+    block = _own_scan(cells, every, grid, SWEEP_TRACE_FLOOR)
     assert block.shape == (5, resolution)
     for cell in every:
-        alone = cells.scan(np.array([cell]), grid, SWEEP_TRACE_FLOOR)
+        alone = _own_scan(cells, np.array([cell]), grid, SWEEP_TRACE_FLOOR)
         assert np.array_equal(alone[0], block[cell])
         direct = cells.value(cell, grid, SWEEP_TRACE_FLOOR)
         if cells.spectral[cell]:
@@ -1103,7 +1118,7 @@ def test_scan_workspace_does_not_leak_between_blocks(eps_trace, monkeypatch):
     grid = np.linspace(0.01, 20.0, 2000)
     cells = _leak_cells()
     assert cells.spectral.tolist() == [True] * 6 + [False] + [True] * 5 + [False]
-    curves = cells.scan(np.arange(len(_LEAK_CELLS)), grid, eps_trace)
+    curves = _own_scan(cells, np.arange(len(_LEAK_CELLS)), grid, eps_trace)
     extinguished = (curves == -np.inf).any(axis=1)
     assert (curves[[7, 9]] == -np.inf).all()
     if eps_trace == 0.5:
@@ -1125,44 +1140,40 @@ def test_scan_workspace_does_not_leak_between_blocks(eps_trace, monkeypatch):
 def test_scan_curve_outlives_later_scans():
     grid = np.linspace(0.01, 20.0, 2000)
     cells = _leak_cells()
-    first = cells.scan(np.arange(4), grid, 0.5)
+    space = lgi._ScanSpace(4, len(grid))
+    first = cells.scan(np.arange(4), grid, 0.5, space)
     kept = first.copy()
-    space = cells._space
-    assert space.size == 4
     # extinguished, NaN and Newton cells, then a short block
-    cells.scan(np.arange(4, 8), grid, 0.5)
-    cells.scan(np.arange(12, 13), grid, SWEEP_TRACE_FLOOR)
-    assert cells._space is space
+    cells.scan(np.arange(4, 8), grid, 0.5, space)
+    cells.scan(np.arange(12, 13), grid, SWEEP_TRACE_FLOOR, space)
     assert np.array_equal(first, kept)
-    assert np.array_equal(cells.scan(np.arange(4), grid, 0.5), kept)
-    # more cells, or another grid length, build a new workspace
-    wider = cells.scan(np.arange(8), grid, 0.5)
-    assert cells._space.size == 8 and np.array_equal(wider[:4], kept)
-    short = grid[:-1]
-    shorter = cells.scan(np.arange(4), short, 0.5)
-    assert (cells._space.size, cells._space.n) == (4, len(short))
-    direct = cells.value(np.arange(4)[:, None], short, 0.5)
-    assert np.array_equal(shorter == -np.inf, direct == -np.inf)
-    assert np.abs(shorter - direct)[np.isfinite(direct)].max() <= 1e-12
-    lgi._coarse_peaks(cells, grid, 0.5)
-    assert cells._space is None  # dropped after the last block
+    assert np.array_equal(cells.scan(np.arange(4), grid, 0.5, space), kept)
 
 
 def test_scan_workspace_fits_the_cells_scanned(monkeypatch):
-    built = []
+    built, freed = [], []
 
     class Recorded(lgi._ScanSpace):
         def __init__(self, size, n):
-            built.append((size, n))
+            built.append((size, n, weakref.ref(self)))
             super().__init__(size, n)
 
+    search = lgi._peak_search
+
+    def entered(*args):
+        # the coarse scan's workspace is gone before the refinement starts
+        freed.append(all(space() is None for _, _, space in built))
+        return search(*args)
+
     monkeypatch.setattr(lgi, "_ScanSpace", Recorded)
+    monkeypatch.setattr(lgi, "_peak_search", entered)
     optimize_k3(ModelParams(gamma=0.5, q=0.3))
-    assert built == [(1, 2000)]
+    assert [(size, n) for size, n, _ in built] == [(1, 2000)]
     # 125 cells: 16 blocks of at most 8 cells share one workspace
     built.clear()
     lgi.sweep(np.linspace(0.5, 2.5, 5), np.logspace(-6, 0, 25))
-    assert built == [(8, 2000)]
+    assert [(size, n) for size, n, _ in built] == [(8, 2000)]
+    assert freed == [True, True]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -1,7 +1,7 @@
 """Surface guards: every public top-level name of ``src/hybridlg`` has a
 user, importing the package does not import scipy, one function holds
-the trace floor, and the complex vectorized generator G serves the oracles
-only.
+the trace floor, the complex vectorized generator G serves the oracles
+only, and the K3 engine is immutable.
 
 A public function, class or constant is in use when another part of
 ``src/`` references it, when ``tests/test_acceptance.py`` names it, or when
@@ -13,7 +13,8 @@ rule, and in the row cut of ``cli._cmd_evolve``, which writes rows up to an
 extinguished state.  The engines run on the real Pauli-basis generator B;
 G and its state maps (``spectrum.build_liouvillian``, ``vectorize``,
 ``devectorize``) are read only by the oracles ``dynamics.evolve_exact``,
-``dynamics.evolve_kraus`` and ``spectrum.spectrum_report``.
+``dynamics.evolve_kraus`` and ``spectrum.spectrum_report``.  The K3
+engine ``lgi._Cells`` changes nothing of itself after ``__init__``.
 """
 
 import ast
@@ -190,3 +191,61 @@ def test_g_guard_sees_every_read():
         "        self.generator = build_liouvillian(p)\n"
         "READOUT = vectorize(IDENTITY)\n")
     assert g_readers(tree) == {"oracle", "engine", "__init__", None}
+
+
+def _root(node):
+    """The name an assignment target writes through: ``x`` of ``x``,
+    ``x.a.b`` and ``x.a[k]``."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
+        node = node.value
+    return getattr(node, "id", None)
+
+
+def self_writers(tree, cls):
+    """Methods of class ``cls`` other than ``__init__`` that assign to
+    ``self.*`` or to ``self.*[...]``, plainly, augmented or unpacked."""
+    found = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for method in node.body:
+            if (not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or method.name == "__init__"):
+                continue
+            for sub in ast.walk(method):
+                if isinstance(sub, ast.Assign):
+                    targets = sub.targets
+                elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [sub.target]
+                else:
+                    continue
+                if any(isinstance(part, (ast.Attribute, ast.Subscript))
+                       and _root(part) == "self"
+                       for target in targets for part in ast.walk(target)):
+                    found.add(method.name)
+    return found
+
+
+def test_the_k3_engine_is_immutable_after_init():
+    tree = ast.parse((REPO / "src" / "hybridlg" / "lgi.py").read_text())
+    assert "_Cells" in {node.name for node in tree.body
+                        if isinstance(node, ast.ClassDef)}
+    assert self_writers(tree, "_Cells") == set()
+
+
+def test_immutability_guard_sees_every_write_to_self():
+    tree = ast.parse(
+        "class _Cells:\n"
+        "    def __init__(self):\n        self.weights = 0\n"
+        "    def scan(self, n):\n"
+        "        space = self._space = n\n        return space\n"
+        "    def drop(self):\n        self._space = None\n"
+        "    def bump(self):\n        self.count += 1\n"
+        "    def plant(self, n):\n        self.weights[n, :, 1] = 0.0\n"
+        "    def deep(self):\n        self.form.nodes[0] = 1.0\n"
+        "    def both(self):\n        a, self.b = 1, 2\n"
+        "    def local(self, out):\n        out[0] = self.weights\n"
+        "        weights = self.weights\n"
+        "class Other:\n    def set(self):\n        self.x = 1\n")
+    assert self_writers(tree, "_Cells") == {
+        "scan", "drop", "bump", "plant", "deep", "both"}

@@ -9,10 +9,11 @@ count (cells are pure and assembled by index).
 Exit codes: 0 success, 2 trajectory extinction (also ``k3 --optimize`` on a
 cell whose every scanned time point is extinguished), 64 usage error
 (including an --in/--out path that cannot be opened, ``--workers`` below 1,
-an ``--engine rk4`` step count t/dt that is not finite or exceeds 2**53,
-and a parameter regime the command does not support, such as
-``bloch-traj`` off theta = pi/2), 70 internal numeric failure or a
-``--workers`` pool that lost a process mid-map (the message names the pool).
+``k3`` without exactly one of ``--t`` and ``--optimize``, an ``--engine rk4``
+step count t/dt that is not finite or exceeds 2**53, and a parameter regime
+the command does not support, such as ``bloch-traj`` off theta = pi/2), 70
+internal numeric failure or a ``--workers`` pool that lost a process mid-map
+(the message names the pool).
 """
 
 import argparse
@@ -98,60 +99,29 @@ def _format_rows(fmt, rows):
     return "".join(blocks)
 
 
-class _Writer:
-    """Streams rows to CSV (metadata as '# ' JSON comment) or buffers JSON;
-    the JSON body is written only when no exception is propagating."""
-
-    def __init__(self, path, fmt, columns, metadata):
-        self.path = path
-        self.fmt = fmt
-        self.columns = columns
-        self.metadata = metadata
-        self._rows = []
-        self._handle = None
-
-    def __enter__(self):
-        self._handle = (
-            sys.stdout if self.path in (None, "-")
-            else _open(self.path, "w", "--out")
-        )
-        if self.fmt == "csv":
-            self._handle.write("# " + json.dumps(self.metadata) + "\n")
-            self._handle.write(",".join(self.columns) + "\n")
-        return self
-
-    def write_rows(self, rows):
-        self.write_formatted(_format_rows(self.fmt, rows))
-
-    def write_formatted(self, out):
-        """Write rows already in the output form of :func:`_format_rows`."""
-        if self.fmt == "csv":
-            self._handle.write(out)
+def _write(args, columns, meta, parts):
+    """Write ``parts``, each an output of :func:`_format_rows`, to ``--out``
+    as one document: CSV under a '# ' JSON metadata line and the header, or
+    JSON.  Callers compute first, so a failure leaves no output."""
+    handle = sys.stdout if args.out == "-" else _open(args.out, "w", "--out")
+    try:
+        if args.format == "csv":
+            handle.write(f"# {json.dumps(meta)}\n{','.join(columns)}\n")
+            handle.writelines(parts)
         else:
-            self._rows.extend(out)
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            if self.fmt == "json" and exc_type is None:
-                json.dump(
-                    {"metadata": self.metadata, "columns": self.columns,
-                     "rows": self._rows},
-                    self._handle, indent=1, default=_fmt,
-                )
-                self._handle.write("\n")
-            self._handle.flush()
-        finally:
-            if self._handle is not sys.stdout:
-                self._handle.close()
-        return False
-
-
-def _write(args, columns, meta, rows):
-    """Write ``rows`` to ``--out``; callers compute them first, so a failure
-    leaves no output."""
-    with _Writer(args.out, args.format, columns, meta) as writer:
-        writer.write_rows(rows)
+            json.dump({"metadata": meta, "columns": columns,
+                       "rows": [row for part in parts for row in part]},
+                      handle, indent=1, default=_fmt)
+            handle.write("\n")
+        handle.flush()
+    finally:
+        if handle is not sys.stdout:
+            handle.close()
     return EXIT_OK
+
+
+def _write_rows(args, columns, meta, rows):
+    return _write(args, columns, meta, [_format_rows(args.format, rows)])
 
 
 def _parse_grid(spec_text, name):
@@ -258,24 +228,20 @@ def _cmd_evolve(args):
     # rows up to an extinguished one are written, and the exit code says so
     gone = np.flatnonzero(rows[:, 9] < args.eps_trace)
     end = gone[0] if gone.size else len(rows)
-    with _Writer(args.out, args.format, columns, meta) as writer:
-        writer.write_rows(rows[:end].tolist())
-        if gone.size:
-            t, r = rows[end, [0, 9]].tolist()
-            print(
-                f"trajectory extinguished at t={t:g} "
-                f"(trace {r:.3e}); flushed rows up to here",
-                file=sys.stderr,
-            )
-            return EXIT_EXTINGUISHED
-    return EXIT_OK
+    _write_rows(args, columns, meta, rows[:end].tolist())
+    if not gone.size:
+        return EXIT_OK
+    t, r = rows[end, [0, 9]].tolist()
+    print(f"trajectory extinguished at t={t:g} (trace {r:.3e}); "
+          "flushed rows up to here", file=sys.stderr)
+    return EXIT_EXTINGUISHED
 
 
 def _cmd_k3(args):
     params = _params_from(args)
     meta = _metadata(args, {"eps_trace": args.eps_trace})
-    if args.t is None and not args.optimize:
-        raise UsageError("k3 requires --t or --optimize")
+    if (args.t is None) == (not args.optimize):
+        raise UsageError("k3 requires exactly one of --t or --optimize")
     columns = ["t", "c01", "c12", "c02", "k3", "p_plus", "p_minus"]
     if args.optimize:
         config = lgi.OptimizeConfig(
@@ -292,7 +258,7 @@ def _cmd_k3(args):
         t_eval = args.t
     record = lgi.correlators(params, t_eval, engine=args.engine,
                              eps_trace=args.eps_trace, dt=args.dt)
-    return _write(args, columns, meta, [[
+    return _write_rows(args, columns, meta, [[
         record.t, record.c01, record.c12, record.c02, record.k3,
         record.p_plus, record.p_minus,
     ]])
@@ -309,8 +275,8 @@ def _cmd_sweep(args):
     meta = _metadata(args, {"eps_trace": args.eps_trace})
     meta["gamma_grid"] = [_fmt(float(g)) for g in gammas]
     meta["q_grid"] = [_fmt(float(q)) for q in qs]
-    return _write(args, ["gamma", "q", "k3_max", "t_star", "error"], meta,
-                  result.rows())
+    return _write_rows(args, ["gamma", "q", "k3_max", "t_star", "error"],
+                       meta, result.rows())
 
 
 def _cmd_spectrum(args):
@@ -349,13 +315,13 @@ def _cmd_spectrum(args):
                 row += [x.real, x.imag]
             row += [int(report.degenerate), report.discriminant]
             rows.append(row)
-    return _write(args, columns, _metadata(args), rows)
+    return _write_rows(args, columns, _metadata(args), rows)
 
 
 def _cmd_ep_locus(args):
     rows = [[point.q, point.r_ep, point.residual]
             for point in spectrum.ep_locus(_parse_grid(args.grid_q, "grid-q"))]
-    return _write(args, ["q", "r_ep", "residual"], _metadata(args), rows)
+    return _write_rows(args, ["q", "r_ep", "residual"], _metadata(args), rows)
 
 
 def _cmd_bloch_traj(args):
@@ -367,7 +333,8 @@ def _cmd_bloch_traj(args):
         r, sy, sz = blochsol.analytic_branch(params, branch).state(times).T
         rows += [[branch, *row] for row in
                  np.column_stack([times, r, sy / r, sz / r]).tolist()]
-    return _write(args, ["branch", "t", "r", "sy", "sz"], _metadata(args), rows)
+    return _write_rows(args, ["branch", "t", "r", "sy", "sz"], _metadata(args),
+                       rows)
 
 
 def _cmd_nsit(args):
@@ -387,10 +354,7 @@ def _cmd_nsit(args):
     meta = _metadata(args, {"eps_trace": args.eps_trace})
     columns = ["gamma", "q", "t", "delta_01_2", "delta_12", "delta_02",
                "aot_defect", "error"]
-    with _Writer(args.out, args.format, columns, meta) as writer:
-        for part in parts:
-            writer.write_formatted(part)
-    return EXIT_OK
+    return _write(args, columns, meta, parts)
 
 
 def _read_sweep_csv(path):
@@ -447,7 +411,7 @@ def _cmd_fit_check(args):
     meta["max_residual"] = _fmt(report.max_residual)
     meta["median_residual"] = _fmt(report.median_residual)
     columns = ["gamma", "q", "k3_computed", "k3_fit", "residual", "region"]
-    return _write(args, columns, meta, (
+    return _write_rows(args, columns, meta, (
         [row.gamma, row.q, row.k3_computed, row.k3_fit, row.residual, row.region]
         for row in report.rows))
 

@@ -243,7 +243,7 @@ def decompose(generators):
     diagonalizable[doubt] = np.linalg.cond(modes[doubt]) < _EIG_COND_LIMIT
     inv_modes = np.full_like(modes, np.nan)
     for n in np.flatnonzero(normal):
-        T, Z = schur(gens[n], output="complex")
+        T, Z = schur(gens[n])
         eigs[n], modes[n], inv_modes[n] = np.diag(T), Z, Z.conj().T
     regular = np.flatnonzero(diagonalizable & ~normal)
     inv_modes[regular] = np.linalg.inv(modes[regular])

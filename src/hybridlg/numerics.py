@@ -136,8 +136,8 @@ def expm(a):
     return scipy_expm(a)
 
 
-def schur(a, output="complex"):
-    """scipy's Schur decomposition ``(T, Z)`` of the square matrix ``a``."""
+def schur(a):
+    """scipy's complex Schur form ``(T, Z)`` of the square matrix ``a``."""
     from scipy.linalg import schur as scipy_schur
 
-    return scipy_schur(a, output=output)
+    return scipy_schur(a, output="complex")

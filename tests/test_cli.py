@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import functools
 import io
 import json
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_complex_sets
 from hybridlg import dynamics, lgi
-from hybridlg.cli import _fmt, _format_rows, _Writer, main
+from hybridlg.cli import _fmt, _format_rows, _write, main
 from hybridlg.model import ModelParams
 from hybridlg.spectrum import build_liouvillian
 
@@ -99,6 +101,9 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
      "theta = pi/2"),
     (("sweep", "--grid-gamma", "0.5:1:2", "--grid-q", "1e-6:0:3:log"), 64,
      "--grid-q: log spacing requires min and max > 0"),
+    # --optimize picks its own interval, so a --t beside it would be ignored
+    (("k3", "--gamma", "0.5", "--q", "0.3", "--t", "1.0", "--optimize"), 64,
+     "k3 requires exactly one of --t or --optimize"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_command_writes_no_output(tmp_path, capsys, argv, code,
@@ -921,11 +926,11 @@ def test_csv_row_templates_write_the_bytes_of_fmt(rows, split):
     expected = "".join(",".join(_fmt(value) for value in row) + "\n"
                        for row in rows)
     assert _format_rows("csv", rows) == expected
-    writer = _Writer(None, "csv", [], {})
-    writer._handle = io.StringIO()
-    writer.write_rows(rows[:split])
-    writer.write_rows([list(row) for row in rows[split:]])
-    assert writer._handle.getvalue() == expected
+    parts = [_format_rows("csv", rows[:split]),
+             _format_rows("csv", [list(row) for row in rows[split:]])]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _write(argparse.Namespace(out="-", format="csv"), ["a", "b"], {}, parts)
+    assert out.getvalue() == "# {}\na,b\n" + expected
 
 
 #: nsit rows with every type a row formatter must keep apart
@@ -951,13 +956,8 @@ def test_nsit_task_returns_what_the_writer_writes(monkeypatch, fmt, planted):
     args = (40.0, None, 1e-12, 1, 1)
     rows = [(g, q, *row) for g, q, row in zip(
         gammas.tolist(), qs.tolist(), macrorealism._nsit_rows(cells, *args))]
-    writer = _Writer(None, fmt, [], {})
-    writer._handle = io.StringIO()
-    writer.write_rows(rows)
     [task] = macrorealism._nsit_task(
         cells, functools.partial(_format_rows, fmt), *args)
-    if fmt == "csv":
-        assert task == writer._handle.getvalue()
-    else:
-        assert repr(task) == repr(writer._rows)
+    # repr tells -0.0 from 0.0 and True from 1
+    assert repr(task) == repr(_format_rows(fmt, rows))
     assert "extinguished" in repr(task)

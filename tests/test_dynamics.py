@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from scipy.linalg import expm
 
@@ -162,6 +162,8 @@ def test_rk4_states_reject_unordered_or_negative_times():
 RK4_POWERING_TOL = 1e-11
 
 
+# a fixed seed: the draw, and with it the run time, outlives edits of the body
+@seed(28)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(gamma=st.floats(0.0, 3.0), q=st.floats(0.0, 1.0),
        t=st.floats(0.0, 10.0), dt=st.floats(1e-4, 1e-2))

@@ -1,7 +1,7 @@
 """Surface guards: every public top-level name of ``src/hybridlg`` has a
 user, importing the package does not import scipy, one function holds
 the trace floor, the complex vectorized generator G serves the oracles
-only, and the K3 engine is immutable.
+only, the K3 engine is immutable, and the CLI has one way out.
 
 A public function, class or constant is in use when another part of
 ``src/`` references it, when ``tests/test_acceptance.py`` names it, or when
@@ -14,7 +14,10 @@ extinguished state.  The engines run on the real Pauli-basis generator B;
 G and its state maps (``spectrum.build_liouvillian``, ``vectorize``,
 ``devectorize``) are read only by the oracles ``dynamics.evolve_exact``,
 ``dynamics.evolve_kraus`` and ``spectrum.spectrum_report``.  The K3
-engine ``lgi._Cells`` changes nothing of itself after ``__init__``.
+engine ``lgi._Cells`` changes nothing of itself after ``__init__``.  In
+``cli`` only ``_write`` touches ``sys.stdout`` (a ``print`` without
+``file=`` included) or opens ``--out``; a sidecar opened under a flag of
+its own is not caught.
 """
 
 import ast
@@ -249,3 +252,45 @@ def test_immutability_guard_sees_every_write_to_self():
         "class Other:\n    def set(self):\n        self.x = 1\n")
     assert self_writers(tree, "_Cells") == {
         "scan", "drop", "bump", "plant", "deep", "both"}
+
+
+def output_touches(tree):
+    """Innermost enclosing function (None at module level) of every use of
+    ``sys.stdout``, every ``print`` without ``file=`` and every ``open`` or
+    ``_open`` call that names ``--out`` or reads an attribute ``out``."""
+    def hit(node):
+        if isinstance(node, ast.Attribute) and node.attr == "stdout":
+            return _name(node.value) == "sys"
+        if not isinstance(node, ast.Call):
+            return False
+        called = _name(node.func)
+        if called == "print":
+            return "file" not in {kw.arg for kw in node.keywords}
+        return called in ("open", "_open") and any(
+            getattr(sub, "value", None) == "--out"
+            or getattr(sub, "attr", None) == "out"
+            for arg in (*node.args, *(kw.value for kw in node.keywords))
+            for sub in ast.walk(arg))
+
+    return _places(tree, hit)
+
+
+def test_only_write_touches_the_output():
+    tree = ast.parse((REPO / "src" / "hybridlg" / "cli.py").read_text())
+    assert output_touches(tree) == {"_write"}
+
+
+def test_output_guard_sees_every_way_out():
+    tree = ast.parse(
+        "def _write(args):\n"
+        "    return sys.stdout if args.out == '-' else "
+        "_open(args.out, 'w', '--out')\n"
+        "def stream(self):\n    self._handle.write(sys.stdout)\n"
+        "def named(path):\n    return _open(path, 'w', flag='--out')\n"
+        "def raw(args):\n    return open(args.out, 'w')\n"
+        "def shout(text):\n    print(text)\n"
+        "def fine(args):\n    print(args, file=sys.stderr)\n"
+        "    return _open(args.input, 'r', '--in')\n"
+        "OUT = sys.stdout\n")
+    assert output_touches(tree) == {"_write", "stream", "named", "raw",
+                                    "shout", None}

@@ -37,6 +37,9 @@ EXIT_EXTINGUISHED = 2
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 
+_WORKERS_HELP = ("processes that compute the grid, this one included; "
+                 "the others, at most N - 1, are forked")
+
 
 class UsageError(Exception):
     pass
@@ -345,7 +348,7 @@ def _cmd_nsit(args):
     base = model.ModelParams(gamma=1.0, q=1.0, J=args.J, theta=args.theta)
     config = (lgi.OptimizeConfig(t_max=args.t_max, resolution=args.resolution)
               if args.maximize_over_t else None)
-    # each task formats its own rows, on the pool's workers
+    # each task formats its own rows, in the process that computed them
     parts = macrorealism.nsit_grid(
         gammas, qs, base, t=args.t, config=config, eps_trace=args.eps_trace,
         outcomes=(args.q0, args.q2), workers=args.workers,
@@ -457,7 +460,8 @@ def build_parser() -> _Parser:
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--resolution", type=int, default=2000)
     p.add_argument("--eps-trace", type=_trace_floor, default=lgi.SWEEP_TRACE_FLOOR)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help=_WORKERS_HELP)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("spectrum", help="generator eigenvalues and cubic roots")
@@ -496,7 +500,8 @@ def build_parser() -> _Parser:
                    help="first-outcome component of the middle-marginal delta")
     p.add_argument("--q2", type=int, choices=(1, -1), default=1,
                    help="final-outcome component of the deltas")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help=_WORKERS_HELP)
     p.set_defaults(func=_cmd_nsit)
 
     p = sub.add_parser("fit-check",

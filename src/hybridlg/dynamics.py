@@ -224,7 +224,8 @@ def decompose(generators):
     :class:`NewtonForm` on their ``eigs``; their ``inv_modes`` are NaN.
     ``eig`` returns unit columns, so cond_2(V) <= ||V||_F^4 / |det V| =
     16 / |det V|: a cell whose |det V| exceeds 32 / ``_EIG_COND_LIMIT``
-    passes without its SVD, which only the other cells pay for.
+    passes without its SVD, which only the other cells pay for (a stack
+    where every cell passes makes no SVD call).
     Each cell's data come from its own LAPACK calls, so they do not depend
     on the rest of the stack (a real stack whose spectra are all real comes
     back from ``eig`` as real arrays, with the same values).
@@ -240,7 +241,8 @@ def decompose(generators):
     diagonalizable = normal | (np.abs(np.linalg.det(modes))
                                > 32.0 / _EIG_COND_LIMIT)
     doubt = np.flatnonzero(~diagonalizable)
-    diagonalizable[doubt] = np.linalg.cond(modes[doubt]) < _EIG_COND_LIMIT
+    if doubt.size:  # an SVD of no matrices still costs a call
+        diagonalizable[doubt] = np.linalg.cond(modes[doubt]) < _EIG_COND_LIMIT
     inv_modes = np.full_like(modes, np.nan)
     for n in np.flatnonzero(normal):
         T, Z = schur(gens[n])

@@ -712,8 +712,10 @@ def _close_pool():
 
 
 def _worker_pool(workers):
-    """This process's pool of ``workers`` forked processes: built on first
-    use, reused while the count and the process match, replaced otherwise."""
+    """This process's pool of ``workers`` forked processes, which run the
+    tasks of a grid map that this process does not run itself: built on
+    first use, reused while the count and the process match, replaced
+    otherwise."""
     global _pool_slot
     if _pool_slot is None or _pool_slot[:2] != (workers, os.getpid()):
         import multiprocessing
@@ -745,12 +747,16 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
     ``_MAX_TASK_CELLS`` cells is one task, with two a 1000-cell grid is two
     of 500.  ``work`` must not let a cell's result depend on its task;
     ``workers`` then only decides how the cells are split and which process
-    runs a task.  With one worker or one task the map runs in this process;
-    otherwise the tasks go to the process's one pool of ``min(workers,
-    tasks)`` processes, which later maps with the same count reuse and which
-    is shut down at exit.  A worker that dies mid-map raises
+    runs a task.  ``workers`` counts this process: of the ``N = min(workers,
+    tasks)`` processes that compute, this one runs the first ``1 / N`` of
+    the tasks, after it has handed the rest to the process's one pool of
+    ``N - 1`` processes (:func:`_worker_pool`), which later maps with the
+    same count reuse and which is shut down at exit.  With one process no
+    pool is built.  A worker that dies mid-map raises
     :class:`WorkerPoolError`, and the next map builds a new pool.
     """
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if len(gamma_grid) == 0 or len(q_grid) == 0:
@@ -767,16 +773,22 @@ def _map_grid(work, gamma_grid, q_grid, params: model.ModelParams, args,
     tasks = [(work, gammas[start:stop], qs[start:stop], params, args)
              for start, stop in _task_bounds(len(gammas), workers)]
     processes = min(workers, len(tasks))
-    if processes > 1:
-        from concurrent.futures.process import BrokenProcessPool
+    share = len(tasks) // processes  # exact: see _task_bounds
+    pooled, broken = [], ()
+    try:
+        if processes > 1:  # only then is there a pool that can break
+            from concurrent.futures.process import BrokenProcessPool as broken
 
-        try:
-            chunks = list(_worker_pool(processes).map(_chunk_task, tasks))
-        except BrokenProcessPool as exc:  # the next map builds a new pool
-            _close_pool()
-            raise WorkerPoolError(f"worker pool broken: {exc}") from exc
-    else:
-        chunks = map(_chunk_task, tasks)
+            pool = _worker_pool(processes - 1)
+            pooled = [pool.submit(_chunk_task, task) for task in tasks[share:]]
+        chunks = [*map(_chunk_task, tasks[:share]),
+                  *(future.result() for future in pooled)]
+    except broken as exc:  # the next map builds a new pool
+        _close_pool()
+        raise WorkerPoolError(f"worker pool broken: {exc}") from exc
+    finally:
+        for future in pooled:  # a failed map leaves no task queued
+            future.cancel()
     return [result for chunk in chunks for result in chunk]
 
 
@@ -786,9 +798,11 @@ def sweep(gamma_grid, q_grid, base_params: model.ModelParams | None = None,
 
     Cells go to the engine through :func:`_map_grid`, one task per worker
     (of at most ``_MAX_TASK_CELLS`` cells), so output is identical for any
-    worker count; ``workers`` > 1 runs the tasks on the process's one pool,
-    which later calls with the same count reuse.  Cells whose every time
-    point is extinguished are masked instead of aborting the sweep.
+    worker count.  ``workers`` counts this process: it runs the first
+    share of the tasks, and ``workers`` > 1 runs the rest on the process's
+    one pool of at most ``workers - 1`` processes, which later calls with
+    the same count reuse.  Cells whose every time point is extinguished
+    are masked instead of aborting the sweep.
     """
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)

@@ -249,11 +249,13 @@ def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
     optimum under ``config``; (q0, q2) = ``outcomes``.  Extinguished and
     masked cells get NaN defects and the error text.  Cells run through the
     grid map of :func:`lgi.sweep`, one task per worker (of at most
-    ``lgi._MAX_TASK_CELLS`` cells), on its one reused pool when ``workers``
-    > 1 and there is more than one task, so ``workers`` never changes a
-    row.  With ``format_rows`` (picklable), each task passes its rows, each
-    with (gamma, q) in front, through ``format_rows`` in its own process,
-    and the grid gives one result per task, in row order."""
+    ``lgi._MAX_TASK_CELLS`` cells), so ``workers`` never changes a row.
+    ``workers`` counts this process, which runs the first share of the
+    tasks; with ``workers`` > 1 and more than one task the rest run on the
+    one reused pool of the other processes.  With ``format_rows``
+    (picklable), each task passes its rows, each with (gamma, q) in front,
+    through ``format_rows`` in the process that computed them, and the grid
+    gives one result per task, in row order."""
     if t is not None:
         lgi._check_interval("t", t)
     return lgi._map_grid(_nsit_task, gamma_grid, q_grid, base_params,

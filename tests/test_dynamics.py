@@ -406,6 +406,28 @@ def test_determinant_screen_keeps_the_cond_rule(basis):
     assert (diagonalizable & ~screened).any()
 
 
+def test_determinant_screen_leaves_no_svd_call_when_every_cell_passes(
+        monkeypatch):
+    stacks = []
+
+    def counting_cond(matrices):
+        stacks.append(len(matrices))
+        return cond(matrices)
+
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    params = ModelParams(gamma=1.0, q=1.0)
+    # the default sweep grid: every cell passes the screen
+    gammas, qs = np.linspace(0.05, 5.0, 40), np.logspace(-6, 0, 25)
+    default = bloch_generators(params, np.repeat(gammas, 25), np.tile(qs, 40))
+    assert decompose(default)[3].all()
+    assert stacks == []
+    # just off the locus the screen doubts a cell that the SVD then keeps
+    near = bloch_generators(params, [ep_radius(0.0).r_ep * (1.0 + 1e-6)], [0.0])
+    assert decompose(near)[3].all()
+    assert stacks == [1]
+
+
 def test_propagator_fallback_rejects_negative_times():
     # a locus cell and a generic one take the same path
     for gamma, q in ((1.0, 0.0), (0.5, 0.3)):

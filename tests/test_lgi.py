@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -292,7 +293,15 @@ def _failing_cells(cells):
     raise _ChunkFailure(f"a chunk of {len(cells.eigs)} cells")
 
 
-#: 512 cells: one task of 256 cells per worker on 2 workers
+def _paused_cell_pids(cells):
+    """:func:`_cell_pids`, after a pause in a pool worker, so that no worker
+    ends its task before every other worker has taken one."""
+    if multiprocessing.parent_process() is not None:
+        time.sleep(0.1)
+    return _cell_pids(cells)
+
+
+#: 512 cells: one task of 256 cells per process on 2 workers
 _POOL_GRID = (np.linspace(0.5, 1.5, 4), np.linspace(0.1, 1.0, 128))
 
 
@@ -306,23 +315,36 @@ def _children():
 
 
 def test_grid_maps_reuse_one_pool_per_worker_count():
+    # a map's processes are this one and a pool of workers - 1
     first = _map_pids(2)
     pool = _children()
-    assert len(pool) == 2 and first <= pool and os.getpid() not in first
-    assert _map_pids(2) <= pool
+    assert len(pool) == 1 and first == pool | {os.getpid()}
+    assert _map_pids(2) == first
     assert _children() == pool
     # a new count replaces the pool: the old children are gone
     third = _map_pids(3)
-    assert len(_children()) == 3 and third <= _children()
+    assert len(_children()) == 2 and os.getpid() in third
+    assert third <= _children() | {os.getpid()}
     assert not _children() & pool
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_caller_computes_the_first_share(workers):
+    pids = lgi._map_grid(_paused_cell_pids, *_POOL_GRID,
+                         ModelParams(gamma=1.0, q=1.0), (), workers)
+    share = len(pids) // workers  # the first of `workers` tasks
+    assert set(pids[:share]) == {os.getpid()}
+    rest = set(pids[share:])
+    assert len(rest) == workers - 1 and rest <= _children()
 
 
 def test_failing_chunk_reaches_the_caller_and_the_pool_goes_on():
     _map_pids(2)
     pool = _children()
+    # the first chunk fails in this process, the second in the pool
     with pytest.raises(_ChunkFailure, match="a chunk of 256 cells"):
         _map_pids(2, _failing_cells)
-    assert _map_pids(2) <= pool
+    assert _map_pids(2) == pool | {os.getpid()}
     assert _children() == pool
 
 
@@ -368,19 +390,28 @@ from hybridlg import lgi
 from hybridlg.errors import WorkerPoolError
 from hybridlg.model import ModelParams
 
+caller = os.getpid()
+
 def pids(cells):
     return [os.getpid()] * len(cells.eigs)
 
 def killed(cells):
-    os.kill(os.getpid(), signal.SIGKILL)
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return pids(cells)
+
+def pool_pids():
+    ran = set(lgi._map_grid(pids, *grid, ModelParams(1.0, 1.0), (), 2))
+    ran.remove(caller)  # the caller runs the first share
+    return ran
 
 grid = (np.linspace(0.5, 1.5, 4), np.linspace(0.1, 1.0, 128))
-first = set(lgi._map_grid(pids, *grid, ModelParams(1.0, 1.0), (), 2))
+first = pool_pids()
 try:
     lgi._map_grid(killed, *grid, ModelParams(1.0, 1.0), (), 2)
 except WorkerPoolError as error:
     print(type(error.__cause__).__name__, error)
-second = set(lgi._map_grid(pids, *grid, ModelParams(1.0, 1.0), (), 2))
+second = pool_pids()
 print(len(first), len(second), first.isdisjoint(second))
 """
     src = Path(__file__).resolve().parent.parent / "src"
@@ -389,7 +420,7 @@ print(len(first), len(second), first.isdisjoint(second))
                           check=True, timeout=60)
     broken, pools = done.stdout.decode().splitlines()
     assert broken.startswith("BrokenProcessPool worker pool broken: ")
-    assert pools == "2 2 True"  # two new workers, none of the old ones
+    assert pools == "1 1 True"  # a new worker, not the old one
     assert done.stderr == b""
 
 
@@ -436,10 +467,11 @@ def test_grid_map_starts_no_more_processes_than_tasks(monkeypatch):
     one_cell = ([0.5], [0.3], ModelParams(gamma=1.0, q=1.0), (), 10_000)
     assert lgi._map_grid(_cell_pids, *one_cell) == [os.getpid()]
     assert asked == []
+    # three tasks: this process runs one, a pool of two the others
     with pytest.raises(_PoolRequested):
         lgi._map_grid(_cell_pids, [0.5, 0.7, 0.9], [0.3],
                       ModelParams(gamma=1.0, q=1.0), (), 10_000)
-    assert asked == [3]
+    assert asked == [2]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -447,6 +479,16 @@ def test_grid_maps_reject_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
         sweep([1.0], [0.5], workers=workers)
     with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        nsit_grid([1.0], [0.5], ModelParams(gamma=1.0, q=1.0), t=1.0,
+                  workers=workers)
+
+
+@pytest.mark.parametrize("workers", [2.5, 2.0, "2", True])
+def test_grid_maps_reject_a_worker_count_that_is_not_an_integer(workers):
+    # rejected before any task runs, as OptimizeConfig rejects a resolution
+    with pytest.raises(ValueError, match="workers must be an integer, got "):
+        sweep([1.0], [0.5], workers=workers)
+    with pytest.raises(ValueError, match="workers must be an integer, got "):
         nsit_grid([1.0], [0.5], ModelParams(gamma=1.0, q=1.0), t=1.0,
                   workers=workers)
 

@@ -9,7 +9,8 @@ count (cells are pure and assembled by index).
 Exit codes: 0 success, 2 trajectory extinction (also ``k3 --optimize`` on a
 cell whose every scanned time point is extinguished), 64 usage error
 (including an --in/--out path that cannot be opened, ``--workers`` below 1,
-``k3`` without exactly one of ``--t`` and ``--optimize``, an ``--engine rk4``
+``k3`` without exactly one of ``--t`` and ``--optimize``, ``spectrum``
+without exactly one of a point and a grid per axis, an ``--engine rk4``
 step count t/dt that is not finite or exceeds 2**53, and a parameter regime
 the command does not support, such as ``bloch-traj`` off theta = pi/2), 70
 internal numeric failure or a ``--workers`` pool that lost a process mid-map
@@ -163,12 +164,8 @@ def _trace_floor(text):
 
 
 def _params_from(args) -> model.ModelParams:
-    try:
-        return model.ModelParams(
-            gamma=args.gamma, q=args.q, J=args.J, theta=args.theta
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return model.ModelParams(gamma=args.gamma, q=args.q, J=args.J,
+                             theta=args.theta)
 
 
 def _sample_times(args):
@@ -225,11 +222,12 @@ def _cmd_evolve(args):
     else:
         states = rk4_states(rho0, params, times, EvolveConfig(dt=args.dt))
     bloch = model.bloch_decompose(states)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = np.column_stack([times, states.reshape(-1, 4).view(float),
-                                bloch.r, *bloch.normalized()])
+    ratios, first = lgi._branch_sy((bloch.r,) * 3, (bloch.sx, bloch.sy, bloch.sz),
+                                   args.eps_trace)
+    rows = np.column_stack([times, states.reshape(-1, 4).view(float), bloch.r,
+                            *ratios])
     # rows up to an extinguished one are written, and the exit code says so
-    gone = np.flatnonzero(rows[:, 9] < args.eps_trace)
+    gone = np.flatnonzero(first >= 0)
     end = gone[0] if gone.size else len(rows)
     _write_rows(args, columns, meta, rows[:end].tolist())
     if not gone.size:
@@ -283,18 +281,14 @@ def _cmd_sweep(args):
 
 
 def _cmd_spectrum(args):
-    if args.grid_gamma:
-        gammas = _parse_grid(args.grid_gamma, "grid-gamma")
-    elif args.gamma is not None:
-        gammas = [args.gamma]
-    else:
-        raise UsageError("spectrum requires --gamma or --grid-gamma")
-    if args.grid_q:
-        qs = _parse_grid(args.grid_q, "grid-q")
-    elif args.q is not None:
-        qs = [args.q]
-    else:
-        raise UsageError("spectrum requires --q or --grid-q")
+    axes = []
+    for name, point, grid in (("gamma", args.gamma, args.grid_gamma),
+                              ("q", args.q, args.grid_q)):
+        if (point is None) == (grid is None):
+            raise UsageError(
+                f"spectrum requires exactly one of --{name} or --grid-{name}")
+        axes.append([point] if grid is None else _parse_grid(grid, f"grid-{name}"))
+    gammas, qs = axes
 
     columns = ["gamma", "q"]
     for k in range(4):

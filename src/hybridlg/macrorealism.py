@@ -200,62 +200,57 @@ def check_nsit(table: JointProbTable) -> MacrorealismReport:
 
 
 def _nsit_rows(cells, t, config, eps_trace, q0, q2):
-    """The :func:`nsit_grid` rows of one ``lgi._Cells`` task: one
-    :func:`check_nsit` on the task's array table gives every defect.  A
-    cell with a branch below the floor has no table; its entries are not
-    read."""
-    if t is None:  # a masked optimum has t* = NaN
+    """The finished :func:`nsit_grid` rows of one ``lgi._Cells`` task, each
+    (gamma, q, t, delta_01_2, delta_12, delta_02, aot_defect, error), in one
+    pass: every cell is read at its own time, and one :func:`check_nsit` on
+    the task's array table gives every defect.  A masked optimum's t* = NaN
+    reads NaN, which is not below the floor; its row is NaN with
+    ``lgi.MASKED_MESSAGE``.  A cell with a branch below the floor has no
+    table: NaN defects and the error its table raises."""
+    if t is None:
         times = np.array([best.t_star for best
                           in lgi._optimize_cells(cells, config)])
     else:
-        times = np.full(len(cells.generators), float(t))
-    live = np.flatnonzero(~np.isnan(times))
-    at_t, at_2t = cells.readouts(live, times[live], both_at_2t=True)
+        times = np.full(len(cells.gammas), float(t))
+    at_t, at_2t = cells.readouts(np.arange(len(times)), times, both_at_2t=True)
     traces, ratios, first = _normalized(at_t.T, at_2t.T, eps_trace)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = check_nsit(JointProbTable(times[live], *_distributions(ratios)))
-    columns = (report.delta_marginal_middle[(q0, q2)],
-               report.delta_two_time[(1, 2)][q2],
-               report.delta_two_time[(0, 2)][q2], report.aot.max_defect)
-    rows = [(t_at, np.nan, np.nan, np.nan, np.nan, lgi.MASKED_MESSAGE)
-            for t_at in times.tolist()]
-    for k, (cell, branch, *defects) in enumerate(zip(
-            live.tolist(), first.tolist(), *(c.tolist() for c in columns))):
-        if branch < 0:
-            rows[cell] = (rows[cell][0], *defects, "")
-        else:  # NaN defects, and the error that the cell's table raises
-            error = lgi._extinguished(_BRANCH_NAMES, [tr[k] for tr in traces],
-                                      branch)
-            rows[cell] = rows[cell][:5] + (str(error),)
-    return rows
+        report = check_nsit(JointProbTable(times, *_distributions(ratios)))
+    gone = first >= 0
+    defects = [np.where(gone, np.nan, column).tolist() for column in (
+        report.delta_marginal_middle[(q0, q2)], report.delta_two_time[(1, 2)][q2],
+        report.delta_two_time[(0, 2)][q2], report.aot.max_defect)]
+    errors = [
+        lgi.MASKED_MESSAGE if masked
+        else str(lgi._extinguished(_BRANCH_NAMES, [tr[cell] for tr in traces],
+                                   branch)) if branch >= 0
+        else "" for cell, (masked, branch)
+        in enumerate(zip(np.isnan(times).tolist(), first.tolist()))]
+    return list(zip(cells.gammas.tolist(), cells.qs.tolist(), times.tolist(),
+                    *defects, errors))
 
 
 def _nsit_task(cells, format_rows, *args):
-    """The grid-map work of :func:`nsit_grid`: the task's rows, or
-    ``format_rows`` of them, each behind its cell's (gamma, q), as the
-    task's one result."""
-    rows = _nsit_rows(cells, *args)
-    if format_rows is None:
-        return rows
-    return [format_rows([(gamma, q, *row) for gamma, q, row in zip(
-        cells.gammas.tolist(), cells.qs.tolist(), rows)])]
+    """The grid-map work of :func:`nsit_grid`: ``format_rows`` of the task's
+    rows, as the task's one result."""
+    return [format_rows(_nsit_rows(cells, *args))]
 
 
 def nsit_grid(gamma_grid, q_grid, base_params: model.ModelParams, t=None,
               config=None, eps_trace=1e-12, outcomes=(+1, +1), workers=1,
-              format_rows=None) -> list:
-    """(t, delta_01_2, delta_12, delta_02, aot_defect, error) per grid cell,
-    gamma outer, at interval ``t`` or, with ``t`` None, at each cell's K3
-    optimum under ``config``; (q0, q2) = ``outcomes``.  Extinguished and
-    masked cells get NaN defects and the error text.  Cells run through the
-    grid map of :func:`lgi.sweep`, one task per worker (of at most
+              format_rows=list) -> list:
+    """``format_rows`` (picklable) of the rows (gamma, q, t, delta_01_2,
+    delta_12, delta_02, aot_defect, error) of each grid-map task, one result
+    per task, in row order (gamma outer).  Each task formats its rows in
+    the process that computed them.  The cells are read at interval ``t``
+    or, with ``t`` None, at each cell's K3 optimum under ``config``;
+    (q0, q2) = ``outcomes``.  Extinguished and masked cells get NaN defects
+    and the error text.  Cells run through the grid map of
+    :func:`lgi.sweep`, one task per worker (of at most
     ``lgi._MAX_TASK_CELLS`` cells), so ``workers`` never changes a row.
     ``workers`` counts this process, which runs the first share of the
     tasks; with ``workers`` > 1 and more than one task the rest run on the
-    one reused pool of the other processes.  With ``format_rows``
-    (picklable), each task passes its rows, each with (gamma, q) in front,
-    through ``format_rows`` in the process that computed them, and the grid
-    gives one result per task, in row order."""
+    one reused pool of the other processes."""
     if t is not None:
         lgi._check_interval("t", t)
     return lgi._map_grid(_nsit_task, gamma_grid, q_grid, base_params,

@@ -86,10 +86,6 @@ class BlochState(NamedTuple):
     sy: float
     sz: float
 
-    def normalized(self):
-        """Normalized Bloch vector (sx, sy, sz)/r."""
-        return (self.sx / self.r, self.sy / self.r, self.sz / self.r)
-
 
 def bloch_decompose(rho) -> BlochState:
     """Map a density matrix, or a stack (..., 2, 2) of them, to (trace,

@@ -43,11 +43,6 @@ _RECYCLING = np.kron(_L, _L.conj())
 _DECAY = np.kron(_LDL, model.IDENTITY) + np.kron(model.IDENTITY, _LDL.T)
 
 
-def _kron(a, b):
-    """np.kron of two 2x2 matrices: the same products, without its overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
 def build_liouvillian(params: model.ModelParams) -> np.ndarray:
     """4x4 generator in the ordering (rho_00, rho_01, rho_10, rho_11).
 
@@ -56,8 +51,8 @@ def build_liouvillian(params: model.ModelParams) -> np.ndarray:
     -2 gamma).
     """
     hamiltonian = model.hamiltonian(params)
-    commutator = (_kron(hamiltonian, model.IDENTITY)
-                  - _kron(model.IDENTITY, hamiltonian.T))
+    commutator = (np.kron(hamiltonian, model.IDENTITY)
+                  - np.kron(model.IDENTITY, hamiltonian.T))
     return -1j * commutator + 2.0 * params.gamma * (
         params.q * _RECYCLING - 0.5 * _DECAY)
 

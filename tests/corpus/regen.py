@@ -43,6 +43,9 @@ REQUESTS = {
                                 "--workers", "2"],
     "nsit_maximize": ["nsit", "--maximize-over-t", "--grid-gamma", "0:3:13",
                       "--grid-q", "1e-6:1:10:log"],
+    "nsit_maximize_masked": ["nsit", "--maximize-over-t",
+                             "--grid-gamma", "0.9:2:2", "--grid-q", "0:1:2",
+                             "--t-max", "3000", "--resolution", "1"],
     "k3_optimize_fourfold": ["k3", "--optimize", "--gamma", "1", "--q", "0"],
     "k3_optimize_defective": ["k3", "--optimize", "--gamma", "2", "--q", "1"],
     "k3_optimize_unitary": ["k3", "--optimize", "--gamma", "0", "--q", "0.5"],

@@ -104,6 +104,11 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
     # --optimize picks its own interval, so a --t beside it would be ignored
     (("k3", "--gamma", "0.5", "--q", "0.3", "--t", "1.0", "--optimize"), 64,
      "k3 requires exactly one of --t or --optimize"),
+    # a point beside its grid would be ignored
+    (("spectrum", "--gamma", "1", "--grid-gamma", "0:2:3", "--q", "0.5"), 64,
+     "spectrum requires exactly one of --gamma or --grid-gamma"),
+    (("spectrum", "--gamma", "1", "--q", "0.5", "--grid-q", "0:1:3"), 64,
+     "spectrum requires exactly one of --q or --grid-q"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_command_writes_no_output(tmp_path, capsys, argv, code,
@@ -940,9 +945,10 @@ def test_csv_row_templates_write_the_bytes_of_fmt(rows, split):
 
 #: nsit rows with every type a row formatter must keep apart
 _PLANTED_ROWS = [
-    (1.5, math.nan, -0.0, 0.0, math.inf, -math.inf, ""),
-    (2.0, 0.1, 7, True, False, -3, "an error, with a comma"),
-    (0.25, math.nan, math.nan, math.nan, math.nan, "all time points extinguished"),
+    (0.0, 1.0, 1.5, math.nan, -0.0, 0.0, math.inf, -math.inf, ""),
+    (1.0, 0.0, 2.0, 0.1, 7, True, False, -3, "an error, with a comma"),
+    (2.0, 1.0, 0.25, math.nan, math.nan, math.nan, math.nan,
+     "all time points extinguished"),
 ]
 
 
@@ -959,8 +965,8 @@ def test_nsit_task_returns_what_the_writer_writes(monkeypatch, fmt, planted):
     gammas, qs = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0])
     cells = lgi._Cells(gammas, qs, ModelParams(gamma=1.0, q=1.0))
     args = (40.0, None, 1e-12, 1, 1)
-    rows = [(g, q, *row) for g, q, row in zip(
-        gammas.tolist(), qs.tolist(), macrorealism._nsit_rows(cells, *args))]
+    rows = macrorealism._nsit_rows(cells, *args)
+    assert [row[:2] for row in rows] == list(zip(gammas.tolist(), qs.tolist()))
     [task] = macrorealism._nsit_task(
         cells, functools.partial(_format_rows, fmt), *args)
     # repr tells -0.0 from 0.0 and True from 1

@@ -166,14 +166,48 @@ def test_array_rows_equal_the_per_cell_tables(cells, t, q0, q2):
     chunk = lgi._Cells(gammas, qs, ModelParams(gamma=1.0, q=1.0))
     rows = _nsit_rows(chunk, t, None, 1e-12, q0, q2)
     for (gamma, q), row in zip(cells, rows):
+        assert row[:2] == (gamma, q)
         try:
             table = joint_probabilities(ModelParams(gamma=gamma, q=q), t)
         except TrajectoryExtinguishedError as exc:
-            assert row[5] == str(exc)
-            assert identical(row[:5], (t, *[math.nan] * 4))
+            assert row[7] == str(exc)
+            assert identical(row[2:7], (t, *[math.nan] * 4))
             continue
-        assert row[5] == ""
-        assert identical(row[:5], oracle_row(t, table, q0, q2))
+        assert row[7] == ""
+        assert identical(row[2:7], oracle_row(t, table, q0, q2))
+
+
+def test_one_task_rows_masked_extinguished_spectral_and_newton_cells():
+    # t_max 3000 at resolution 1: the one grid point of (0.9, 0), t = 3000,
+    # is extinguished, so the cell is masked; the others peak at t* = 1e-6,
+    # where a table floor just above (1.5, 0.7)'s trace at 2t extinguishes it
+    cells = [(0.9, 0.0), (1.5, 0.7), (0.5, 1.0), (2.0, 1.0)]
+    config = lgi.OptimizeConfig(t_max=3000.0, resolution=1)
+    eps_trace = 0.9999993
+    chunk = lgi._Cells(*zip(*cells), ModelParams(gamma=1.0, q=1.0))
+    assert [n for n, _ in chunk.newton] == [3]
+    rows = _nsit_rows(chunk, None, config, eps_trace, 1, 1)
+    errors = []
+    for (gamma, q), row in zip(cells, rows):
+        assert row[:2] == (gamma, q)
+        params = ModelParams(gamma=gamma, q=q)
+        best = lgi.optimize_k3(params, config)
+        if best.masked:
+            assert row[7] == lgi.MASKED_MESSAGE
+            assert identical(row[2:7], [math.nan] * 5)
+            errors.append("masked")
+            continue
+        try:
+            table = joint_probabilities(params, best.t_star, eps_trace)
+        except TrajectoryExtinguishedError as exc:
+            assert row[7] == str(exc)
+            assert identical(row[2:7], (best.t_star, *[math.nan] * 4))
+            errors.append("extinguished")
+            continue
+        assert row[7] == ""
+        assert identical(row[2:7], oracle_row(best.t_star, table, 1, 1))
+        errors.append("")
+    assert errors == ["masked", "extinguished", "", ""]
 
 
 def planted_rows(monkeypatch, slots, value, q0=1, q2=1, eps_trace=1e-12):
@@ -208,17 +242,19 @@ def test_planted_sub_floor_trace_names_the_first_failing_branch(
     slots = [slot for slot, _ in BRANCH_SLOTS[first:]]
     rows, (at_t, at_2t) = planted_rows(monkeypatch, slots, 1e-300)
     name = BRANCH_SLOTS[first][1]
-    assert rows[1][5] == (f"trajectory extinguished ({name}): "
+    assert rows[1][:2] == (0.7, 0.4)
+    assert rows[1][7] == (f"trajectory extinguished ({name}): "
                           "trace 1.000000e-300 below floor")
     with pytest.raises(TrajectoryExtinguishedError) as exc:
         _table(1.3, at_t, at_2t, 1e-12)
-    assert rows[1][5] == str(exc.value)
-    assert identical(rows[1][:5], (1.3, *[math.nan] * 4))
+    assert rows[1][7] == str(exc.value)
+    assert identical(rows[1][2:7], (1.3, *[math.nan] * 4))
     # the neighbours of the planted cell keep their rows
     monkeypatch.undo()
     for k, (gamma, q) in ((0, (0.5, 0.3)), (2, (0.9, 0.5))):
+        assert rows[k][:2] == (gamma, q)
         table = joint_probabilities(ModelParams(gamma=gamma, q=q), 1.3)
-        assert identical(rows[k][:5], oracle_row(1.3, table, 1, 1))
+        assert identical(rows[k][2:7], oracle_row(1.3, table, 1, 1))
 
 
 @pytest.mark.parametrize("slot", [slot for slot, _ in BRANCH_SLOTS])
@@ -226,8 +262,9 @@ def test_nan_trace_passes_the_floor_as_in_the_per_cell_table(
         monkeypatch, slot):
     rows, (at_t, at_2t) = planted_rows(monkeypatch, [slot], math.nan,
                                        q0=-1, q2=-1)
-    assert rows[1][5] == ""
-    assert identical(rows[1][:5], oracle_row(
+    assert rows[1][:2] == (0.7, 0.4)
+    assert rows[1][7] == ""
+    assert identical(rows[1][2:7], oracle_row(
         1.3, _table(1.3, at_t, at_2t, 1e-12), -1, -1))
 
 
@@ -252,14 +289,14 @@ def test_trace_floor_not_above_zero_is_a_value_error():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_formatted_grid_gives_one_result_per_task_with_the_cells_in_front(
         workers):
-    # 6 cells on 2 workers are 2 tasks of 3; ``list`` stands in for a
-    # formatter and passes each task's rows through whole
+    # 6 cells on 2 workers are 2 tasks of 3; the default ``list`` passes
+    # each task's rows through whole
     gammas, qs = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0])
     base = ModelParams(gamma=1.0, q=1.0)
-    rows = nsit_grid(gammas, qs, base, t=40.0)
-    parts = nsit_grid(gammas, qs, base, t=40.0, workers=workers,
-                      format_rows=list)
+    [whole] = nsit_grid(gammas, qs, base, t=40.0)
+    parts = nsit_grid(gammas, qs, base, t=40.0, workers=workers)
     assert len(parts) == len(lgi._task_bounds(6, workers))
-    cells = [(g, q) for g in gammas.tolist() for q in qs.tolist()]
-    assert repr([row for part in parts for row in part]) == repr(
-        [(*cell, *row) for cell, row in zip(cells, rows)])
+    rows = [row for part in parts for row in part]
+    assert repr(rows) == repr(whole)
+    assert [row[:2] for row in rows] == [
+        (g, q) for g in gammas.tolist() for q in qs.tolist()]

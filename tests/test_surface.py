@@ -9,8 +9,8 @@ the benchmark tracer (``perfbench/tracer.py:targets()``) wraps it.  Helpers
 that only tests use belong in ``tests/``.  ``scipy.linalg`` is imported on
 first use, by ``numerics.expm`` and ``numerics.schur`` only.  A trace is
 compared with ``eps_trace`` in ``lgi._branch_sy`` only, the one extinction
-rule, and in the row cut of ``cli._cmd_evolve``, which writes rows up to an
-extinguished state.  The engines run on the real Pauli-basis generator B;
+rule; ``cli._cmd_evolve`` cuts its rows where that rule names a state
+extinguished.  The engines run on the real Pauli-basis generator B;
 G and its state maps (``spectrum.build_liouvillian``, ``vectorize``,
 ``devectorize``) are read only by the oracles ``dynamics.evolve_exact``,
 ``dynamics.evolve_kraus`` and ``spectrum.spectrum_report``.  The K3
@@ -150,7 +150,7 @@ def trace_floor_comparisons(tree):
 def test_one_function_compares_with_the_trace_floor():
     places = {(path.stem, where) for path in SOURCES
               for where in trace_floor_comparisons(ast.parse(path.read_text()))}
-    assert places == {("lgi", "_branch_sy"), ("cli", "_cmd_evolve")}
+    assert places == {("lgi", "_branch_sy")}
 
 
 def test_trace_floor_guard_sees_every_comparison():

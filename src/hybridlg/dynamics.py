@@ -217,7 +217,9 @@ def decompose(generators):
     Returns ``(eigs, modes, inv_modes, diagonalizable)`` with G = V diag(eigs)
     V^-1 per cell, all complex.  A normal generator (the dissipation-free
     limit, where plain ``eig`` can hand back a badly conditioned basis at the
-    degenerate eigenvalue) is diagonalized unitarily via Schur.  Otherwise
+    degenerate eigenvalue) is diagonalized unitarily via Schur; the test,
+    ||G G^H - G^H G||_F <= 1e-12 ||G||_F^2, is relative, so a generator
+    scaled by J (gamma with it) passes or fails it at every J.  Otherwise
     the ``eig`` basis is kept while its condition number stays below
     ``_EIG_COND_LIMIT``; cells past it (parameters near an eigenvalue
     coalescence) are marked not diagonalizable and are propagated by the
@@ -234,7 +236,7 @@ def decompose(generators):
     adjoint = gens.conj().swapaxes(-1, -2)
     normality_defect = np.linalg.norm(gens @ adjoint - adjoint @ gens,
                                       axis=(-2, -1))
-    scale = np.maximum(1.0, np.linalg.norm(gens, axis=(-2, -1))) ** 2
+    scale = np.linalg.norm(gens, axis=(-2, -1)) ** 2
     normal = normality_defect <= 1e-12 * scale
     eigs, modes = np.linalg.eig(gens)
     eigs, modes = eigs.astype(complex), modes.astype(complex)

@@ -220,18 +220,17 @@ _ROOT_ROUNDS = 10
 
 #: (cell, time) points per coarse-scan block, 8 cells at resolution 2000.
 #: The blocks of one :func:`_coarse_peaks` call run in one
-#: :class:`_ScanSpace` (1.8 MB at 8 cells), freed when that call returns,
-#: so a warm 125-cell sweep takes no minor page faults, where blocks that
-#: allocated their arrays took about 250 at 4 cells.  A 128-cell sweep task's
-#: allocations peak at 2.3 MB (tracemalloc; 1.9 MB with those blocks);
-#: ``landscape`` benchmark peak RSS: 66.3 MB (64.9 MB with them).
+#: :class:`_ScanSpace` (1.7 MB at 8 cells), freed when that call returns;
+#: a warm 125-cell sweep takes no minor page faults.  A 128-cell sweep
+#: task's allocations peak at 2.2 MB (tracemalloc); ``landscape``
+#: benchmark peak RSS: 66.7 MB.
 _SCAN_BLOCK_POINTS = 16384
 
 #: most cells in one grid-map task.  A grid of up to ``workers`` times this
 #: many cells takes one task per worker, each paying its set-up once; the cap
 #: bounds a task's memory on huge grids.  At 1024 cells its :class:`_Cells`
 #: arrays take 0.7 MB, and its allocations peak at 2.0 MB in ``nsit`` and
-#: 6.5 MB in ``sweep`` (tracemalloc; 2.3 MB for a 128-cell ``sweep`` task).
+#: 6.5 MB in ``sweep`` (tracemalloc; 2.2 MB for a 128-cell ``sweep`` task).
 _MAX_TASK_CELLS = 1024
 
 #: rows: the readouts Tr[rho] = r and Tr[sigma_y rho] = sy of a state in
@@ -255,16 +254,32 @@ def _contract(a, b):
     return total
 
 
-def _real_product(a, b, left, right, out):
-    """Re(a @ b) over the last two axes into ``out``, as one real product per
-    matrix, [Re a, -Im a] @ [Re b; Im b], whose operands are written into
-    ``left`` and ``right``."""
-    k = a.shape[-1]
-    left[..., :k] = a.real
-    np.negative(a.imag, out=left[..., k:])
-    right[..., :k, :] = b.real
-    right[..., k:, :] = b.imag
-    return np.matmul(left, right, out=out)
+def _blocked_product(weights, factors, width, pair, rotation, weighted, out):
+    """The readouts of a scan block into ``out`` (column, cell, rows x
+    width): the real ``weights`` (cell, column, 4) times each far factor
+    into ``weighted`` (cell, column, 4, rows), then times the near factors;
+    ``factors`` (cell, 4, width + rows) holds the near factors, then the
+    far ones.
+
+    The far factors enter through ``rotation`` (cell, 4, 4, rows), zero
+    between the two groups of a cell: a group of two real nodes has its
+    factors on the diagonal, and a pair group (``pair``, shape (cell, 2,
+    1)) with the far factor (c, s) the block [[c, -s], [s, c]], which turns
+    the pair's weights (p, q) into (p c + q s, q c - p s)."""
+    count = len(factors)
+    near, far = factors[..., :width], factors[..., width:]
+    first, second = far[:, 0::2], far[:, 1::2]
+    entries = rotation.reshape(count, 16, -1)
+    entries[:, 0::10] = first
+    entries[:, 5::10] = second
+    np.copyto(entries[:, 5::10], first, where=pair)
+    entries[:, 4::10] = 0.0
+    np.copyto(entries[:, 4::10], second, where=pair)
+    np.negative(entries[:, 4::10], out=entries[:, 1::10])
+    np.matmul(weights, rotation.reshape(count, 4, -1),
+              out=weighted.reshape(count, weights.shape[1], -1))
+    np.matmul(weighted.transpose(1, 0, 3, 2), near,
+              out=out.reshape(len(out), count, -1, width))
 
 
 def _ranked_k3(at_t, at_2t, eps_trace, work=None):
@@ -286,36 +301,36 @@ def _ranked_k3(at_t, at_2t, eps_trace, work=None):
 
 class _ScanSpace:
     """The arrays one :meth:`_Cells.scan` block runs in, for up to ``size``
-    cells on an ``n``-point grid cut into ``rows`` x ``width`` points: the
-    near and far phases, the weighted far phases and the real left and
-    right operands of a product (the product at 2t runs in their leading
-    part), the products at t (tr+, tr-, sy+, sy-) and at 2t (tr+, sy+),
-    and the six ``work`` arrays of :func:`_ranked_k3`.  A block of fewer
-    cells runs in the leading part of each.
+    cells on an ``n``-point grid cut into ``rows`` x ``width`` points, all
+    real: the near and far factors of the four columns at t and at 2t, the
+    far rotation-scaling blocks (:func:`_blocked_product`; the entries
+    between a cell's two groups stay zero), the weighted far factors (the
+    product at 2t runs in their leading part), the products at t (tr+, tr-,
+    sy+, sy-) and at 2t (tr+, sy+), each readout column one contiguous
+    array of the cells' rows x width points, and the six ``work`` arrays of
+    :func:`_ranked_k3` on those points.  A block of fewer cells runs in the
+    leading cells of each.
 
-    The arrays are cut from one allocation.  Allocated one by one, the same
-    arrays cost 367 minor page faults per warm 125-cell coarse scan (430
-    per sweep), against 0 as one: malloc gives the larger separate arrays
-    back to the system when the workspace is freed after a sweep, and the
-    next sweep faults their pages in again."""
+    The arrays are cut from one allocation, 1.7 MB at 8 cells on 2,000
+    points (2,025 per cell).  A warm 125-cell coarse scan, or a whole
+    125-cell :func:`_optimize_cells`, takes no minor page faults
+    (``resource.getrusage`` over 24 calls after 8 warm-ups, a new
+    :class:`_Cells` for each)."""
 
     def __init__(self, size, n):
         self.width = width = math.isqrt(n - 1) + 1
         self.rows = rows = -(-n // width)
-        # the complex arrays first, so that every array starts at a
-        # multiple of its itemsize
-        layout = [((size, 4, width), complex), ((size, 1, rows, 4), complex),
-                  ((size, 4, rows, 4), complex), ((size, 4 * rows, 8), float),
-                  ((size, 8, width), float), ((size, 4 * rows, width), float),
-                  ((size, 2 * rows, width), float), ((6, size, n), float)]
-        sizes = [math.prod(shape) * np.dtype(kind).itemsize
-                 for shape, kind in layout]
-        memory = np.empty(sum(sizes), np.uint8)
-        offsets = itertools.accumulate(sizes, initial=0)
-        (self.near, self.far, self.weighted, self.left, self.right, self.at_t,
-         self.at_2t, self.work) = (
-            np.ndarray(shape, kind, memory, offset)
-            for (shape, kind), offset in zip(layout, offsets))
+        points = rows * width
+        layout = [(2, size, 4, width + rows), (size, 4, 4, rows),
+                  (size, 4, 4, rows), (4, size, points), (2, size, points),
+                  (6, size, points)]
+        memory = np.empty(sum(map(math.prod, layout)))
+        offsets = itertools.accumulate(map(math.prod, layout), initial=0)
+        (self.factors, self.rotation, self.weighted, self.at_t, self.at_2t,
+         self.work) = (memory[offset:offset + math.prod(shape)].reshape(shape)
+                       for shape, offset in zip(layout, offsets))
+        # the entries between groups stay zero
+        self.rotation[...] = 0.0
 
 
 class _Cells:
@@ -331,12 +346,13 @@ class _Cells:
     eigendecomposition of B gives, per cell, c_k = exp(t lambda_k) and
     w_k = (e_obs^T V)(V^-1 v0) for obs in {trace, sigma_y} and v0 in
     {P+, P-}; the 2t readouts use the squares of the factors.  The coarse
-    scan (:meth:`scan`) builds them from blocked factors, the other methods
-    directly.  Cells that :func:`decompose` cannot diagonalize take the
-    :class:`dynamics.NewtonForm` instead, built once here and listed in
-    ``newton`` as (cell, form): c_k = f_t[l_0..l_k], evaluated at t and at
-    2t, and w_k = e_obs^T P_k v0.  ``gammas`` and ``qs`` keep the cells'
-    coordinates as given.
+    scan (:meth:`scan`) reads them in real form, one real column per real
+    node and two per conjugate pair, from blocked factors; the other
+    methods directly, in complex arithmetic.  Cells that :func:`decompose`
+    cannot diagonalize take the :class:`dynamics.NewtonForm` instead, built
+    once here and listed in ``newton`` as (cell, form): c_k = f_t[l_0..l_k],
+    evaluated at t and at 2t, and w_k = e_obs^T P_k v0.  ``gammas`` and
+    ``qs`` keep the cells' coordinates as given.
 
     B commutes with exp(tB), so the time derivative of a readout
     e_obs^T exp(tB) v0 is the readout of B v0: the same factors c_k times
@@ -407,12 +423,27 @@ class _Cells:
     def scan(self, cells, grid, eps_trace, space):
         """``value(cells[:, None], grid, eps_trace)`` on a uniform ``grid``.
 
-        With n points, M = ceil(sqrt(n)) and step s, the phase at k = m M + j
-        is exp(grid[j] lambda) exp(m M s lambda), each factor evaluated
-        directly (no error growth; within 1.3e-13 of ``value`` on the default
-        grid) and squared at 2t.  The far factor joins the weights: one real
-        product per cell, time last, of a shape independent of the rest of
-        ``cells``.  Cells off the spectral path take their rows from ``value``.
+        B is real, so its nodes are real or conjugate pairs, and a cell's
+        readouts are sums of four real columns.  The nodes are ordered by
+        |Im| and taken two by two.  A group (a, b) with Im b = 0 is two real
+        nodes, each contributing Re(w) exp(lambda t).  Any other group is a
+        pair, a = conj(b) (to rounding only for the Schur nodes of gamma =
+        0), contributing Re(V exp(conj(lambda_b) t)), V = w_a + conj(w_b):
+        the columns exp(mu t) cos(beta t) and exp(mu t) sin(beta t), with
+        mu + i beta = lambda_b, weighted by Re V and Im V.
+
+        With n points, M = ceil(sqrt(n)) and step s, the factor at
+        k = m M + j is its value at grid[j] (near) times its value at m M s
+        (far), each evaluated directly (no error growth; within 1.2e-13 of
+        ``value`` on the default grid, 2.0e-14 at theta = 1); at 2t the
+        real factors are squared and the phases doubled.  The far factors
+        join the weights, a pair's as a 2x2 rotation-scaling
+        (:func:`_blocked_product`): real products of width 4, at t and at
+        2t, per readout column and cell, of a shape independent of the rest
+        of ``cells``.  So each column of the block's points is contiguous,
+        and K3 is ranked on all rows x M points of a cell, then cut to the n
+        of the grid.  Cells off the spectral path take their rows from
+        ``value``.
 
         The block runs in ``space``, a :class:`_ScanSpace` for at least
         ``len(cells)`` cells on a grid of ``len(grid)`` points, which it
@@ -422,26 +453,43 @@ class _Cells:
         n, count = len(grid), len(cells)
         width, rows = space.width, space.rows
         step = (grid[-1] - grid[0]) / max(n - 1, 1)
-        near, far, weighted, left, right, at_t, at_2t = (
-            part[:count] for part in (space.near, space.far, space.weighted,
-                                      space.left, space.right, space.at_t,
-                                      space.at_2t))
-        eigs = self.eigs[cells]
-        np.exp(np.multiply(eigs[..., None], grid[:width], out=near), out=near)
-        np.exp(np.multiply(eigs[:, None, None, :],
-                           (width * step * np.arange(rows))[:, None], out=far),
-               out=far)
-        weights = self.weights[cells, :, :4].swapaxes(-1, -2)[:, :, None, :]
-        _real_product(np.multiply(weights, far, out=weighted).reshape(
-            count, -1, 4), near, left, right, at_t)
-        np.multiply(far, far, out=far)
-        _real_product(np.multiply(weights[:, 0::2], far, out=weighted[:, :2])
-                      .reshape(count, -1, 4), np.multiply(near, near, out=near),
-                      left[:, :2 * rows], right, at_2t)
-        out = _ranked_k3(
-            at_t.reshape(count, 4, -1)[..., :n].transpose(0, 2, 1),
-            at_2t.reshape(count, 2, -1)[..., :n].transpose(0, 2, 1),
-            eps_trace, space.work[:, :count])
+        factors, rotation, weighted = (
+            space.factors[:, :count], space.rotation[:count],
+            space.weighted[:count])
+        at_t, at_2t = space.at_t[:, :count], space.at_2t[:, :count]
+        order = np.argsort(np.abs(self.eigs[cells].imag), kind="stable")
+        nodes = self.eigs[cells[:, None], order]
+        weights = self.weights[cells[:, None], order, :4]
+        real = np.array(weights.real)
+        beta = nodes[:, 1::2].imag
+        pair = beta != 0
+        # the near times grid[:M], then the far times m M s; the factors at
+        # t, then at 2t
+        times = np.concatenate((grid[:width], width * step * np.arange(rows)))
+        np.exp(np.multiply(nodes.real[..., None], times, out=factors[0]),
+               out=factors[0])
+        np.multiply(factors[0], factors[0], out=factors[1])
+        groups = np.flatnonzero(pair)
+        if len(groups):
+            # group 2 c + g is the rows 4 c + 2 g (cos) and 4 c + 2 g + 1
+            # (sin) of a (cell, column) array
+            cos_rows, sin_rows = 2 * groups, 2 * groups + 1
+            terms = weights.reshape(-1, 4)
+            terms = terms[cos_rows] + terms[sin_rows].conj()
+            flat = real.reshape(-1, 4)
+            flat[cos_rows], flat[sin_rows] = terms.real, terms.imag
+            phase = np.multiply.outer(
+                np.multiply.outer((1.0, 2.0), beta.ravel()[groups]), times)
+            flat = factors.reshape(2, -1, width + rows)
+            flat[:, cos_rows] *= np.cos(phase)
+            flat[:, sin_rows] *= np.sin(phase)
+        weights, pair = real.transpose(0, 2, 1), pair[..., None]
+        _blocked_product(weights, factors[0], width, pair, rotation, weighted,
+                         at_t)
+        _blocked_product(weights[:, 0::2], factors[1], width, pair, rotation,
+                         weighted[:, :2], at_2t)
+        out = _ranked_k3(at_t.transpose(1, 2, 0), at_2t.transpose(1, 2, 0),
+                         eps_trace, space.work[:, :count])[:, :n]
         fallback = ~self.spectral[cells]
         if fallback.any():
             out[fallback] = self.value(cells[fallback, None], grid, eps_trace)

@@ -109,6 +109,9 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
      "spectrum requires exactly one of --gamma or --grid-gamma"),
     (("spectrum", "--gamma", "1", "--q", "0.5", "--grid-q", "0:1:3"), 64,
      "spectrum requires exactly one of --q or --grid-q"),
+    # a rate that overflows, where LAPACK would reject the generator
+    (("k3", "--gamma", "1.7e308", "--q", "0.5", "--optimize"), 64,
+     "gamma * (1 + q) overflows at gamma = 1.7e+308, q = 0.5"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_command_writes_no_output(tmp_path, capsys, argv, code,
@@ -463,6 +466,22 @@ def test_k3_single_point_and_optimize(tmp_path):
     metadata, header, rows = read_csv(optimized)
     assert float(metadata["k3_max"]) == pytest.approx(1.5, abs=1e-6)
     assert float(metadata["t_star"]) == pytest.approx(np.pi / 3, abs=1e-4)
+
+
+def test_k3_optimize_at_small_J_is_the_unit_J_row(tmp_path):
+    # K3 depends on gamma / J and t J only; with an absolute normality test
+    # this cell read 4.7388 at J = 1e-6, above the bound of 3
+    rows = {}
+    for J, gamma in (("1e-6", "3e-7"), ("1", "0.3")):
+        out = tmp_path / f"k3_{J}.csv"
+        assert main(["k3", "--gamma", gamma, "--q", "0", "--J", J,
+                     "--optimize", "--out", str(out)]) == 0
+        rows[J] = read_csv(out)[0]
+    k3_max, t_star = (float(rows["1e-6"][key]) for key in ("k3_max", "t_star"))
+    assert k3_max <= 3.0
+    assert abs(k3_max - float(rows["1"]["k3_max"])) <= 1e-10  # 2.0e-15
+    assert t_star * 1e-6 == pytest.approx(float(rows["1"]["t_star"]),
+                                          rel=1e-9, abs=0)
 
 
 def test_k3_optimize_masked_cell_exits_2(tmp_path, capsys):

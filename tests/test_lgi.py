@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -205,6 +206,30 @@ def test_unitary_optimum_meets_the_closed_form(q, J):
     best = optimize_k3(ModelParams(gamma=0.0, q=q, J=J))
     assert abs(best.k3_max - 1.5) <= 1e-15
     assert abs(best.t_star - np.pi / (3 * J)) <= 1e-12
+
+
+@functools.cache
+def _scaled_default_sweep(J):
+    """The default grid at resolution 400 with gamma and the time unit
+    scaled by J."""
+    gammas, qs = np.linspace(0.05, 5.0, 40), np.logspace(-6, 0, 25)
+    return lgi.sweep(gammas * J, qs, ModelParams(gamma=0.0, q=1.0, J=J),
+                     OptimizeConfig(resolution=400))
+
+
+@pytest.mark.parametrize("J", [1e-6, 2.0 ** -20])
+def test_small_J_sweep_is_the_unit_J_sweep_in_its_time_unit(J):
+    # K3 depends on (gamma / J, q, t J) only; with an absolute normality
+    # test, 73 cells at J = 1e-6 and 74 at 2^-20 read up to 3.24 wrong
+    ref, got = _scaled_default_sweep(1.0), _scaled_default_sweep(J)
+    assert not got.masked.any()
+    assert (got.k3_max <= 3.0).all()
+    assert np.abs(got.k3_max - ref.k3_max).max() <= 1e-10  # 3.4e-11
+    # the t -> 0+ end reports the first bracket's reach, 1e-6 at any J
+    inner = ref.t_star > lgi._REFINE_TOL
+    assert inner.sum() == 911
+    assert np.allclose(got.t_star[inner] * J, ref.t_star[inner], rtol=1e-9,
+                       atol=0)  # 2.5e-11
 
 
 @pytest.mark.parametrize("resolution", [2000.0, True, "2000", None])
@@ -1112,26 +1137,61 @@ def test_scan_gives_the_candidates_of_a_direct_scan():
 
 @pytest.mark.parametrize("resolution", [1, 2, 3, 7, 2000, 2001])
 def test_scan_rows_do_not_depend_on_the_block(resolution):
-    # (2, 1) and (1, 0) take the Newton form, gamma = 0 the Schur route; at
-    # resolutions 3, 7 and 2001 the last block of M = ceil(sqrt(n)) points
-    # runs past the grid, and 1 and 2 are a single block
-    cells = lgi._Cells([0.5, 2.0, 0.0, 1.0, 3.0], [0.3, 1.0, 0.5, 0.0, 1e-6],
-                       ModelParams(gamma=1.0, q=1.0))
-    assert cells.spectral.tolist() == [True, False, True, False, True]
+    # at theta = pi/2, (2, 1) and (1, 0) take the Newton form, gamma = 0 the
+    # Schur route, and (0.5, 0.3) has a conjugate pair; at theta = 1 every
+    # cell is spectral and has a pair, and gamma = 0 two.  At resolutions
+    # 3, 7 and 2001 the last block of M = ceil(sqrt(n)) points runs past the
+    # grid, and 1 and 2 are a single block
+    pi_half = lgi._Cells([0.5, 2.0, 0.0, 1.0, 3.0], [0.3, 1.0, 0.5, 0.0, 1e-6],
+                         ModelParams(gamma=1.0, q=1.0))
+    assert pi_half.spectral.tolist() == [True, False, True, False, True]
+    theta_one = lgi._Cells([0.5, 2.0, 0.0, 1.0, 3.0, 0.0],
+                           [0.3, 1.0, 0.5, 0.0, 1e-6, 1.0],
+                           ModelParams(gamma=1.0, q=1.0, theta=1.0))
+    assert theta_one.spectral.all()
     grid = np.linspace(20.0 / resolution, 20.0, resolution)
-    every = np.arange(5)
-    block = _own_scan(cells, every, grid, SWEEP_TRACE_FLOOR)
-    assert block.shape == (5, resolution)
-    for cell in every:
-        alone = _own_scan(cells, np.array([cell]), grid, SWEEP_TRACE_FLOOR)
-        assert np.array_equal(alone[0], block[cell])
-        direct = cells.value(cell, grid, SWEEP_TRACE_FLOOR)
-        if cells.spectral[cell]:
-            assert np.array_equal(direct == -np.inf, block[cell] == -np.inf)
-            finite = np.isfinite(direct)
-            assert np.all(np.abs(block[cell] - direct)[finite] <= 1e-12)
-        else:
-            assert np.array_equal(block[cell], direct)
+    for cells in (pi_half, theta_one):
+        every = np.arange(len(cells.gammas))
+        block = _own_scan(cells, every, grid, SWEEP_TRACE_FLOOR)
+        assert block.shape == (len(every), resolution)
+        for cell in every:
+            alone = _own_scan(cells, np.array([cell]), grid, SWEEP_TRACE_FLOOR)
+            assert np.array_equal(alone[0], block[cell])
+            direct = cells.value(cell, grid, SWEEP_TRACE_FLOOR)
+            if cells.spectral[cell]:
+                assert np.array_equal(direct == -np.inf,
+                                      block[cell] == -np.inf)
+                finite = np.isfinite(direct)
+                assert np.all(np.abs(block[cell] - direct)[finite] <= 1e-12)
+            else:
+                assert np.array_equal(block[cell], direct)
+
+
+def test_pair_scan_gives_the_candidates_of_a_direct_scan(monkeypatch):
+    # at theta = 1 every cell of the default grid has a conjugate pair, and
+    # the 25 gamma = 0 cells two, whose Schur nodes are conjugate only to
+    # rounding; all of them stay on the blocked scan, which reads no value
+    base = ModelParams(gamma=1.0, q=1.0, theta=1.0)
+    gammas = np.concatenate(([0.0], np.linspace(0.05, 5.0, 40)))
+    cells = lgi._Cells(np.repeat(gammas, 25), np.tile(np.logspace(-6, 0, 25),
+                                                      41), base)
+    assert cells.spectral.all()
+    assert (np.abs(cells.eigs.imag).max(axis=1) > 0.1).all()
+    grid = np.linspace(20.0 / 2000, 20.0, 2000)
+    direct = _direct_scan(cells, grid)
+
+    def no_value(*args):
+        raise AssertionError("the scan read value")
+
+    monkeypatch.setattr(lgi._Cells, "value", no_value)
+    scan = _own_scan(cells, np.arange(len(direct)), grid, SWEEP_TRACE_FLOOR)
+    finite = np.isfinite(direct)
+    assert np.array_equal(np.isfinite(scan), finite)
+    assert np.abs(scan[finite] - direct[finite]).max() <= 1e-12  # 2.0e-14
+    expected = lgi._coarse_peaks(_StubCurves(direct), grid, SWEEP_TRACE_FLOOR)
+    actual = lgi._coarse_peaks(cells, grid, SWEEP_TRACE_FLOOR)
+    for got, want in zip(actual, expected):
+        assert np.array_equal(got, want)
 
 
 #: four cells that keep every trace above 0.5, then partly extinguished

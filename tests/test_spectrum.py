@@ -223,3 +223,16 @@ def test_bloch_generators_of_a_stack_equal_each_cell():
         single = bloch_generator(replace(base, gamma=gammas[index],
                                          q=qs[index[1]]))
         assert np.array_equal(stack[index], single)
+
+
+def test_overflowing_rate_names_its_cell():
+    # gamma (1 + q) overflows at 1.7e308 unless q = 0; the first such cell
+    # in row order is named, and no overflow warning escapes
+    base = ModelParams(gamma=0.0, q=1.0)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=r"^gamma \* \(1 \+ q\) overflows "
+                           r"at gamma = 1\.7e\+308, q = 0\.5$"):
+            bloch_generators(base, np.array([[1.0], [1.7e308]]),
+                             np.array([0.0, 0.5, 1.0]))
+        assert np.isfinite(bloch_generator(replace(base, gamma=1.7e308,
+                                                   q=0.0))).all()

@@ -14,7 +14,9 @@ without exactly one of a point and a grid per axis, an ``--engine rk4``
 step count t/dt that is not finite or exceeds 2**53, and a parameter regime
 the command does not support, such as ``bloch-traj`` off theta = pi/2), 70
 internal numeric failure or a ``--workers`` pool that lost a process mid-map
-(the message names the pool).
+(the message names the pool), 74 an output whose reader closed it before
+the output was written, such as ``| head`` (stdout then goes to the null
+device, and no message is printed).
 """
 
 import argparse
@@ -23,6 +25,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 
 import numpy as np
@@ -37,6 +40,7 @@ EXIT_OK = 0
 EXIT_EXTINGUISHED = 2
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
+EXIT_BROKEN_PIPE = 74
 
 _WORKERS_HELP = ("processes that compute the grid, this one included; "
                  "the others, at most N - 1, are forked")
@@ -106,7 +110,9 @@ def _format_rows(fmt, rows):
 def _write(args, columns, meta, parts):
     """Write ``parts``, each an output of :func:`_format_rows`, to ``--out``
     as one document: CSV under a '# ' JSON metadata line and the header, or
-    JSON.  Callers compute first, so a failure leaves no output."""
+    JSON.  Callers compute first, so a failure leaves no output.  A stdout
+    whose reader has gone is pointed at the null device before the
+    ``BrokenPipeError`` goes on to :func:`main`."""
     handle = sys.stdout if args.out == "-" else _open(args.out, "w", "--out")
     try:
         if args.format == "csv":
@@ -118,6 +124,14 @@ def _write(args, columns, meta, parts):
                       handle, indent=1, default=_fmt)
             handle.write("\n")
         handle.flush()
+    except BrokenPipeError:
+        if handle is sys.stdout:
+            # the reader has gone; the null device takes what is left in
+            # the buffer, so the flush at exit raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, handle.fileno())
+            os.close(devnull)
+        raise
     finally:
         if handle is not sys.stdout:
             handle.close()
@@ -527,6 +541,8 @@ def main(argv=None) -> int:
     except HybridLGError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:  # _write has sent stdout to the null device
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

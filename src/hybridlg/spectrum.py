@@ -74,29 +74,33 @@ def bloch_generators(params: model.ModelParams, gammas, qs) -> np.ndarray:
     """B of :func:`bloch_generator` for the J and theta of ``params`` and
     arrays of gamma and q, shape (..., 4, 4).  Each entry is elementwise
     arithmetic on its own gamma and q, so a cell's B does not depend on its
-    batch.  A cell whose rate gamma (1 + q) overflows raises ``ValueError``
-    naming the first such (gamma, q)."""
+    batch.  ``dynamics.decompose`` squares B, so a cell whose ||B||_F^2
+    overflows (an entry above about 1e154, or a rate gamma (1 + q) that
+    overflows) raises ``ValueError`` naming the first such gamma and q, and
+    J."""
     gammas = np.asarray(gammas, dtype=float)
     qs = np.asarray(qs, dtype=float)
     drive = params.J * math.sin(params.theta)
     detuning = params.J * math.cos(params.theta)
-    # gamma (1 + q) <= 2 gamma, so only a gamma above max / 2 can overflow it
-    if gammas.max(initial=0.0) > np.finfo(float).max / 2:
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(gammas * (1.0 + qs))
-        if not finite.all():
-            first = np.argmin(finite)
-            gamma, q = (float(np.broadcast_to(part, finite.shape).flat[first])
-                        for part in (gammas, qs))
-            raise ValueError(f"gamma * (1 + q) overflows at gamma = {gamma!r}, "
-                             f"q = {q!r}")
-    gain, loss = gammas * (1.0 + qs), gammas * (1.0 - qs)
+    with np.errstate(over="ignore"):
+        gain, loss = gammas * (1.0 + qs), gammas * (1.0 - qs)
     out = np.zeros(np.broadcast(gammas, qs).shape + (4, 4))
     out[..., 0, 0] = out[..., 1, 1] = -gammas
     out[..., 0, 1], out[..., 1, 0] = detuning, -detuning
     out[..., 1, 2], out[..., 2, 1] = drive, -drive
     out[..., 2, 2], out[..., 2, 3] = -gain, gain
     out[..., 3, 2], out[..., 3, 3] = loss, -loss
+    # every entry is at most max(2 gamma, J), and 16 squares of 1e153 are
+    # finite, so only a larger gamma or J can overflow ||B||_F^2
+    if gammas.max(initial=0.0) > 5e152 or params.J > 1e153:
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.square(out).sum(axis=(-2, -1)))
+        if not finite.all():
+            first = np.argmin(finite)
+            gamma, q = (float(np.broadcast_to(part, finite.shape).flat[first])
+                        for part in (gammas, qs))
+            raise ValueError(f"||B||_F^2 overflows at gamma = {gamma!r}, "
+                             f"q = {q!r}, J = {params.J!r}")
     return out
 
 

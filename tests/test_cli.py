@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +113,7 @@ def test_negative_horizon_or_no_samples_exit_64_before_output(
      "spectrum requires exactly one of --q or --grid-q"),
     # a rate that overflows, where LAPACK would reject the generator
     (("k3", "--gamma", "1.7e308", "--q", "0.5", "--optimize"), 64,
-     "gamma * (1 + q) overflows at gamma = 1.7e+308, q = 0.5"),
+     "||B||_F^2 overflows at gamma = 1.7e+308, q = 0.5, J = 1.0"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_command_writes_no_output(tmp_path, capsys, argv, code,
@@ -147,6 +149,44 @@ def test_infinite_times_exit_64_before_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_generator_too_large_to_square_is_one_usage_line(capsys):
+    # B is finite, but decompose squares it: without the guard this cell
+    # gave overflow warnings and an extinction exit (2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["k3", "--gamma", "1e308", "--q", "0", "--optimize"]) == 64
+    assert capsys.readouterr() == ("", "usage error: ||B||_F^2 overflows at "
+                                   "gamma = 1e+308, q = 0.0, J = 1.0\n")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, on the file descriptor ``fd``."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_exits_74_onto_the_null_device(tmp_path, capsys,
+                                                     monkeypatch, fmt):
+    sink = os.open(tmp_path / "sink", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink))
+        assert main(["k3", "--gamma", "0.5", "--q", "0.3", "--t", "1",
+                     "--format", fmt]) == 74
+        # the descriptor now writes to the null device
+        assert os.path.samestat(os.fstat(sink), os.stat(os.devnull))
+    finally:
+        os.close(sink)
+    assert capsys.readouterr().err == ""
+
+
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -156,6 +196,19 @@ def _fresh_python(*argv):
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                           check=True, timeout=120).stdout
 
+
+def test_reader_gone_before_the_write_ends_quietly():
+    # the pipe's read end is closed before the interpreter has imported the
+    # package, so every write, and the flush at exit, meets a closed pipe
+    done = subprocess.Popen(
+        [sys.executable, "-m", "hybridlg.cli", "sweep", "--grid-gamma",
+         "0.5:1:3", "--grid-q", "0.5:1:3", "--resolution", "50"],
+        env={**os.environ, "PYTHONPATH": str(_SRC)}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    done.stdout.close()
+    assert done.stderr.read() == b""
+    assert done.wait(timeout=120) == 74
+    done.stderr.close()
 
 @pytest.mark.parametrize("argv", [
     ("k3", "--gamma", "inf", "--q", "0.5", "--t", "1"),

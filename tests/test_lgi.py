@@ -1072,10 +1072,9 @@ _VALUE_CALL_BUDGET = 15
 
 @pytest.mark.parametrize("region", sorted(_BUDGET_CELLS))
 def test_optimize_work_budget_per_region(region, monkeypatch):
-    # (method, points) of every outermost K3 call: the scan of a cell off the
-    # spectral path reads ``value`` inside, and that is still the scan; every
-    # direct evaluation, the rescan and the peak search included, is an
-    # ``_Cells.value`` or ``_Cells.value_and_slope`` call
+    # (method, points) of every outermost K3 call: every direct evaluation,
+    # the rescan and the peak search included, is an ``_Cells.value`` or
+    # ``_Cells.value_and_slope`` call
     calls, depth = [], [0]
 
     def counting(owner, name, points):
@@ -1157,14 +1156,11 @@ def test_scan_rows_do_not_depend_on_the_block(resolution):
         for cell in every:
             alone = _own_scan(cells, np.array([cell]), grid, SWEEP_TRACE_FLOOR)
             assert np.array_equal(alone[0], block[cell])
+            # spectral and Newton rows alike: 2.7e-13 at (1, 0)
             direct = cells.value(cell, grid, SWEEP_TRACE_FLOOR)
-            if cells.spectral[cell]:
-                assert np.array_equal(direct == -np.inf,
-                                      block[cell] == -np.inf)
-                finite = np.isfinite(direct)
-                assert np.all(np.abs(block[cell] - direct)[finite] <= 1e-12)
-            else:
-                assert np.array_equal(block[cell], direct)
+            assert np.array_equal(direct == -np.inf, block[cell] == -np.inf)
+            finite = np.isfinite(direct)
+            assert np.all(np.abs(block[cell] - direct)[finite] <= 1e-12)
 
 
 def test_pair_scan_gives_the_candidates_of_a_direct_scan(monkeypatch):
@@ -1193,6 +1189,33 @@ def test_pair_scan_gives_the_candidates_of_a_direct_scan(monkeypatch):
     for got, want in zip(actual, expected):
         assert np.array_equal(got, want)
 
+
+def test_newton_scan_gives_the_candidates_of_a_direct_scan(monkeypatch):
+    # the fourfold (1, 0), the defective (2, 1) and, at a condition limit of
+    # 1e4, the locus cells leave the eigenbasis; blocks of Newton cells
+    # only, and blocks that mix them with spectral cells, read no value
+    monkeypatch.setattr(dynamics, "_EIG_COND_LIMIT", 1e4)
+    cells = lgi._Cells(*zip((1.0, 0.0), (2.0, 1.0), (0.5, 0.3),
+                            *_BUDGET_CELLS["locus"], (0.0, 0.5)),
+                       ModelParams(gamma=1.0, q=1.0))
+    assert (~cells.spectral).sum() == 11
+    grid = np.linspace(20.0 / 2000, 20.0, 2000)
+    direct = _direct_scan(cells, grid)
+
+    def no_value(*args):
+        raise AssertionError("the scan read value")
+
+    monkeypatch.setattr(lgi._Cells, "value", no_value)
+    scan = _own_scan(cells, np.arange(len(direct)), grid, SWEEP_TRACE_FLOOR)
+    finite = np.isfinite(direct)
+    assert np.array_equal(np.isfinite(scan), finite)
+    assert np.abs(scan[finite] - direct[finite]).max() <= 1e-12  # 2.5e-13
+    expected = lgi._coarse_peaks(_StubCurves(direct), grid, SWEEP_TRACE_FLOOR)
+    for block in (8, 1):
+        monkeypatch.setattr(lgi, "_SCAN_BLOCK_POINTS", block * len(grid))
+        actual = lgi._coarse_peaks(cells, grid, SWEEP_TRACE_FLOOR)
+        for got, want in zip(actual, expected):
+            assert np.array_equal(got, want)
 
 #: four cells that keep every trace above 0.5, then partly extinguished
 #: ones, the Newton cells (1, 0) and (2, 1), gamma = 0 cells (Schur), a cell

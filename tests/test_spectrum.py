@@ -226,13 +226,19 @@ def test_bloch_generators_of_a_stack_equal_each_cell():
 
 
 def test_overflowing_rate_names_its_cell():
-    # gamma (1 + q) overflows at 1.7e308 unless q = 0; the first such cell
-    # in row order is named, and no overflow warning escapes
+    # ||B||_F^2, which decompose computes, overflows where a rate gamma
+    # (1 + q) does, and from gamma of about 4.2e153 on at q = 1; the first
+    # such cell in row order is named with J, and no overflow warning escapes
     base = ModelParams(gamma=0.0, q=1.0)
     with np.errstate(all="raise"):
-        with pytest.raises(ValueError, match=r"^gamma \* \(1 \+ q\) overflows "
-                           r"at gamma = 1\.7e\+308, q = 0\.5$"):
-            bloch_generators(base, np.array([[1.0], [1.7e308]]),
-                             np.array([0.0, 0.5, 1.0]))
-        assert np.isfinite(bloch_generator(replace(base, gamma=1.7e308,
-                                                   q=0.0))).all()
+        for gamma, q in ((1.7e308, 0.0), (4.5e153, 1.0)):
+            with pytest.raises(ValueError, match=(
+                    rf"^\|\|B\|\|_F\^2 overflows at gamma = {gamma!r}, "
+                    rf"q = {q!r}, J = 1\.0$").replace("+", r"\+")):
+                bloch_generators(base, np.array([[1.0], [gamma]]),
+                                 np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match=r"J = 1e\+154$"):
+            bloch_generator(replace(base, J=1e154))
+        # the largest gamma and J the screen lets through unsquared
+        assert np.isfinite(bloch_generator(replace(base, gamma=5e152,
+                                                   J=1e153))).all()

@@ -93,26 +93,30 @@ def _csv_template(kinds):
 
 
 def _format_rows(fmt, rows):
-    """``rows`` in the output form of ``fmt``: one text block for CSV, or
-    JSON-ready rows with NaN as null (strict JSON has no NaN)."""
+    """``rows`` in the output form of ``fmt``: for CSV one text block, one
+    template filled by one ``%``, so every row must have the kind tuple (the
+    value types) of the first row, else ``TypeError``; or JSON-ready rows
+    with NaN as null (strict JSON has no NaN)."""
     if fmt != "csv":
         return [[None if isinstance(v, float) and math.isnan(v) else v
                  for v in row] for row in rows]
-    # one template per run of rows of one type, filled in one call
-    blocks = []
-    for kinds, run in itertools.groupby(rows, lambda row: tuple(map(type, row))):
-        run = list(run)
-        blocks.append(_csv_template(kinds) * len(run)
-                      % tuple(value for row in run for value in row))
-    return "".join(blocks)
+    if not rows:
+        return ""
+    kinds = tuple(map(type, rows[0]))
+    values = tuple(itertools.chain.from_iterable(rows))
+    # every row's length and every value's type, in C loops
+    if (set(map(len, rows)) != {len(kinds)}
+            or list(map(type, values)) != list(kinds) * len(rows)):
+        raise TypeError(f"CSV rows of more than one kind tuple, first {kinds}")
+    return _csv_template(kinds) * len(rows) % values
 
 
 def _write(args, columns, meta, parts):
-    """Write ``parts``, each an output of :func:`_format_rows`, to ``--out``
-    as one document: CSV under a '# ' JSON metadata line and the header, or
-    JSON.  Callers compute first, so a failure leaves no output.  A stdout
-    whose reader has gone is pointed at the null device before the
-    ``BrokenPipeError`` goes on to :func:`main`."""
+    """Write ``parts``, each an output of :func:`_format_rows` (for CSV, the
+    text of one table), to ``--out`` as one document: CSV under a '# ' JSON
+    metadata line and the header, or JSON.  Callers compute first, so a
+    failure leaves no output.  A stdout whose reader has gone is pointed at
+    the null device before the ``BrokenPipeError`` goes on to :func:`main`."""
     handle = sys.stdout if args.out == "-" else _open(args.out, "w", "--out")
     try:
         if args.format == "csv":
@@ -319,10 +323,11 @@ def _cmd_spectrum(args):
             )
             report = spectrum.spectrum_report(params)
             row = [params.gamma, params.q]
-            for eig in report.eigenvalues:
+            # roots come as numpy or as Python complex: one type per column
+            for eig in map(complex, report.eigenvalues):
                 row += [eig.real, eig.imag]
             row.append(int(report.has_exact_root))
-            for x in report.cubic_roots:
+            for x in map(complex, report.cubic_roots):
                 row += [x.real, x.imag]
             row += [int(report.degenerate), report.discriminant]
             rows.append(row)
@@ -342,8 +347,8 @@ def _cmd_bloch_traj(args):
     rows = []
     for branch in branches:
         r, sy, sz = blochsol.analytic_branch(params, branch).state(times).T
-        rows += [[branch, *row] for row in
-                 np.column_stack([times, r, sy / r, sz / r]).tolist()]
+        rows += zip(itertools.repeat(branch),
+                    *(column.tolist() for column in (times, r, sy / r, sz / r)))
     return _write_rows(args, ["branch", "t", "r", "sy", "sz"], _metadata(args),
                        rows)
 
@@ -422,9 +427,9 @@ def _cmd_fit_check(args):
     meta["max_residual"] = _fmt(report.max_residual)
     meta["median_residual"] = _fmt(report.median_residual)
     columns = ["gamma", "q", "k3_computed", "k3_fit", "residual", "region"]
-    return _write_rows(args, columns, meta, (
+    return _write_rows(args, columns, meta, [
         [row.gamma, row.q, row.k3_computed, row.k3_fit, row.residual, row.region]
-        for row in report.rows))
+        for row in report.rows])
 
 
 # ----------------------------------------------------------------- parser

@@ -233,10 +233,15 @@ def decompose(generators):
     back from ``eig`` as real arrays, with the same values).
     """
     gens = np.asarray(generators)
-    adjoint = gens.conj().swapaxes(-1, -2)
-    normality_defect = np.linalg.norm(gens @ adjoint - adjoint @ gens,
+    # a cell with an entry of 1 or more is scaled down by a power of two:
+    # exact, so the test decides as unscaled, and no square overflows
+    _, exponent = np.frexp(np.abs(gens).max(axis=(-2, -1), initial=0.5,
+                                            keepdims=True))
+    unit = gens * np.ldexp(1.0, -exponent)
+    adjoint = unit.conj().swapaxes(-1, -2)
+    normality_defect = np.linalg.norm(unit @ adjoint - adjoint @ unit,
                                       axis=(-2, -1))
-    scale = np.linalg.norm(gens, axis=(-2, -1)) ** 2
+    scale = np.linalg.norm(unit, axis=(-2, -1)) ** 2
     normal = normality_defect <= 1e-12 * scale
     eigs, modes = np.linalg.eig(gens)
     eigs, modes = eigs.astype(complex), modes.astype(complex)

@@ -72,21 +72,34 @@ _META_NUMBERS = ("k3_max", "t_star", "max_residual", "median_residual")
 
 def _arrays(path, code):
     """The arrays of one CSV output: ``col:<name>`` per column, ``meta:<key>``
-    per number of the metadata line, and ``exit``."""
+    per number of the metadata line, and ``exit``.  A number not written in
+    the form of ``cli._fmt`` (``0.1`` for 0.10000000000000001, ``1.0`` for
+    1) raises ``ValueError``: its value alone would not show it."""
+    from hybridlg.cli import _fmt
+
     lines = path.read_text().splitlines() if path.exists() else []
     meta = json.loads(lines[0][2:]) if lines else {}
     header = lines[1].split(",") if len(lines) > 1 else []
     cells = [line.split(",") for line in lines[2:] if line]
     out = {"exit": np.array(code)}
+    written = []   # (text, value) of every number
     for k, name in enumerate(header):
         column = [row[k] for row in cells]
         try:
-            out[f"col:{name}"] = np.array([float(v) for v in column])
+            values = [float(v) for v in column]
         except ValueError:
             out[f"col:{name}"] = np.array(column, dtype=str)
+            continue
+        out[f"col:{name}"] = np.array(values)
+        written += zip(column, values)
     for key in _META_NUMBERS:
         if key in meta:
             out[f"meta:{key}"] = np.array(float(meta[key]))
+            written.append((meta[key], float(meta[key])))
+    misprinted = [text for text, value in written if text != _fmt(value)]
+    if misprinted:
+        raise ValueError(f"{path.name}: {misprinted[:3]} are not in the form "
+                         "of cli._fmt")
     return out
 
 

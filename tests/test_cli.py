@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_complex_sets
-from hybridlg import dynamics, lgi
+from hybridlg import __version__, dynamics, lgi
 from hybridlg.cli import _fmt, _format_rows, _write, main
 from hybridlg.model import ModelParams
 from hybridlg.spectrum import build_liouvillian
@@ -157,6 +157,26 @@ def test_generator_too_large_to_square_is_one_usage_line(capsys):
         assert main(["k3", "--gamma", "1e308", "--q", "0", "--optimize"]) == 64
     assert capsys.readouterr() == ("", "usage error: ||B||_F^2 overflows at "
                                    "gamma = 1e+308, q = 0.0, J = 1.0\n")
+
+
+def test_normality_test_of_a_large_generator_does_not_overflow(capsys):
+    # decompose squares B B^T - B^T B: from entries of about 1e77 this cell
+    # printed two overflow warnings; the stdout is the one it printed then
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["k3", "--gamma", "1e100", "--q", "0.3", "--optimize"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        '# {"tool": "hybridlg", "version": "%s", "command": "k3", "config": '
+        '{"J": 1.0, "command": "k3", "dt": 0.001, "engine": "exact", '
+        '"eps_trace": 1e-250, "format": "csv", "gamma": 1e+100, "optimize": '
+        'true, "out": "-", "q": 0.3, "resolution": 2000, "theta": '
+        '1.5707963267948966}, "tolerances": {"eps_trace": 1e-250}, '
+        '"k3_max": "0", "t_star": "0.01"}\n'
+        "t,c01,c12,c02,k3,p_plus,p_minus\n"
+        "0.01,1.0000000000000001e-100,0,1.0000000000000001e-100,0,0.5,0.5\n"
+        % __version__)
 
 
 class _ClosedPipe:
@@ -988,10 +1008,13 @@ def test_csv_floats_have_roundtrip_precision(tmp_path):
     digits = value.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
     assert len(digits) >= 16
 
-_CELLS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+#: one strategy per kind of value, each of one type: a table column
+_KINDS = (
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                        allow_subnormal=True),
+              st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                               2.2250738585072014e-308])),
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
     st.text(alphabet="ab%s,-. ", max_size=6),
     st.integers(-2 ** 70, 2 ** 70),
     st.booleans(),
@@ -999,12 +1022,11 @@ _CELLS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(rows=st.lists(st.one_of(
-    st.lists(_CELLS, min_size=1, max_size=5).map(tuple),
-    # runs of rows that share one type tuple
-    st.tuples(st.floats(allow_nan=True, allow_infinity=True), st.floats()),
-), min_size=1, max_size=8), split=st.integers(0, 8))
+@given(rows=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=5).flatmap(
+    lambda kinds: st.lists(st.tuples(*kinds), min_size=1, max_size=8)),
+    split=st.integers(0, 8))
 def test_csv_row_templates_write_the_bytes_of_fmt(rows, split):
+    # a table is rows of one kind tuple, as every command writes
     expected = "".join(",".join(_fmt(value) for value in row) + "\n"
                        for row in rows)
     assert _format_rows("csv", rows) == expected
@@ -1015,20 +1037,36 @@ def test_csv_row_templates_write_the_bytes_of_fmt(rows, split):
     assert out.getvalue() == "# {}\na,b\n" + expected
 
 
-#: nsit rows with every type a row formatter must keep apart
+#: nsit rows of one kind tuple, with every value a row formatter must keep
+#: apart
 _PLANTED_ROWS = [
-    (0.0, 1.0, 1.5, math.nan, -0.0, 0.0, math.inf, -math.inf, ""),
-    (1.0, 0.0, 2.0, 0.1, 7, True, False, -3, "an error, with a comma"),
-    (2.0, 1.0, 0.25, math.nan, math.nan, math.nan, math.nan,
+    (0.0, 1.0, 1.5, math.nan, -0.0, 7, True, ""),
+    (1.0, 0.0, 2.0, 0.1, math.inf, 2 ** 70, False, "an error, with a comma"),
+    (2.0, 1.0, 0.25, -math.inf, 5e-324, -3, True,
      "all time points extinguished"),
 ]
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.5, "a"), ("b", 0.5)],            # the columns swapped
+    [("a", 0.5), ("b", "0.5")],          # text where a float was
+    [(0.1,), (np.float64(0.1),)],        # the same bytes, another kind
+    [(0.5, 1.0), (0.5, True)],           # True would read 1
+    [("a",), (0.1,)],                    # %s would write 0.1
+    [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)],   # lengths that even out
+    # nsit rows with a float where the others have a bool
+    _PLANTED_ROWS[:2] + [(*_PLANTED_ROWS[2][:6], 1.0, _PLANTED_ROWS[2][7])],
+])
+def test_csv_table_of_mixed_kinds_raises(rows):
+    with pytest.raises(TypeError, match="kind tuple"):
+        _format_rows("csv", rows)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("planted", [False, True])
 def test_nsit_task_returns_what_the_writer_writes(monkeypatch, fmt, planted):
     # a task of the defective t = 40 grid: Schur, Newton and one
-    # extinguished cell; or that task with rows of every type planted
+    # extinguished cell; or that task with planted rows of one kind tuple
     from hybridlg import macrorealism
 
     if planted:

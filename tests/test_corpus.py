@@ -1,6 +1,7 @@
 """The output corpus (``tests/corpus``) reruns in this process and matches
 its stored arrays exactly; a mismatch prints the drift table of
-``tests/corpus/regen.py``."""
+``tests/corpus/regen.py``.  Its numbers must also be written as
+``cli._fmt`` writes them (``regen._arrays``)."""
 
 from corpus import regen
 

@@ -45,6 +45,7 @@ from .errors import (
     SingularCoefficientsError,
     UnsupportedConfigurationError,
 )
+from .lgi import _contract
 from .numerics import coalesced, expm, solve_cubic_cardano
 from .spectrum import bloch_generator
 
@@ -88,7 +89,7 @@ class BranchSolution:
 
     ``roots`` are the shifted rates x_j (actual rates are x_j - gamma);
     ``coefficients`` pair with the stored ``modes`` columns so that
-    v(t) = e^{-gamma t} sum_j coeff_j e^{x_j t} modes[:, j].
+    v(t) = sum_j coeff_j e^{(x_j - gamma) t} modes[:, j].
     """
 
     branch: str                       # "+" or "-"
@@ -98,15 +99,13 @@ class BranchSolution:
     modes: np.ndarray = field(repr=False)
 
     def state(self, t):
-        """(R, Sy, Sz) at one time or an array of times."""
+        """(R, Sy, Sz) at one time or an array of times, each summed in a
+        fixed mode order, so that it does not depend on the other times."""
         scalar = np.ndim(t) == 0
         times = np.atleast_1d(np.asarray(t, dtype=float))
-        x = np.asarray(self.roots)
-        c = np.asarray(self.coefficients)
-        phases = np.exp(np.multiply.outer(times, x)) * np.exp(
-            -self.params.gamma * times
-        )[:, None]
-        v = ((phases * c) @ self.modes.T).real
+        rates = np.asarray(self.roots) - self.params.gamma
+        weights = np.exp(np.multiply.outer(times, rates)) * self.coefficients
+        v = _contract(weights, self.modes.T).real
         return v[0] if scalar else v
 
     def normalized_sy(self, t):

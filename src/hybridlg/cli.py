@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__, blochsol, fit, lgi, macrorealism, model, spectrum
 # perfbench's tracer wraps cli.evolve_rk4, so the name stays bound here
 from .dynamics import EvolveConfig, Propagator, evolve_rk4, rk4_states  # noqa: F401
-from .errors import (HybridLGError, TrajectoryExtinguishedError,
-                     UnsupportedConfigurationError)
+from .errors import (HybridLGError, NonFiniteStateError,
+                     TrajectoryExtinguishedError, UnsupportedConfigurationError)
 
 EXIT_OK = 0
 EXIT_EXTINGUISHED = 2
@@ -248,10 +248,13 @@ def _cmd_evolve(args):
     gone = np.flatnonzero(first >= 0)
     end = gone[0] if gone.size else len(rows)
     _write_rows(args, columns, meta, rows[:end].tolist())
-    if not gone.size:
-        return EXIT_OK
-    t, r = rows[end, [0, 9]].tolist()
-    print(f"trajectory extinguished at t={t:g} (trace {r:.3e}); "
+    return _extinguished(*rows[end, [0, 9]].tolist()) if gone.size else EXIT_OK
+
+
+def _extinguished(t, trace, where=""):
+    """Report a trajectory cut where its trace fell below the floor at t;
+    the exit code."""
+    print(f"{where}trajectory extinguished at t={t:g} (trace {trace:.3e}); "
           "flushed rows up to here", file=sys.stderr)
     return EXIT_EXTINGUISHED
 
@@ -344,13 +347,27 @@ def _cmd_bloch_traj(args):
     params = _params_from(args)
     branches = ("+", "-") if args.branch == "both" else (args.branch,)
     times = _sample_times(args)
-    rows = []
+    rows, cuts = [], []
     for branch in branches:
-        r, sy, sz = blochsol.analytic_branch(params, branch).state(times).T
-        rows += zip(itertools.repeat(branch),
-                    *(column.tolist() for column in (times, r, sy / r, sz / r)))
-    return _write_rows(args, ["branch", "t", "r", "sy", "sz"], _metadata(args),
-                       rows)
+        solution = blochsol.analytic_branch(params, branch)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            r, sy, sz = solution.state(times).T
+        ratios, first = lgi._branch_sy((r, r), (sy, sz), lgi.SWEEP_TRACE_FLOOR)
+        # a branch stops before its first extinguished point
+        gone = np.flatnonzero(first >= 0)
+        end = gone[0] if gone.size else len(times)
+        columns = np.stack((times, r, *ratios))[:, :end]
+        broken = ~np.isfinite(columns).all(axis=0)
+        if broken.any():
+            raise NonFiniteStateError(f"branch {branch}: state not finite at "
+                                      f"t={columns[0, broken][0]:g}")
+        rows += zip(itertools.repeat(branch), *columns.tolist())
+        if gone.size:
+            cuts.append((times[end], r[end], f"branch {branch}: "))
+    _write_rows(args, ["branch", "t", "r", "sy", "sz"], _metadata(args), rows)
+    for cut in cuts:
+        _extinguished(*cut)
+    return EXIT_EXTINGUISHED if cuts else EXIT_OK
 
 
 def _cmd_nsit(args):

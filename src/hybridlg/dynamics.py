@@ -264,46 +264,20 @@ _SERIES_REACH = np.array([(2.0 ** -56 * math.factorial(j)) ** (1.0 / j)
                           for j in range(1, 20)])
 
 
-class _Series:
-    """f_t[x_0..x_i] of f_t(z) = e^{tz} for every prefix of the nodes x, by
-    the Taylor series about their mean mu, for t diam(x) < 1.
-
-    With y = x - mu, f_t[x_0..x_i] = e^{t mu} t^i sum_j h_j(y_0..y_i) t^j
-    / (i + j)!, h_j the complete homogeneous symmetric polynomials
-    (Opitz's formula on the Taylor series of exp), summed by Horner in t.
-    With r = t max|y|, below 1 where t diam(x) < 1, term j of prefix i is
-    at most r^j / (j! i!): each point sums its terms up to the first whose
-    bound falls below the unit roundoff relative to the leading 1 / i!.
-    The count depends on the point's own t only, never on the other points
-    of a call.
-    """
-
-    def __init__(self, nodes):
-        self.mu = nodes.sum() / len(nodes)
-        offsets = (nodes - self.mu).tolist()
-        self.reach = max(abs(y) for y in offsets)
-        h = [1.0] + [0.0] * len(_SERIES_REACH)   # h_j of the nodes so far
-        rows = []
-        for i, y in enumerate(offsets):
-            for j in range(1, len(h)):
-                h[j] += y * h[j - 1]
-            rows.append([h[j] / math.factorial(i + j) for j in range(len(h))])
-        self.table = np.array(rows, dtype=complex)
-
-    def __call__(self, t):
-        """The divided differences of every prefix at the points t (1-D);
-        shape (len(t), len(nodes))."""
-        terms = np.searchsorted(_SERIES_REACH, t * self.reach)[:, None] + 1
-        column = t[:, None]
-        # Horner from each point's own top term: a point stays 0 above it
-        total = np.zeros((len(t), len(self.table)), dtype=complex)
-        for j in range(int(terms.max(initial=1)), -1, -1):
-            total *= column
-            total += np.where(terms >= j, self.table[:, j], 0.0)
-        # e^{t mu} t^i by repeated products: an e^{t mu} of 0 stays 0 for any t
-        scale = np.repeat(column, len(self.table), axis=1).astype(complex)
-        scale[:, 0] = np.exp(t * self.mu)
-        return total * np.cumprod(scale, axis=1)
+def _series_row(nodes):
+    """``(mu, max|y|, row)`` of f_t[x] = e^{t mu} t^{m-1} sum_j row[j] t^j,
+    the Taylor series about the mean mu of the m nodes x, y = x - mu:
+    row[j] = h_j(y) / (m - 1 + j)!, h_j the complete homogeneous symmetric
+    polynomials (Opitz's formula on the Taylor series of exp)."""
+    m = len(nodes)
+    mu = nodes.sum() / m
+    offsets = (nodes - mu).tolist()
+    h = [1.0] + [0.0] * len(_SERIES_REACH)   # h_j of the nodes so far
+    for y in offsets:
+        for j in range(1, len(h)):
+            h[j] += y * h[j - 1]
+    return (mu, max(map(abs, offsets)),
+            [h_j / math.factorial(m - 1 + j) for j, h_j in enumerate(h)])
 
 
 class NewtonForm:
@@ -321,11 +295,12 @@ class NewtonForm:
     coincide, so a defective G is as good as any other.
 
     The divided differences f_t[S] of the node subsets S follow the
-    symmetric hybrid rule of McCurdy, Ng & Parlett (Math. Comp. 43, 1984):
-    where t diam(S) < 1, the Taylor series about the mean of S
-    (:class:`_Series`); elsewhere the recurrence that divides by the
-    largest gap of S, so no point divides by a gap below 1/t.  The plan of
-    subsets, gaps and series coefficients is built once per generator.
+    symmetric hybrid rule of McCurdy, Ng & Parlett (Math. Comp. 43, 1984),
+    one rule for every subset of the plan, the prefixes l_0..l_k and single
+    nodes included: where t diam(S) < 1, the Taylor series about the mean
+    of S (:func:`_series_row`); elsewhere the recurrence that divides by
+    the largest gap of S, so no point divides by a gap below 1/t.  The plan
+    of subsets, gaps and series rows is built once per generator.
     """
 
     def __init__(self, generator, eigs, gamma):
@@ -337,68 +312,72 @@ class NewtonForm:
         for node in self.nodes[:-1]:
             products.append(products[-1] @ (generator - node * eye))
         self.products = np.array(products)
-        # node subset (bit mask) -> None for one node, else the pair (a, b)
-        # of its largest gap, that gap and the subset's series; children
-        # come before their parents
-        self._plan = {}
-        for k in range(len(eigs), 0, -1):
-            self._add((1 << k) - 1)
-
-    def _add(self, mask):
-        if mask in self._plan:
-            return
-        members = [j for j in range(len(self.nodes)) if mask >> j & 1]
-        if len(members) == 1:
-            self._plan[mask] = None
-            return
-        gaps = {(a, b): abs(self.nodes[b] - self.nodes[a])
-                for i, a in enumerate(members) for b in members[i + 1:]}
-        a, b = max(gaps, key=gaps.get)
-        self._add(mask ^ 1 << a)
-        self._add(mask ^ 1 << b)
-        self._plan[mask] = (a, b, gaps[a, b], _Series(self.nodes[members]))
+        # subset (bit mask) -> (a, b, gap, members): its largest gap, (j, j,
+        # 0, [j]) for one node j; the prefixes, and the two children (a or b
+        # left out) of each subset of more than one node
+        plan, todo = {}, [(1 << k) - 1 for k in range(1, len(eigs) + 1)]
+        while todo:
+            mask = todo.pop()
+            if mask in plan:
+                continue
+            members = [j for j in range(len(eigs)) if mask >> j & 1]
+            gaps = {(a, b): abs(self.nodes[b] - self.nodes[a])
+                    for i, a in enumerate(members) for b in members[i + 1:]}
+            a, b = max(gaps, key=gaps.get, default=(members[0], members[0]))
+            plan[mask] = (a, b, gaps.get((a, b), 0.0), members)
+            todo += [mask ^ 1 << a, mask ^ 1 << b] if a != b else []
+        # by size, so children come first and the subsets of more than k
+        # nodes are the columns from self._first[k] on
+        plan = dict(sorted(plan.items(), key=lambda item: item[0].bit_count()))
+        masks = list(plan)
+        self._mean, self._reach, self._rows = map(np.array, zip(*(
+            _series_row(self.nodes[members]) for *_, members in plan.values())))
+        self._first = np.cumsum(np.bincount([len(members)
+                                             for *_, members in plan.values()]))
+        self._diam = np.array([gap for _, _, gap, _ in plan.values()])
+        # (subset, its two children, their node gap) per recurrence step
+        self._steps = [(masks.index(mask), masks.index(mask ^ 1 << a),
+                        masks.index(mask ^ 1 << b), self.nodes[b] - self.nodes[a])
+                       for mask, (a, b, _, _) in plan.items() if a != b]
+        self._prefixes = [masks.index((1 << k) - 1) for k in range(1, len(eigs) + 1)]
 
     def coefficients(self, times):
         """f_t[l_0..l_k] for every k at each t >= 0; shape
         ``times.shape + (len(nodes),)``.  At t = 0 exactly (1, 0, ..., 0);
         a time below 0 raises ``ValueError``.
 
-        Where the whole node set takes the series, that one series, about
-        the mean of all nodes, gives every prefix.  At the other points each
-        subset of the plan is evaluated once, children first, by its rule.
+        One Horner pass sums the series of every subset.  With r = t max|y|
+        < 1, term j of m nodes is at most r^j / (j! (m - 1)!): a point sums
+        the terms up to the first below the unit roundoff relative to the
+        leading 1 / (m - 1)!, none where the subset takes the recurrence,
+        so its values depend on its own t only, never on the other points.
         """
         times = np.asarray(times, dtype=float)
         t = times.ravel()
         if (t < 0).any():
             raise ValueError(f"expected t >= 0, got {t.min()}")
-        n = len(self.nodes)
-        _, _, diam, series = self._plan[(1 << n) - 1]
-        near = t * diam < 1.0
-        if near.all():
-            return series(t).reshape(times.shape + (n,))
-        out = np.empty((len(t), n), dtype=complex)
-        if near.any():
-            out[near] = series(t[near])
-        t = t[~near]
-        singles = np.exp(np.multiply.outer(t, self.nodes))
-        values = {}
-        for mask, entry in self._plan.items():
-            if entry is None:
-                values[mask] = singles[:, mask.bit_length() - 1]
-                continue
-            a, b, diam, series = entry
-            close = t * diam < 1.0
-            if close.all():
-                values[mask] = series(t)[:, -1]
-                continue
-            value = ((values[mask ^ 1 << a] - values[mask ^ 1 << b])
-                     / (self.nodes[b] - self.nodes[a]))
-            if close.any():
-                value[close] = series(t[close])[:, -1]
-            values[mask] = value
-        out[~near] = np.stack([values[(1 << k) - 1] for k in range(1, n + 1)],
-                              axis=-1)
-        return out.reshape(times.shape + (n,))
+        column = t[:, None]
+        close = column * self._diam < 1.0
+        top = np.where(close, np.searchsorted(_SERIES_REACH, column * self._reach)
+                       + 1, -1)
+        # Horner from each point's own top term: a point stays 0 above it
+        values = np.zeros((len(t), len(self._rows)), dtype=complex)
+        for j in range(int(top.max(initial=0)), -1, -1):
+            values *= column
+            values += np.where(top >= j, self._rows[:, j], 0.0)
+        # e^{t mu} t^{m-1} by repeated products: an e^{t mu} of 0 stays 0
+        scale = np.exp(column * self._mean)
+        for k in range(1, len(self.nodes)):
+            scale[:, self._first[k]:] *= column
+        values *= scale
+        # the recurrence's values where the series holds are never read
+        series = close.all(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s, a, b, gap in self._steps:
+                if not series[s]:
+                    values[:, s] = np.where(close[:, s], values[:, s],
+                                            (values[:, a] - values[:, b]) / gap)
+        return values[:, self._prefixes].reshape(times.shape + (len(self.nodes),))
 
 
 class Propagator:

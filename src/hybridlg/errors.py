@@ -44,6 +44,10 @@ class IntegrationDivergedError(HybridLGError):
         return type(self), (self.step_index, self.message)
 
 
+class NonFiniteStateError(HybridLGError):
+    """Raised when a closed-form state overflowed to NaN or Inf."""
+
+
 class DegenerateRootsError(HybridLGError):
     """Raised when closed-form mode expansions hit (near-)coalescing roots."""
 

@@ -713,6 +713,51 @@ def test_bloch_traj_branches(tmp_path):
         assert float(first["sy"]) == pytest.approx(sy0, abs=1e-9)
 
 
+def test_bloch_traj_rows_do_not_depend_on_samples(tmp_path):
+    # the modes are summed in a fixed order per time, so a row's bytes do
+    # not depend on how many other times the call holds
+    rows = {}
+    for samples in (1, 2, 201):
+        out = tmp_path / f"branches{samples}.csv"
+        assert main(["bloch-traj", "--gamma", "0.5", "--q", "0.3",
+                     "--samples", str(samples), "--out", str(out)]) == 0
+        rows[samples] = {(row[0], row[1]): row for row in read_csv(out)[2]}
+    for branch in "+-":
+        assert rows[1][branch, "0"] == rows[2][branch, "0"] == rows[201][branch, "0"]
+        assert rows[2][branch, "10"] == rows[201][branch, "10"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bloch_traj_writes_no_nan_row(tmp_path, capsys):
+    # the trace is far below 1 at t = 2000, but above the floor
+    out = tmp_path / "late.csv"
+    assert main(["bloch-traj", "--gamma", "0.5", "--q", "0.3", "--t-max", "2000",
+                 "--samples", "3", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 6
+    assert np.isfinite(np.array([row[1:] for row in rows], dtype=float)).all()
+    # below the floor each branch stops before its first extinguished row
+    assert main(["bloch-traj", "--gamma", "0.5", "--q", "0.3", "--t-max", "20000",
+                 "--samples", "5", "--out", str(out)]) == 2
+    _, _, rows = read_csv(out)
+    assert [row[:2] for row in rows] == [["+", "0"], ["-", "0"]]
+    err = capsys.readouterr().err
+    for branch in "+-":
+        assert (f"branch {branch}: trajectory extinguished at t=5000 (trace 0.000e+00)"
+                in err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bloch_traj_overflow_is_a_numeric_failure(tmp_path, capsys):
+    # a growing mode of the approximate system overflows by t = 200
+    out = tmp_path / "growing.csv"
+    assert main(["bloch-traj", "--gamma", "5", "--q", "1", "--t-max", "200",
+                 "--out", str(out)]) == 70
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: branch +: state not finite at t=")
+    assert not out.exists()
+
+
 def test_nsit_command_fixed_interval(tmp_path):
     out = tmp_path / "nsit.csv"
     assert main(["nsit", "--grid-gamma", "1:1:1", "--grid-q", "0.5:0.5:1",

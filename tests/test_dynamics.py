@@ -522,14 +522,23 @@ def test_divided_differences_at_zero_are_exact():
         assert form.coefficients(np.zeros(3)).tolist() == [[1, 0, 0, 0]] * 3
 
 
-@pytest.mark.parametrize("gamma, q", [(1.0, 0.0), (2.0, 1.0), (1.0, 1e-14)])
-def test_divided_differences_of_a_point_do_not_depend_on_its_call(gamma, q):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("params", [
+    ModelParams(gamma=1.0, q=0.0), ModelParams(gamma=2.0, q=1.0),
+    ModelParams(gamma=1.0, q=1e-14), ModelParams(gamma=0.5, q=0.3),
+    ModelParams(gamma=0.5, q=0.3, theta=1.0), ModelParams(gamma=0.0, q=0.5),
+], ids=lambda p: f"{p.gamma}-{p.q}" + ("" if p.theta == math.pi / 2
+                                       else f"-theta{p.theta}"))
+def test_divided_differences_of_a_point_do_not_depend_on_its_call(params):
     # each point sums its own number of series terms, so a call's value at t
-    # is the value of t alone, bit for bit
-    prop = Propagator(ModelParams(gamma=gamma, q=q))
-    form = prop._newton
-    times = np.linspace(1e-3, 40.0, 400)
+    # is the value of t alone, bit for bit; the series and recurrence values
+    # a point does not read neither warn nor reach its result, up to 2t of
+    # the corpus' --t-max 3000
+    form = Propagator(params)._newton
+    times = np.concatenate((np.linspace(1e-3, 40.0, 400),
+                            np.linspace(50.0, 6000.0, 120)))
     alone = np.array([form.coefficients([t])[0] for t in times])
+    assert np.isfinite(alone).all()
     assert np.array_equal(form.coefficients(times), alone)
     assert np.array_equal(form.coefficients(times[::-1]), alone[::-1])
 
